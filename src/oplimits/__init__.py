@@ -18,7 +18,6 @@ from .funcspace import (
     CATALOG,
     Grid,
     TestFunction,
-    Weight,
     default_grid,
     lipschitz_estimate_d2,
     make_geometric_grid,
@@ -28,8 +27,6 @@ from .funcspace import (
 )
 from .operators import (
     DEFAULT_POLICY,
-    OperatorInstance,
-    OperatorKind,
     SeriesValue,
     TruncationPolicy,
     baskakov_apply,
@@ -42,13 +39,11 @@ from .operators import (
     truncation_index,
 )
 from .iterates import (
-    ChainState,
     LatticeFunction,
     TransitionKernel,
     bernstein_kernel,
     build_sm_kernel,
     chain_expectation_mc,
-    chain_sample_sm,
     chain_terminal_values,
     kelisky_rivlin_reference,
     kernel_iterate,
@@ -57,7 +52,6 @@ from .iterates import (
 from .generator import (
     GeneratorKind,
     MaxPrincipleResult,
-    VoronovskayaReport,
     fit_rate,
     generator_apply,
     m_alpha,
@@ -71,13 +65,10 @@ from .diffusion import (
     ScaledMoments,
     chain_jump_probability_bound,
     chain_scaling_moments,
-    feller_euler_path,
     feller_euler_terminal,
-    feller_exact_step,
     feller_exact_terminal,
     feller_semigroup_closed_form,
     semigroup_mc,
-    wf_euler_path,
     wf_euler_terminal,
 )
 from .mc import MonteCarloEstimate, ks_distance

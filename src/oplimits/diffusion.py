@@ -30,22 +30,16 @@ from .errors import UnsupportedMethodError
 from .mc import MonteCarloEstimate, estimate_from, sample_across_workers
 from .operators import poisson_tail_bound, sm_moment
 
-CLAMP_ZERO = "clamp-zero"
-CLAMP_UNIT = "clamp-unit"
-
 
 @dataclass(frozen=True)
 class EulerConfig:
-    """Time step and boundary handling for an Euler-Maruyama path."""
+    """Time step of an Euler-Maruyama path (clamping follows the diffusion)."""
 
     dt: float = 1e-3
-    boundary_rule: str = CLAMP_ZERO
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.boundary_rule not in (CLAMP_ZERO, CLAMP_UNIT):
-            raise ValueError(f"unknown boundary rule {self.boundary_rule!r}")
 
 
 def feller_exact_terminal(
@@ -64,11 +58,6 @@ def feller_exact_terminal(
     if np.any(pos):
         out[pos] = rng.gamma(shape=counts[pos], scale=t / 2.0)
     return out
-
-
-def feller_exact_step(x: float, t: float, rng: np.random.Generator) -> float:
-    """One exact draw of the square-root diffusion at time t started at x."""
-    return float(feller_exact_terminal(x, t, 1, rng)[0])
 
 
 def _euler_steps(T: float, dt: float):
@@ -97,15 +86,6 @@ def feller_euler_terminal(
     return y
 
 
-def feller_euler_path(
-    x: float, T: float, config: EulerConfig, rng: np.random.Generator
-) -> float:
-    """Terminal value of one clamped Euler path of dY = sqrt(Y) dW."""
-    if config.boundary_rule != CLAMP_ZERO:
-        raise ValueError("the square-root diffusion uses the clamp-zero rule")
-    return float(feller_euler_terminal(x, T, config.dt, 1, rng)[0])
-
-
 def wf_euler_terminal(
     x: float, T: float, dt: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -121,15 +101,6 @@ def wf_euler_terminal(
     if rem > 0.0:
         v = np.clip(v + np.sqrt(v * (1.0 - v) * rem) * rng.standard_normal(size), 0.0, 1.0)
     return v
-
-
-def wf_euler_path(
-    x: float, T: float, config: EulerConfig, rng: np.random.Generator
-) -> float:
-    """Terminal value of one clamped Euler path of the Wright-Fisher diffusion."""
-    if config.boundary_rule != CLAMP_UNIT:
-        raise ValueError("the Wright-Fisher diffusion uses the clamp-unit rule")
-    return float(wf_euler_terminal(x, T, config.dt, 1, rng)[0])
 
 
 def feller_semigroup_closed_form(lam: float, x: float, t: float) -> float:
@@ -161,7 +132,7 @@ def semigroup_mc(
     samples: int,
     seed: int,
     method: str = METHOD_EXACT,
-    config: EulerConfig = None,
+    config: EulerConfig = EulerConfig(),
     workers=None,
 ) -> MonteCarloEstimate:
     """Monte Carlo estimate of E[f(terminal value at time t from x)].
@@ -185,10 +156,6 @@ def semigroup_mc(
         raise ValueError("t must be nonnegative")
     if t == 0.0:
         return MonteCarloEstimate(mean=float(f(x)), stderr=0.0, samples=samples)
-    if config is None:
-        config = EulerConfig(
-            boundary_rule=CLAMP_ZERO if kind == FELLER else CLAMP_UNIT
-        )
 
     def draw(rng, m):
         if kind == FELLER and method == METHOD_EXACT:

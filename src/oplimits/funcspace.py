@@ -48,20 +48,6 @@ def weight_eval(alpha: float, x: float):
 
 
 @dataclass(frozen=True)
-class Weight:
-    """The weight function ``x -> 1/(1 + x**alpha)`` for a fixed exponent."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if self.alpha < 1:
-            raise ValueError(f"weight exponent alpha must be >= 1, got {self.alpha}")
-
-    def __call__(self, x):
-        return weight_eval(self.alpha, x)
-
-
-@dataclass(frozen=True)
 class TestFunction:
     """An evaluatable function on [0, inf) with optional analytic extras.
 
@@ -76,15 +62,12 @@ class TestFunction:
         differences when present.
     lip_d2 : float, optional
         A known Lipschitz constant of the second derivative.
-    sup_bound : float, optional
-        A known bound on sup |f|.
     """
 
     label: str
     fn: Callable
     d2_fn: Optional[Callable] = None
     lip_d2: Optional[float] = None
-    sup_bound: Optional[float] = None
 
     # keep pytest from collecting this public class as a test case
     __test__ = False
@@ -92,8 +75,6 @@ class TestFunction:
     def __post_init__(self):
         if self.lip_d2 is not None and self.lip_d2 < 0:
             raise ValueError("lip_d2 must be nonnegative")
-        if self.sup_bound is not None and self.sup_bound < 0:
-            raise ValueError("sup_bound must be nonnegative")
 
     def __call__(self, x):
         return self.fn(x)
@@ -235,7 +216,6 @@ def _make_exp(lam: float) -> TestFunction:
         fn=lambda x, lam=lam: np.exp(-lam * np.asarray(x, dtype=float)),
         d2_fn=lambda x, lam=lam: lam ** 2 * np.exp(-lam * np.asarray(x, dtype=float)),
         lip_d2=lam ** 3,  # sup |f'''| = lam^3 at x = 0
-        sup_bound=1.0,
     )
 
 
@@ -246,7 +226,7 @@ def catalog() -> dict:
     for lam = 1, 2, 3; xexp is x exp(-x); cauchy is 1/(1 + x^2).
     """
     funcs = {
-        "e0": TestFunction("e0", _const_one, _const_zero, lip_d2=0.0, sup_bound=1.0),
+        "e0": TestFunction("e0", _const_one, _const_zero, lip_d2=0.0),
         "e1": TestFunction(
             "e1",
             lambda x: np.asarray(x, dtype=float),
@@ -265,14 +245,12 @@ def catalog() -> dict:
             lambda x: (np.asarray(x, dtype=float) - 2.0)
             * np.exp(-np.asarray(x, dtype=float)),
             lip_d2=3.0,  # sup |(3 - x) exp(-x)| = 3 at x = 0
-            sup_bound=np.exp(-1.0),
         ),
         "cauchy": TestFunction(
             "cauchy",
             lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float) ** 2),
             lambda x: (6.0 * np.asarray(x, dtype=float) ** 2 - 2.0)
             / (1.0 + np.asarray(x, dtype=float) ** 2) ** 3,
-            sup_bound=1.0,
         ),
     }
     for lam in (1.0, 2.0, 3.0):

@@ -16,8 +16,7 @@ of the positive maximum principle.
 """
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,7 +44,7 @@ class GeneratorKind(enum.Enum):
         return self is GeneratorKind.BASKAKOV_HEURISTIC
 
 
-def generator_apply(kind: GeneratorKind, f, x: float, h: float = 1e-4) -> float:
+def generator_apply(kind: GeneratorKind, f, x: float) -> float:
     """Evaluate a(x) f''(x), with the degenerate boundary values forced to 0.
 
     Uses the analytic second derivative when ``f`` carries one, else the
@@ -59,7 +58,7 @@ def generator_apply(kind: GeneratorKind, f, x: float, h: float = 1e-4) -> float:
         return 0.0
     if kind is GeneratorKind.WRIGHT_FISHER and x == 1.0:
         return 0.0
-    return kind.coefficient(x) * second_derivative(f, x, h)
+    return kind.coefficient(x) * second_derivative(f, x)
 
 
 def m_alpha(alpha: float) -> float:
@@ -129,18 +128,17 @@ def semigroup_rate_bound(
     alpha: float,
     norm_af: float,
     lip_d2: float,
-    lip_d2_along_flow: Optional[Callable[[float], float]] = None,
 ) -> float:
     """Assembled iterate-to-semigroup rate bound at time t.
 
     Computes ``(sqrt(t/n) + 1/n) (norm_af + m_alpha lip_d2 / (6 sqrt n))``
     plus the composite-trapezoid quadrature (64 panels) of
-    ``s -> m_alpha lip_d2_along_flow(s) / (6 sqrt n)`` over [0, t].
+    ``s -> m_alpha lip_d2 / (6 sqrt n)`` over [0, t].
 
     The flow term needs the Lipschitz constant of the evolved function's
-    second derivative, which is not computable in closed form; when omitted
-    it defaults to the constant ``lip_d2``, a heuristic that is NOT backed
-    by the theory and is intended for reporting only.
+    second derivative, which is not computable in closed form; it is
+    replaced by the constant ``lip_d2``, a heuristic that is NOT backed by
+    the theory and is intended for reporting only.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -149,13 +147,10 @@ def semigroup_rate_bound(
     if norm_af < 0 or lip_d2 < 0:
         raise ValueError("norms and Lipschitz constants must be nonnegative")
     ma = m_alpha(alpha)
-    if lip_d2_along_flow is None:
-        lip_d2_along_flow = lambda s: lip_d2  # noqa: E731 - heuristic default
     head = (np.sqrt(t / n) + 1.0 / n) * (norm_af + ma * lip_d2 / (6.0 * np.sqrt(n)))
     if t == 0.0:
         return float(head)
-    s = np.linspace(0.0, t, 65)
-    g = np.array([ma * float(lip_d2_along_flow(si)) / (6.0 * np.sqrt(n)) for si in s])
+    g = np.full(65, ma * float(lip_d2) / (6.0 * np.sqrt(n)))
     panel = t / 64.0
     integral = panel * (0.5 * g[0] + g[1:-1].sum() + 0.5 * g[-1])
     return float(head + integral)
@@ -172,20 +167,6 @@ def fit_rate(n_values: Sequence[int], errors: Sequence[float]) -> float:
     if np.any(errors <= 0):
         raise ValueError("errors must be strictly positive for a log fit")
     return float(np.polyfit(np.log(n_values), np.log(errors), 1)[0])
-
-
-@dataclass(frozen=True)
-class VoronovskayaReport:
-    """Per-n measured residual norms, theoretical bounds, and fitted rate."""
-
-    n_values: tuple
-    residual_norms: tuple
-    bounds: tuple  # entries may be None when no Lipschitz data is available
-    fitted_slope: Optional[float]
-
-    def __post_init__(self):
-        if not (len(self.n_values) == len(self.residual_norms) == len(self.bounds)):
-            raise ValueError("report sequences must have equal length")
 
 
 class MaxPrincipleResult(NamedTuple):

@@ -10,14 +10,15 @@ and worker count included) under the ``config`` key of their parameter echo.
 Trend checks (monotone decrease along a ladder) are encoded row-wise: the
 row for step i uses the measurement of step i-1 as its bound, shifted by the
 declared monotonicity slack.  Declared tolerances are configuration, not
-code; the defaults live in the tables below.
+code; the defaults live in :class:`ExperimentConfig` and the per-experiment
+table below.
 """
 
 import csv
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -33,7 +34,6 @@ from .errors import ConfigError
 from .funcspace import CATALOG, Grid, make_geometric_grid, weight_eval
 from .generator import (
     GeneratorKind,
-    VoronovskayaReport,
     fit_rate,
     generator_apply,
     semigroup_rate_bound,
@@ -51,28 +51,7 @@ from .iterates import (
 from .mc import ks_distance, resolve_workers, sample_across_workers
 from .operators import TruncationPolicy, sm_apply, sm_exponential_closed_form
 
-EXPERIMENTS = (
-    "voronovskaya",
-    "semigroup",
-    "kelisky-rivlin",
-    "korovkin",
-    "weak-convergence",
-)
-
-# Shared defaults; per-experiment tables override and extend them.
-_COMMON_DEFAULTS = {
-    "alpha": 2.0,
-    "seed": 42,
-    "tail_eps": 1e-12,
-    "samples": 100_000,
-    "x_max": 50.0,
-    "grid_points": 300,
-    "dense_head": 100,
-    "x_panel": (0.0, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0),
-    "format": "csv",
-    "output_path": None,
-}
-
+# Per-experiment overrides of the ExperimentConfig field defaults.
 _EXPERIMENT_DEFAULTS = {
     "voronovskaya": {
         "n_ladder": (4, 16, 64, 256, 1024),
@@ -111,10 +90,12 @@ _EXPERIMENT_DEFAULTS = {
     },
 }
 
+EXPERIMENTS = tuple(_EXPERIMENT_DEFAULTS)
+
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved experiment parameters; see the defaults tables above."""
+    """Fully resolved experiment parameters; see the defaults table above."""
 
     experiment: str
     n_ladder: tuple = ()
@@ -128,7 +109,7 @@ class ExperimentConfig:
     x_max: float = 50.0
     grid_points: int = 300
     dense_head: int = 100
-    x_panel: tuple = ()
+    x_panel: tuple = (0.0, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0)
     k_max: int = 200
     lambdas: tuple = (1.0, 2.0, 3.0)
     slope_window: tuple = (-0.65, -0.35)
@@ -143,13 +124,8 @@ class ExperimentConfig:
 
     @classmethod
     def for_experiment(cls, experiment: str, overrides: Optional[dict] = None):
-        """Build a config from the defaults tables plus explicit overrides."""
-        if experiment not in EXPERIMENTS:
-            raise ConfigError(
-                f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}"
-            )
-        values = dict(_COMMON_DEFAULTS)
-        values.update(_EXPERIMENT_DEFAULTS[experiment])
+        """Build a config from the defaults table plus explicit overrides."""
+        values = dict(_EXPERIMENT_DEFAULTS.get(experiment, {}))
         known = {f.name for f in fields(cls)} - {"experiment"}
         for key, val in (overrides or {}).items():
             if key == "experiment":
@@ -167,12 +143,17 @@ class ExperimentConfig:
 
     def validate(self):
         if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}")
+            raise ConfigError(
+                f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
+            )
         ladder = self.n_ladder
         if not ladder or any(int(n) != n or n < 1 for n in ladder):
             raise ConfigError("n_ladder must hold positive integers")
         if any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ConfigError("n_ladder must be strictly increasing")
+        if self.experiment == "kelisky-rivlin" and len(ladder) != 1:
+            raise ConfigError("kelisky-rivlin iterates one fixed n; n_ladder "
+                              "must hold exactly one entry")
         if self.function_label not in CATALOG:
             raise ConfigError(
                 f"unknown function {self.function_label!r}; "
@@ -184,6 +165,11 @@ class ExperimentConfig:
             raise ConfigError("t must be nonnegative")
         if self.x < 0:
             raise ConfigError("x must be nonnegative")
+        if self.experiment == "weak-convergence":
+            if self.t <= 0:
+                raise ConfigError("weak-convergence requires t > 0")
+            if self.x <= 0:
+                raise ConfigError("weak-convergence requires x > 0")
         if self.samples < 2:
             raise ConfigError("samples must be >= 2")
         if not (0.0 < self.tail_eps < 1.0):
@@ -193,10 +179,17 @@ class ExperimentConfig:
         lams = self.lambdas
         if len(lams) != 3 or not (0.0 < lams[0] < lams[1] < lams[2]):
             raise ConfigError("lambdas must be three strictly increasing positives")
-        if any(p < 0 for p in self.x_panel) or any(
-            b <= a for a, b in zip(self.x_panel, self.x_panel[1:])
+        panel = self.x_panel
+        if not panel or any(p < 0 for p in panel) or any(
+            b <= a for a, b in zip(panel, panel[1:])
         ):
-            raise ConfigError("x_panel must be strictly increasing and nonnegative")
+            raise ConfigError(
+                "x_panel must be nonempty, strictly increasing and nonnegative"
+            )
+        window = self.slope_window
+        if (len(window) != 2 or not all(isinstance(v, (int, float)) for v in window)
+                or not window[0] < window[1]):
+            raise ConfigError("slope_window must be two numbers lo < hi")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
 
@@ -273,11 +266,9 @@ class ConvergenceReport:
     """Rows plus the per-ladder aggregates of one experiment run."""
 
     experiment: str
-    config: dict
     rows: tuple
     n_values: tuple = ()
     measured: tuple = ()
-    bounds: tuple = ()
     fitted_slope: Optional[float] = None
 
     @property
@@ -285,13 +276,13 @@ class ConvergenceReport:
         return all(r.passed for r in self.rows)
 
 
-def _row(experiment, echo, params, measured, bound=None, stderr=None,
-         error_budget=None, slack=0.0):
+def _row(echo, params, measured, bound=None, stderr=None, error_budget=None,
+         slack=0.0):
     """Build a row; the verdict is measured <= bound + slack (or pass when
     no bound applies)."""
     passed = True if bound is None else bool(measured <= bound + slack)
     return ReportRow(
-        experiment=experiment,
+        experiment=echo["experiment"],
         params={**params, "config": echo},
         measured=float(measured),
         bound=None if bound is None else float(bound),
@@ -301,7 +292,12 @@ def _row(experiment, echo, params, measured, bound=None, stderr=None,
     )
 
 
-def run_voronovskaya(config: ExperimentConfig) -> ConvergenceReport:
+def _prev(values):
+    """Bound of a trend row: the previous measurement on the ladder, if any."""
+    return values[-1] if values else None
+
+
+def run_voronovskaya(config: ExperimentConfig, echo: dict, workers: int):
     """Measured second-order residual norms against the explicit rate bound.
 
     Emits one row per ladder entry (measured residual vs bound when the
@@ -310,9 +306,6 @@ def run_voronovskaya(config: ExperimentConfig) -> ConvergenceReport:
     strictly positive, a fitted log-log rate row checked against the
     declared slope window.
     """
-    config.validate()
-    workers = resolve_workers()
-    echo = config.resolved(workers)
     grid = config.grid()
     f = config.function()
     policy = config.policy()
@@ -321,71 +314,33 @@ def run_voronovskaya(config: ExperimentConfig) -> ConvergenceReport:
 
     rows = []
     residuals = []
-    bounds = []
     for n in config.n_ladder:
         resid = voronovskaya_residual(n, f, config.alpha, grid, policy)
         residuals.append(resid)
+        params = {"n": n, "f": f.label, "alpha": config.alpha}
         if use_bounds:
-            bnd = voronovskaya_bound(n, config.alpha, lip)
-            bounds.append(bnd)
-            rows.append(_row(
-                config.experiment, echo,
-                {"check": "residual-vs-bound", "n": n, "f": f.label,
-                 "alpha": config.alpha, "lip_d2": lip},
-                resid, bound=bnd,
-            ))
+            params.update(check="residual-vs-bound", lip_d2=lip)
+            bound = voronovskaya_bound(n, config.alpha, lip)
         elif lip == 0.0:
             # polynomial of degree <= 2: the expansion is exact, so the
             # residual must sit at numerical-noise level
-            bounds.append(None)
-            rows.append(_row(
-                config.experiment, echo,
-                {"check": "polynomial-exactness", "n": n, "f": f.label,
-                 "alpha": config.alpha},
-                resid, bound=config.residual_zero_tolerance,
-            ))
+            params["check"] = "polynomial-exactness"
+            bound = config.residual_zero_tolerance
         else:
             # no Lipschitz data (or alpha outside the bound's domain):
             # report the residual without a verdict
-            bounds.append(None)
-            rows.append(_row(
-                config.experiment, echo,
-                {"check": "residual-only", "n": n, "f": f.label,
-                 "alpha": config.alpha},
-                resid, bound=None,
-            ))
+            params["check"] = "residual-only"
+            bound = None
+        rows.append(_row(echo, params, resid, bound=bound))
 
     slope = None
     positive = [(n, r) for n, r in zip(config.n_ladder, residuals) if r > 0.0]
     if use_bounds and len(positive) >= 3:
         slope = fit_rate([n for n, _ in positive], [r for _, r in positive])
         lo, hi = config.slope_window
-        rows.append(ReportRow(
-            experiment=config.experiment,
-            params={"check": "fitted-rate", "f": f.label,
-                    "window": [lo, hi], "config": echo},
-            measured=float(slope),
-            bound=None,
-            stderr=None,
-            error_budget=None,
-            passed=bool(lo <= slope <= hi),
-        ))
-
-    detail = VoronovskayaReport(
-        n_values=tuple(config.n_ladder),
-        residual_norms=tuple(residuals),
-        bounds=tuple(bounds),
-        fitted_slope=slope,
-    )
-    return ConvergenceReport(
-        experiment=config.experiment,
-        config=echo,
-        rows=tuple(rows),
-        n_values=detail.n_values,
-        measured=detail.residual_norms,
-        bounds=detail.bounds,
-        fitted_slope=detail.fitted_slope,
-    )
+        row = _row(echo, {"check": "fitted-rate", "f": f.label, "window": [lo, hi]}, slope)
+        rows.append(replace(row, passed=bool(lo <= slope <= hi)))
+    return rows, config.n_ladder, residuals, slope
 
 
 def _snap_panel(panel, n):
@@ -394,7 +349,7 @@ def _snap_panel(panel, n):
     return np.array(idx), np.array(idx, dtype=float) / n
 
 
-def run_semigroup_convergence(config: ExperimentConfig) -> ConvergenceReport:
+def run_semigroup_convergence(config: ExperimentConfig, echo: dict, workers: int):
     """Iterate-vs-limit-semigroup discrepancy along an n ladder.
 
     For each n the kernel iterate with floor(n t) steps is compared against
@@ -405,30 +360,24 @@ def run_semigroup_convergence(config: ExperimentConfig) -> ConvergenceReport:
     be non-increasing along the ladder and the final one to meet the
     declared tolerance.
     """
-    config.validate()
-    workers = resolve_workers()
-    echo = config.resolved(workers)
     f = config.function()
     t = config.t
     lam = {"f1": 1.0, "f2": 2.0, "f3": 3.0}.get(config.function_label)
-    panel_max = max(config.x_panel) if config.x_panel else config.x
+    panel_max = max(config.x_panel)
     rows = []
     discrepancies = []
-    heuristic_bounds = []
 
     # Reported (not asserted) rate bound needs the weighted norm of the
-    # generator image and a Lipschitz constant; skip when unavailable.
+    # generator image and a positive Lipschitz constant; skip otherwise.
     lip = f.lip_d2
-    norm_af = None
-    if lip is not None and config.alpha > 1.5:
+    use_bounds = lip is not None and lip > 0 and config.alpha > 1.5
+    if use_bounds:
         grid = config.grid()
         af_vals = np.array([
             generator_apply(GeneratorKind.SM_HALF_X, f, float(x))
             for x in grid.points
         ])
-        norm_af = float(np.max(np.abs(
-            np.array([weight_eval(config.alpha, float(x)) for x in grid.points])
-            * af_vals)))
+        norm_af = float(np.max(np.abs(weight_eval(config.alpha, grid.points) * af_vals)))
 
     for pos, n in enumerate(config.n_ladder):
         k = floor_nt(n, t)
@@ -439,7 +388,7 @@ def run_semigroup_convergence(config: ExperimentConfig) -> ConvergenceReport:
         )
         lattice_fn = kernel_iterate(kernel, f, k)
         idx, xs = _snap_panel(config.x_panel, n)
-        w = np.array([weight_eval(config.alpha, float(x)) for x in xs])
+        w = weight_eval(config.alpha, xs)
 
         stderr = None
         if lam is not None:
@@ -455,23 +404,18 @@ def run_semigroup_convergence(config: ExperimentConfig) -> ConvergenceReport:
 
         disc = float(np.max(w * np.abs(lattice_fn.values[idx] - ref)))
         budget = float(np.max(lattice_fn.error_budget[idx]))
-        discrepancies.append(disc)
 
-        hb = None
-        if norm_af is not None and lip is not None and lip > 0:
-            hb = semigroup_rate_bound(n, t, config.alpha, norm_af, lip)
-        heuristic_bounds.append(hb)
-
-        prev = discrepancies[pos - 1] if pos > 0 else None
+        hb = semigroup_rate_bound(n, t, config.alpha, norm_af, lip) if use_bounds else None
         params = {"check": "iterate-vs-semigroup", "n": n, "k": k,
                   "f": f.label, "t": t, "alpha": config.alpha,
                   "rate_bound_heuristic": hb}
-        rows.append(_row(config.experiment, echo, params, disc,
-                         bound=prev, stderr=stderr, error_budget=budget,
+        rows.append(_row(echo, params, disc, bound=_prev(discrepancies),
+                         stderr=stderr, error_budget=budget,
                          slack=config.monotonicity_slack))
+        discrepancies.append(disc)
 
     rows.append(_row(
-        config.experiment, echo,
+        echo,
         {"check": "final-discrepancy", "n": config.n_ladder[-1], "f": f.label,
          "t": t, "alpha": config.alpha},
         discrepancies[-1], bound=config.final_tolerance,
@@ -479,18 +423,10 @@ def run_semigroup_convergence(config: ExperimentConfig) -> ConvergenceReport:
     slope = None
     if len(config.n_ladder) >= 3 and all(d > 0 for d in discrepancies):
         slope = fit_rate(config.n_ladder, discrepancies)
-    return ConvergenceReport(
-        experiment=config.experiment,
-        config=echo,
-        rows=tuple(rows),
-        n_values=tuple(config.n_ladder),
-        measured=tuple(discrepancies),
-        bounds=tuple(heuristic_bounds),
-        fitted_slope=slope,
-    )
+    return rows, config.n_ladder, discrepancies, slope
 
 
-def run_kelisky_rivlin(config: ExperimentConfig) -> ConvergenceReport:
+def run_kelisky_rivlin(config: ExperimentConfig, echo: dict, workers: int):
     """Fixed-n Bernstein iterates against their linear-interpolant limit.
 
     Iterates the exact binomial kernel k_max times and reports the sup
@@ -498,9 +434,6 @@ def run_kelisky_rivlin(config: ExperimentConfig) -> ConvergenceReport:
     step; deviations must be non-increasing (within the declared numerical
     slack) for k >= 1 and the final one must meet the tolerance.
     """
-    config.validate()
-    workers = resolve_workers()
-    echo = config.resolved(workers)
     n = config.n_ladder[0]
     f = config.function()
     kernel = bernstein_kernel(n)
@@ -508,34 +441,25 @@ def run_kelisky_rivlin(config: ExperimentConfig) -> ConvergenceReport:
     ref = np.array([kelisky_rivlin_reference(f, float(x)) for x in latt])
 
     v = np.asarray(f(latt), dtype=float)
-    deviations = []
-    for _ in range(config.k_max):
-        v = kernel.matrix @ v
-        deviations.append(float(np.max(np.abs(v - ref))))
-
     rows = []
-    for k, dev in enumerate(deviations, start=1):
-        prev = deviations[k - 2] if k >= 2 else None
+    deviations = []
+    for k in range(1, config.k_max + 1):
+        v = kernel.matrix @ v
+        dev = float(np.max(np.abs(v - ref)))
         rows.append(_row(
-            config.experiment, echo,
-            {"check": "deviation", "n": n, "k": k, "f": f.label},
-            dev, bound=prev, slack=config.monotonicity_slack,
+            echo, {"check": "deviation", "n": n, "k": k, "f": f.label},
+            dev, bound=_prev(deviations), slack=config.monotonicity_slack,
         ))
+        deviations.append(dev)
     rows.append(_row(
-        config.experiment, echo,
+        echo,
         {"check": "final-deviation", "n": n, "k": config.k_max, "f": f.label},
         deviations[-1], bound=config.final_tolerance,
     ))
-    return ConvergenceReport(
-        experiment=config.experiment,
-        config=echo,
-        rows=tuple(rows),
-        n_values=tuple(range(1, config.k_max + 1)),
-        measured=tuple(deviations),
-    )
+    return rows, range(1, config.k_max + 1), deviations, None
 
 
-def run_korovkin(config: ExperimentConfig) -> ConvergenceReport:
+def run_korovkin(config: ExperimentConfig, echo: dict, workers: int):
     """Exponential test family: series-vs-closed-form agreement and norm decay.
 
     For each rate lambda and ladder entry n, checks that the truncated
@@ -544,60 +468,44 @@ def run_korovkin(config: ExperimentConfig) -> ConvergenceReport:
     to the function itself decreases along the ladder, ending below the
     declared tolerance.
     """
-    config.validate()
-    workers = resolve_workers()
-    echo = config.resolved(workers)
-    grid = config.grid()
+    pts = config.grid().points
     policy = config.policy()
+    w = weight_eval(config.alpha, pts)
     rows = []
     final_norms = []
     for lam in config.lambdas:
-        f = CATALOG[f"f{int(lam)}"] if lam in (1.0, 2.0, 3.0) else None
-        fn = (lambda u, lam=lam: np.exp(-lam * np.asarray(u, dtype=float))) if f is None else f
+        fn = lambda u, lam=lam: np.exp(-lam * np.asarray(u, dtype=float))  # noqa: E731
+        exact_vals = np.exp(-lam * pts)
         norm_errors = []
-        for pos, n in enumerate(config.n_ladder):
-            agree = 0.0
-            for x in grid.points:
-                x = float(x)
-                series = sm_apply(n, fn, x, policy).value
-                closed = sm_exponential_closed_form(n, lam, x)
-                agree = max(agree, abs(series - closed))
-            rows.append(_row(
-                config.experiment, echo,
-                {"check": "series-vs-closed-form", "n": n, "lambda": lam},
-                agree, bound=config.agreement_tolerance,
-            ))
-            w = np.array([weight_eval(config.alpha, float(x)) for x in grid.points])
+        for n in config.n_ladder:
             closed_vals = np.array([
-                sm_exponential_closed_form(n, lam, float(x)) for x in grid.points
+                sm_exponential_closed_form(n, lam, float(x)) for x in pts
             ])
-            exact_vals = np.exp(-lam * grid.points)
-            norm_err = float(np.max(w * np.abs(closed_vals - exact_vals)))
-            prev = norm_errors[pos - 1] if pos > 0 else None
-            norm_errors.append(norm_err)
+            series = np.array([sm_apply(n, fn, float(x), policy).value for x in pts])
             rows.append(_row(
-                config.experiment, echo,
+                echo, {"check": "series-vs-closed-form", "n": n, "lambda": lam},
+                float(np.max(np.abs(series - closed_vals))),
+                bound=config.agreement_tolerance,
+            ))
+            norm_err = float(np.max(w * np.abs(closed_vals - exact_vals)))
+            rows.append(_row(
+                echo,
                 {"check": "norm-error", "n": n, "lambda": lam,
                  "alpha": config.alpha},
-                norm_err, bound=prev,
+                norm_err, bound=_prev(norm_errors),
             ))
+            norm_errors.append(norm_err)
         rows.append(_row(
-            config.experiment, echo,
+            echo,
             {"check": "final-norm-error", "n": config.n_ladder[-1], "lambda": lam,
              "alpha": config.alpha},
             norm_errors[-1], bound=config.final_tolerance,
         ))
         final_norms.append(norm_errors[-1])
-    return ConvergenceReport(
-        experiment=config.experiment,
-        config=echo,
-        rows=tuple(rows),
-        n_values=tuple(config.n_ladder),
-        measured=tuple(final_norms),
-    )
+    return rows, config.n_ladder, final_norms, None
 
 
-def run_weak_convergence(config: ExperimentConfig) -> ConvergenceReport:
+def run_weak_convergence(config: ExperimentConfig, echo: dict, workers: int):
     """Chain endpoints against exact diffusion draws along an n ladder.
 
     For each n, draws ``samples`` endpoints of the floor(n t)-step chain from
@@ -608,13 +516,6 @@ def run_weak_convergence(config: ExperimentConfig) -> ConvergenceReport:
     scaled one-step moment identities are verified at sampled lattice points
     as well.
     """
-    config.validate()
-    if config.t <= 0:
-        raise ConfigError("weak-convergence requires t > 0")
-    if config.x <= 0:
-        raise ConfigError("weak-convergence requires x > 0")
-    workers = resolve_workers()
-    echo = config.resolved(workers)
     x, t = config.x, config.t
     rows = []
     ks_values = []
@@ -631,42 +532,26 @@ def run_weak_convergence(config: ExperimentConfig) -> ConvergenceReport:
         )
         ks = ks_distance(chain, exact)
         ext = abs(float(np.mean(chain == 0.0)) - float(np.mean(exact == 0.0)))
-        prev_ks = ks_values[pos - 1] if pos > 0 else None
-        prev_ext = ext_diffs[pos - 1] if pos > 0 else None
+        params = {"n": n, "k": k, "x": x, "t": t, "samples": config.samples}
+        rows.append(_row(echo, {"check": "ks-distance", **params}, ks,
+                         bound=_prev(ks_values), slack=config.monotonicity_slack))
+        rows.append(_row(echo, {"check": "extinction-gap", **params}, ext,
+                         bound=_prev(ext_diffs), slack=config.monotonicity_slack))
         ks_values.append(ks)
         ext_diffs.append(ext)
-        rows.append(_row(
-            config.experiment, echo,
-            {"check": "ks-distance", "n": n, "k": k, "x": x, "t": t,
-             "samples": config.samples},
-            ks, bound=prev_ks, slack=config.monotonicity_slack,
-        ))
-        rows.append(_row(
-            config.experiment, echo,
-            {"check": "extinction-gap", "n": n, "k": k, "x": x, "t": t,
-             "samples": config.samples},
-            ext, bound=prev_ext, slack=config.monotonicity_slack,
-        ))
         for y in _identity_points(n, x):
             mom = chain_scaling_moments(n, y)
             err = max(abs(mom.mean_scaled), abs(mom.var_scaled - y))
             rows.append(_row(
-                config.experiment, echo,
-                {"check": "scaling-identities", "n": n, "y": y},
+                echo, {"check": "scaling-identities", "n": n, "y": y},
                 err, bound=config.identity_tolerance,
             ))
     rows.append(_row(
-        config.experiment, echo,
+        echo,
         {"check": "final-ks", "n": config.n_ladder[-1], "x": x, "t": t},
         ks_values[-1], bound=config.ks_tolerance,
     ))
-    return ConvergenceReport(
-        experiment=config.experiment,
-        config=echo,
-        rows=tuple(rows),
-        n_values=tuple(config.n_ladder),
-        measured=tuple(ks_values),
-    )
+    return rows, config.n_ladder, ks_values, None
 
 
 def _identity_points(n, x):
@@ -687,7 +572,23 @@ _RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
-    return _RUNNERS[config.experiment](config)
+    """Validate the config, resolve the stream count, run, and wrap the rows.
+
+    A runner takes (config, echo, workers) and returns
+    ``(rows, n_values, measured, fitted_slope)``.
+    """
+    config.validate()
+    workers = resolve_workers()
+    echo = config.resolved(workers)
+    rows, n_values, measured, slope = _RUNNERS[config.experiment](
+        config, echo, workers)
+    return ConvergenceReport(
+        experiment=config.experiment,
+        rows=tuple(rows),
+        n_values=tuple(n_values),
+        measured=tuple(measured),
+        fitted_slope=slope,
+    )
 
 
 CSV_HEADER = ("experiment", "param_json", "measured", "bound", "stderr",
@@ -704,6 +605,9 @@ def emit_report(rows, path: str, format: str = "csv") -> None:
     if format not in ("csv", "json"):
         raise ValueError("format must be 'csv' or 'json'")
     try:
+        parent = os.path.dirname(path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
         if format == "csv":
             _emit_csv(rows, path)
         else:
@@ -713,9 +617,6 @@ def emit_report(rows, path: str, format: str = "csv") -> None:
 
 
 def _emit_csv(rows, path):
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
@@ -732,10 +633,6 @@ def _emit_csv(rows, path):
 
 
 def _emit_json(rows, path):
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-
     def opt(v):
         return "null" if v is None else _fmt(v)
 

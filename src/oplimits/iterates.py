@@ -16,7 +16,7 @@ rows, stays tight at the interior states the experiments evaluate.
 """
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -30,6 +30,9 @@ from .operators import TruncationPolicy, DEFAULT_POLICY, _poisson_weights
 # buffer), putting the within-row truncation far below any tail_eps in use.
 _ROW_SIGMAS = 14.0
 _ROW_BUFFER = 30
+
+# lattice_cutoff's headroom factor on the largest starting mean.
+_CUTOFF_SAFETY = 2.5
 
 
 @dataclass(frozen=True)
@@ -65,24 +68,19 @@ class TransitionKernel:
 
 
 def lattice_cutoff(
-    n: int,
-    x_max: float,
-    tail_eps: float = DEFAULT_POLICY.tail_eps,
-    safety: float = 2.5,
+    n: int, x_max: float, tail_eps: float = DEFAULT_POLICY.tail_eps
 ) -> int:
     """Pick a state-space cutoff for iterating from starting points <= x_max.
 
     Uses the Poisson quantile at level ``tail_eps`` for mean
-    ``safety * n * x_max``.  The safety factor leaves headroom for the mass
-    the iteration spreads upward; the resulting leak is validated exactly,
-    per starting point, by :func:`kernel_iterate`.
+    ``_CUTOFF_SAFETY * n * x_max``.  The safety factor leaves headroom for
+    the mass the iteration spreads upward; the resulting leak is validated
+    exactly, per starting point, by :func:`kernel_iterate`.
     """
     if x_max < 0:
         raise ValueError("x_max must be nonnegative")
-    if safety < 1.0:
-        raise ValueError("safety factor must be >= 1")
     policy = TruncationPolicy(tail_eps=tail_eps, max_terms=10 ** 8)
-    k, _, _ = _poisson_weights(safety * n * x_max, policy)
+    k, _, _ = _poisson_weights(_CUTOFF_SAFETY * n * x_max, policy)
     return max(int(k[-1]), 1)
 
 
@@ -223,39 +221,20 @@ def kernel_iterate(kernel: TransitionKernel, f, k: int) -> LatticeFunction:
     return LatticeFunction(n=kernel.n, values=v, error_budget=f_sup * leak)
 
 
-class ChainState(NamedTuple):
-    """A chain position i/n together with the number of steps taken."""
-
-    value: float
-    step: int
-
-
-def chain_sample_sm(n: int, k: int, x: float, rng: np.random.Generator) -> ChainState:
-    """One k-step trajectory endpoint of the Poisson lattice chain from x.
-
-    Each step replaces the current value v by Poisson(n v)/n; the state 0
-    short-circuits (it is absorbing).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    v = float(x)
-    for _ in range(k):
-        if v == 0.0:
-            break
-        v = float(rng.poisson(n * v)) / n
-    return ChainState(value=v, step=k)
-
-
 def chain_terminal_values(
     n: int, k: int, x: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized endpoints of ``size`` independent k-step chains from x."""
+    """Vectorized endpoints of ``size`` independent k-step chains from x.
+
+    Each step replaces every value v by Poisson(n v)/n; the state 0 is
+    absorbing.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if x < 0:
+        raise ValueError("x must be nonnegative")
     v = np.full(size, float(x))
     for _ in range(k):
         v = rng.poisson(n * v).astype(float) / n

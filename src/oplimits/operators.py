@@ -20,7 +20,6 @@ variable; these are the quantitative ingredients the convergence experiments
 rely on.
 """
 
-import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -58,35 +57,22 @@ class SeriesValue(NamedTuple):
     omitted_mass: float
 
 
-class OperatorKind(enum.Enum):
-    SZASZ_MIRAKYAN = "szasz-mirakyan"
-    BERNSTEIN = "bernstein"
-    BASKAKOV = "baskakov"
-
-
-@dataclass(frozen=True)
-class OperatorInstance:
-    """An operator family tag together with its index n >= 1."""
-
-    kind: OperatorKind
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"operator index n must be >= 1, got {self.n}")
-
-    def apply(self, f, x, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-        if self.kind is OperatorKind.SZASZ_MIRAKYAN:
-            return sm_apply(self.n, f, x, policy).value
-        if self.kind is OperatorKind.BERNSTEIN:
-            return bernstein_apply(self.n, f, x)
-        return baskakov_apply(self.n, f, x, policy).value
-
-
-def _validate_n(n):
+def _validate(n, x):
+    """Check n is a positive integer and x >= 0; return n as an int."""
     if n < 1 or int(n) != n:
         raise ValueError(f"operator index n must be a positive integer, got {n}")
+    if x < 0:
+        raise ValueError("x must be nonnegative")
     return int(n)
+
+
+def _average(k, w, f, n) -> float:
+    """The lattice average sum_k w_k f(k/n), rejecting non-finite terms."""
+    vals = np.asarray(f(k / n), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        bad = k[~np.isfinite(vals)][0] / n
+        raise EvaluationError(f"non-finite series term at lattice point {bad}", x=bad)
+    return float(w @ vals)
 
 
 def _cut_at_tail(k, pmf, ratio_at_end, policy):
@@ -138,9 +124,7 @@ def _poisson_weights(lam: float, policy: TruncationPolicy):
 
 def truncation_index(n: int, x: float, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
     """Smallest K with Poisson(n x) mass beyond K at most ``tail_eps``."""
-    n = _validate_n(n)
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    n = _validate(n, x)
     k, _, _ = _poisson_weights(n * x, policy)
     return int(k[-1])
 
@@ -152,15 +136,9 @@ def sm_apply(n: int, f, x: float, policy: TruncationPolicy = DEFAULT_POLICY) -> 
     chosen by :func:`truncation_index`.  Returns the truncated value and the
     omitted Poisson mass.
     """
-    n = _validate_n(n)
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    n = _validate(n, x)
     k, w, omitted = _poisson_weights(n * x, policy)
-    vals = np.asarray(f(k / n), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = k[~np.isfinite(vals)][0] / n
-        raise EvaluationError(f"non-finite series term at lattice point {bad}", x=bad)
-    return SeriesValue(float(w @ vals), omitted)
+    return SeriesValue(_average(k, w, f, n), omitted)
 
 
 def bernstein_apply(n: int, f, x: float) -> float:
@@ -169,7 +147,7 @@ def bernstein_apply(n: int, f, x: float) -> float:
     ``sum_k C(n,k) x^k (1-x)^(n-k) f(k/n)`` for x in [0, 1], computed with
     log-space weights; exact point evaluations at the endpoints.
     """
-    n = _validate_n(n)
+    n = _validate(n, x)
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"Bernstein operator requires x in [0, 1], got {x}")
     if x == 0.0:
@@ -184,12 +162,7 @@ def bernstein_apply(n: int, f, x: float) -> float:
         + k * np.log(x)
         + (n - k) * np.log1p(-x)
     )
-    w = np.exp(logw)
-    vals = np.asarray(f(k / n), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = k[~np.isfinite(vals)][0] / n
-        raise EvaluationError(f"non-finite series term at lattice point {bad}", x=bad)
-    return float(w @ vals)
+    return _average(k, np.exp(logw), f, n)
 
 
 def _negative_binomial_weights(n: int, x: float, policy: TruncationPolicy):
@@ -234,15 +207,9 @@ def baskakov_apply(n: int, f, x: float, policy: TruncationPolicy = DEFAULT_POLIC
     heuristic second-order coefficient, so none of the quantitative rate
     assertions elsewhere in the package rely on it.
     """
-    n = _validate_n(n)
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    n = _validate(n, x)
     k, w, omitted = _negative_binomial_weights(n, x, policy)
-    vals = np.asarray(f(k / n), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = k[~np.isfinite(vals)][0] / n
-        raise EvaluationError(f"non-finite series term at lattice point {bad}", x=bad)
-    return SeriesValue(float(w @ vals), omitted)
+    return SeriesValue(_average(k, w, f, n), omitted)
 
 
 def sm_exponential_closed_form(n: int, lam: float, x: float) -> float:
@@ -251,20 +218,16 @@ def sm_exponential_closed_form(n: int, lam: float, x: float) -> float:
     Equals ``exp(-n x (1 - exp(-lam/n)))``; as n grows the inner factor
     tends to lam, recovering the exponential itself.
     """
-    n = _validate_n(n)
+    n = _validate(n, x)
     if lam <= 0:
         raise ValueError("lam must be positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
     # -expm1 keeps 1 - exp(-lam/n) accurate when lam/n is tiny
     return float(np.exp(-n * x * (-np.expm1(-lam / n))))
 
 
 def sm_moment(n: int, p: int, x: float) -> float:
     """Raw moment E[T^p] of T ~ Poisson(n x), p in {1, 2, 3, 4}."""
-    n = _validate_n(n)
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    n = _validate(n, x)
     m = n * x
     if p == 1:
         return float(m)
@@ -283,9 +246,7 @@ def sm_centered_fourth_moment_bound(n: int, x: float) -> float:
     Equals ``3 x^2 / n^2 + x / n^3``; its square root controls the cubic
     remainder in the second-order expansion of the operator.
     """
-    n = _validate_n(n)
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    n = _validate(n, x)
     return float(3.0 * x ** 2 / n ** 2 + x / n ** 3)
 
 
@@ -295,9 +256,7 @@ def poisson_tail_bound(n: int, x: float, delta: float) -> float:
     Returns ``2 exp(-n delta^2 / (2 (x + delta)))``.  The bound may exceed 1
     for small n; it is reported as-is and clipped only at reporting layers.
     """
-    n = _validate_n(n)
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    n = _validate(n, x)
     if delta <= 0:
         raise ValueError("delta must be positive")
     return float(2.0 * np.exp(-n * delta ** 2 / (2.0 * (x + delta))))

@@ -36,10 +36,6 @@ from oplimits.harness import (
     ExperimentConfig,
     emit_report,
     run_experiment,
-    run_kelisky_rivlin,
-    run_semigroup_convergence,
-    run_voronovskaya,
-    run_weak_convergence,
 )
 from oplimits.mc import sample_across_workers
 from oplimits.operators import _poisson_weights, TruncationPolicy
@@ -108,7 +104,7 @@ def test_poisson_moment_identities():
 def voronovskaya_ladder():
     start = time.perf_counter()
     cfg = ExperimentConfig.for_experiment("voronovskaya")
-    report = run_voronovskaya(cfg)
+    report = run_experiment(cfg)
     return cfg, report, time.perf_counter() - start
 
 
@@ -159,7 +155,7 @@ def test_voronovskaya_rate_window(voronovskaya_ladder):
 def test_semigroup_convergence_ladder():
     start = time.perf_counter()
     cfg = ExperimentConfig.for_experiment("semigroup")
-    report = run_semigroup_convergence(cfg)
+    report = run_experiment(cfg)
     elapsed = time.perf_counter() - start
     decreasing = all(b < a for a, b in zip(report.measured, report.measured[1:]))
     ok = report.passed and decreasing and report.measured[-1] <= 0.02 and elapsed < 300.0
@@ -175,7 +171,7 @@ def test_semigroup_convergence_ladder():
 
 def test_kelisky_rivlin_limit():
     start = time.perf_counter()
-    report = run_kelisky_rivlin(ExperimentConfig.for_experiment("kelisky-rivlin"))
+    report = run_experiment(ExperimentConfig.for_experiment("kelisky-rivlin"))
     elapsed = time.perf_counter() - start
     ok = report.passed and report.measured[-1] <= 1e-8 and elapsed < 1.0
     _report("kelisky-rivlin fixed-n limit", ok,
@@ -269,7 +265,7 @@ def test_chain_iterate_oracle_equivalence():
 def test_weak_convergence_ladder():
     start = time.perf_counter()
     cfg = ExperimentConfig.for_experiment("weak-convergence")
-    report = run_weak_convergence(cfg)
+    report = run_experiment(cfg)
     elapsed = time.perf_counter() - start
     ok = report.passed and report.measured[-1] <= 0.02 and elapsed < 120.0
     kss = ", ".join(f"{v:.4f}" for v in report.measured)

@@ -12,15 +12,12 @@ from oplimits import (
     UnsupportedMethodError,
     chain_jump_probability_bound,
     chain_scaling_moments,
-    feller_euler_path,
     feller_euler_terminal,
-    feller_exact_step,
     feller_exact_terminal,
     feller_semigroup_closed_form,
     ks_distance,
     poisson_tail_bound,
     semigroup_mc,
-    wf_euler_path,
     wf_euler_terminal,
 )
 from oplimits.operators import _poisson_weights, DEFAULT_POLICY
@@ -29,7 +26,7 @@ from oplimits.operators import _poisson_weights, DEFAULT_POLICY
 class TestExactSampler:
     def test_zero_start_is_absorbed(self):
         rng = np.random.default_rng(0)
-        assert feller_exact_step(0.0, 1.0, rng) == 0.0
+        assert feller_exact_terminal(0.0, 1.0, 1, rng)[0] == 0.0
         assert np.all(feller_exact_terminal(0.0, 2.0, 100, rng) == 0.0)
 
     def test_martingale_mean(self):
@@ -65,15 +62,15 @@ class TestExactSampler:
     def test_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            feller_exact_step(1.0, 0.0, rng)
+            feller_exact_terminal(1.0, 0.0, 1, rng)
         with pytest.raises(ValueError):
-            feller_exact_step(-1.0, 1.0, rng)
+            feller_exact_terminal(-1.0, 1.0, 1, rng)
 
 
 class TestFellerEuler:
     def test_zero_start_stays_zero(self):
         rng = np.random.default_rng(1)
-        assert feller_euler_path(0.0, 1.0, EulerConfig(), rng) == 0.0
+        assert feller_euler_terminal(0.0, 1.0, 1e-3, 1, rng)[0] == 0.0
 
     def test_martingale_mean_with_bias_allowance(self):
         rng = np.random.default_rng(2)
@@ -98,11 +95,6 @@ class TestFellerEuler:
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - 1.0) <= 4 * se
 
-    def test_boundary_rule_guard(self):
-        rng = np.random.default_rng(5)
-        with pytest.raises(ValueError):
-            feller_euler_path(1.0, 1.0, EulerConfig(boundary_rule="clamp-unit"), rng)
-
     def test_exact_vs_euler_distributional_agreement(self):
         rng = np.random.default_rng(6)
         exact = feller_exact_terminal(1.0, 1.0, 30_000, rng)
@@ -113,8 +105,8 @@ class TestFellerEuler:
 class TestWrightFisherEuler:
     def test_endpoints_absorbed(self):
         rng = np.random.default_rng(7)
-        assert wf_euler_path(0.0, 1.0, EulerConfig(boundary_rule="clamp-unit"), rng) == 0.0
-        assert wf_euler_path(1.0, 1.0, EulerConfig(boundary_rule="clamp-unit"), rng) == 1.0
+        assert wf_euler_terminal(0.0, 1.0, 1e-3, 1, rng)[0] == 0.0
+        assert wf_euler_terminal(1.0, 1.0, 1e-3, 1, rng)[0] == 1.0
 
     def test_martingale_mean(self):
         rng = np.random.default_rng(8)
@@ -158,7 +150,7 @@ class TestSemigroupMC:
     def test_euler_method_for_wright_fisher(self):
         f = lambda u: np.asarray(u, dtype=float)
         est = semigroup_mc("wright-fisher", 0.5, 0.3, f, 20_000, seed=2,
-                           method="euler", config=EulerConfig(dt=5e-3, boundary_rule="clamp-unit"),
+                           method="euler", config=EulerConfig(dt=5e-3),
                            workers=4)
         assert abs(est.mean - 0.3) <= 4 * est.stderr
 
@@ -243,5 +235,3 @@ class TestKSDistance:
     def test_euler_config_validation(self):
         with pytest.raises(ValueError):
             EulerConfig(dt=0.0)
-        with pytest.raises(ValueError):
-            EulerConfig(boundary_rule="reflect")

@@ -8,7 +8,6 @@ from oplimits import (
     EvaluationError,
     Grid,
     TestFunction,
-    Weight,
     default_grid,
     lipschitz_estimate_d2,
     make_geometric_grid,
@@ -30,7 +29,7 @@ class TestWeight:
         with pytest.raises(ValueError):
             weight_eval(2.0, -1.0)
         with pytest.raises(ValueError):
-            Weight(0.99)
+            weight_eval(0.99, 1.0)
 
     def test_strictly_decreasing(self):
         pts = default_grid().points[1:]  # positive part
@@ -40,9 +39,8 @@ class TestWeight:
             assert np.all(vals > 0) and np.all(vals <= 1)
 
     def test_callable_form(self):
-        w = Weight(3.0)
-        assert w(0.0) == 1.0
-        assert w(1.0) == 0.5
+        assert weight_eval(3.0, 0.0) == 1.0
+        assert weight_eval(3.0, 1.0) == 0.5
 
 
 class TestWeightedSupNorm:

@@ -19,7 +19,6 @@ from oplimits import (
     voronovskaya_bound,
     voronovskaya_residual,
 )
-from oplimits.generator import VoronovskayaReport
 from oplimits.funcspace import Grid
 
 
@@ -152,17 +151,12 @@ class TestSemigroupRateBound:
         ma = m_alpha(alpha)
         head = (math.sqrt(t / n) + 1.0 / n) * (norm_af + ma * lip / (6 * math.sqrt(n)))
         expected = head + t * ma * lip / (6 * math.sqrt(n))
-        got = semigroup_rate_bound(n, t, alpha, norm_af, lip, lambda s: lip)
+        got = semigroup_rate_bound(n, t, alpha, norm_af, lip)
         assert got == pytest.approx(expected, rel=1e-13)
 
     def test_worked_example(self):
-        got = semigroup_rate_bound(100, 1.0, 2.0, 0.25, 1.0, lambda s: 1.0)
+        got = semigroup_rate_bound(100, 1.0, 2.0, 0.25, 1.0)
         assert got == pytest.approx(0.06108, abs=5e-5)
-
-    def test_heuristic_default_flow(self):
-        explicit = semigroup_rate_bound(100, 1.0, 2.0, 0.25, 1.0, lambda s: 1.0)
-        defaulted = semigroup_rate_bound(100, 1.0, 2.0, 0.25, 1.0)
-        assert explicit == defaulted
 
 
 class TestFitRate:
@@ -216,9 +210,3 @@ class TestPositiveMaxPrinciple:
         )
         grid = make_geometric_grid(5.0, 20, 5)
         assert positive_max_principle_check(GeneratorKind.SM_HALF_X, f, grid).passed
-
-
-class TestReportShape:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            VoronovskayaReport((4, 16), (0.1,), (0.2, 0.1), fitted_slope=None)

@@ -15,11 +15,6 @@ from oplimits.harness import (
     floor_nt,
     load_config_file,
     run_experiment,
-    run_kelisky_rivlin,
-    run_korovkin,
-    run_semigroup_convergence,
-    run_voronovskaya,
-    run_weak_convergence,
     _snap_panel,
 )
 
@@ -81,6 +76,22 @@ class TestConfig:
         overrides = load_config_file(str(path))
         cfg = ExperimentConfig.for_experiment("korovkin", overrides)
         assert cfg.n_ladder == (2, 4) and cfg.seed == 7
+
+    def test_empty_x_panel_rejected(self):
+        with pytest.raises(ConfigError, match="x_panel"):
+            ExperimentConfig.for_experiment("semigroup", {"x_panel": []})
+
+    @pytest.mark.parametrize("window", [[1], [-0.35, -0.65], [-0.5, -0.5],
+                                        ["lo", "hi"], [-0.65, -0.5, -0.35]])
+    def test_malformed_slope_window_rejected(self, window):
+        with pytest.raises(ConfigError, match="slope_window"):
+            ExperimentConfig.for_experiment("voronovskaya", {"slope_window": window})
+
+    def test_kelisky_rivlin_takes_one_n(self):
+        with pytest.raises(ConfigError, match="kelisky-rivlin"):
+            ExperimentConfig.for_experiment("kelisky-rivlin", {"n_ladder": (5, 7)})
+        cfg = ExperimentConfig.for_experiment("kelisky-rivlin", {"n_ladder": (7,)})
+        assert cfg.n_ladder == (7,)
 
     def test_config_file_errors(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -149,7 +160,7 @@ class TestRunners:
         cfg = ExperimentConfig.for_experiment(
             "voronovskaya", {"n_ladder": (4, 16, 64), "function_label": "e2"}
         )
-        report = run_voronovskaya(cfg)
+        report = run_experiment(cfg)
         assert report.passed
         assert all(r.params["check"] == "polynomial-exactness" for r in report.rows)
         assert report.fitted_slope is None
@@ -158,7 +169,7 @@ class TestRunners:
         cfg = ExperimentConfig.for_experiment(
             "voronovskaya", {"n_ladder": (4, 16, 64), "function_label": "cauchy"}
         )
-        report = run_voronovskaya(cfg)
+        report = run_experiment(cfg)
         assert report.passed  # informational rows carry no verdict
         assert all(r.params["check"] == "residual-only" for r in report.rows)
         assert all(r.bound is None for r in report.rows)
@@ -167,7 +178,7 @@ class TestRunners:
         cfg = ExperimentConfig.for_experiment(
             "voronovskaya", {"n_ladder": (4, 16, 64)}
         )
-        report = run_voronovskaya(cfg)
+        report = run_experiment(cfg)
         bound_rows = [r for r in report.rows if r.params["check"] == "residual-vs-bound"]
         assert all(r.passed for r in bound_rows)
         # the measured residual decays like 1/n for this smooth function,
@@ -180,14 +191,14 @@ class TestRunners:
 
     def test_semigroup_closed_form_reference(self):
         cfg = ExperimentConfig.for_experiment("semigroup", {"n_ladder": (8, 32)})
-        report = run_semigroup_convergence(cfg)
+        report = run_experiment(cfg)
         assert report.passed
         assert report.measured[1] < report.measured[0]
         assert all(r.stderr is None for r in report.rows)
 
     def test_semigroup_zero_horizon_is_identity(self):
         cfg = ExperimentConfig.for_experiment("semigroup", {"n_ladder": (8,), "t": 0.0})
-        report = run_semigroup_convergence(cfg)
+        report = run_experiment(cfg)
         assert report.rows[0].params["k"] == 0
         assert report.measured[0] <= 1e-12
 
@@ -195,7 +206,7 @@ class TestRunners:
         cfg = ExperimentConfig.for_experiment(
             "semigroup", {"n_ladder": (8,), "function_label": "e0", "samples": 1_000}
         )
-        report = run_semigroup_convergence(cfg)
+        report = run_experiment(cfg)
         assert report.measured[0] <= 8 * cfg.tail_eps + 1e-13
 
     def test_semigroup_monte_carlo_reference(self):
@@ -203,19 +214,19 @@ class TestRunners:
             "semigroup",
             {"n_ladder": (8,), "function_label": "xexp", "samples": 20_000},
         )
-        report = run_semigroup_convergence(cfg)
+        report = run_experiment(cfg)
         rung = report.rows[0]
         assert rung.stderr is not None and rung.stderr > 0
         assert rung.error_budget is not None
 
     def test_kelisky_rivlin_default_passes(self):
-        report = run_kelisky_rivlin(ExperimentConfig.for_experiment("kelisky-rivlin"))
+        report = run_experiment(ExperimentConfig.for_experiment("kelisky-rivlin"))
         assert report.passed
         assert report.measured[-1] <= 1e-8
         assert len(report.rows) == 201
 
     def test_korovkin_default_passes(self):
-        report = run_korovkin(ExperimentConfig.for_experiment("korovkin"))
+        report = run_experiment(ExperimentConfig.for_experiment("korovkin"))
         assert report.passed
         checks = {r.params["check"] for r in report.rows}
         assert checks == {"series-vs-closed-form", "norm-error", "final-norm-error"}
@@ -224,14 +235,20 @@ class TestRunners:
         cfg = ExperimentConfig.for_experiment(
             "weak-convergence", {"n_ladder": (10, 50), "samples": 50_000}
         )
-        report = run_weak_convergence(cfg)
+        report = run_experiment(cfg)
         assert report.passed
         assert report.measured[1] < report.measured[0]
 
     def test_weak_convergence_requires_positive_start(self):
-        cfg = ExperimentConfig.for_experiment("weak-convergence", {"x": 0.0})
         with pytest.raises(ConfigError):
-            run_weak_convergence(cfg)
+            ExperimentConfig.for_experiment("weak-convergence", {"x": 0.0})
+        with pytest.raises(ConfigError):
+            ExperimentConfig.for_experiment("weak-convergence", {"t": 0.0})
+
+    def test_skeleton_validates_directly_built_configs(self):
+        cfg = ExperimentConfig(experiment="semigroup", n_ladder=(8,), x_panel=())
+        with pytest.raises(ConfigError):
+            run_experiment(cfg)
 
     def test_panel_snapping(self):
         idx, xs = _snap_panel((0.0, 0.3, 1.0), 8)
@@ -281,6 +298,15 @@ class TestCLI:
         code = main(["semigroup", "--f", "not-a-function", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_rejected_config_values_exit_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"x_panel": []}))
+        out = str(tmp_path / "x.csv")
+        assert main(["semigroup", "--config", str(cfg_path), "--out", out]) == 2
+        assert "config error: x_panel" in capsys.readouterr().err
+        assert main(["kelisky-rivlin", "--n-ladder", "5,7", "--out", out]) == 2
+        assert "config error: kelisky-rivlin" in capsys.readouterr().err
 
     def test_config_file_plus_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -14,7 +14,6 @@ from oplimits import (
     bernstein_kernel,
     build_sm_kernel,
     chain_expectation_mc,
-    chain_sample_sm,
     chain_terminal_values,
     kelisky_rivlin_reference,
     kernel_iterate,
@@ -191,19 +190,18 @@ class TestKeliskyRivlin:
 class TestChainSampling:
     def test_zero_is_absorbing(self):
         rng = np.random.default_rng(0)
-        state = chain_sample_sm(4, 10, 0.0, rng)
-        assert state.value == 0.0 and state.step == 10
+        values = chain_terminal_values(4, 10, 0.0, 100, rng)
+        assert np.all(values == 0.0)
 
     def test_states_live_on_lattice(self):
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            state = chain_sample_sm(7, 3, 1.3, rng)
-            assert abs(state.value * 7 - round(state.value * 7)) < 1e-12
+        values = chain_terminal_values(7, 3, 1.3, 50, rng)
+        assert np.all(np.abs(values * 7 - np.round(values * 7)) < 1e-12)
 
     def test_reproducible_given_seed(self):
-        a = chain_sample_sm(5, 4, 2.0, np.random.default_rng(99))
-        b = chain_sample_sm(5, 4, 2.0, np.random.default_rng(99))
-        assert a == b
+        a = chain_terminal_values(5, 4, 2.0, 100, np.random.default_rng(99))
+        b = chain_terminal_values(5, 4, 2.0, 100, np.random.default_rng(99))
+        np.testing.assert_array_equal(a, b)
 
     def test_mean_preservation(self):
         rng = np.random.default_rng(7)
@@ -226,9 +224,11 @@ class TestChainSampling:
     def test_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            chain_sample_sm(5, 0, 1.0, rng)
+            chain_terminal_values(0, 3, 1.0, 4, rng)
         with pytest.raises(ValueError):
-            chain_sample_sm(5, 1, -1.0, rng)
+            chain_terminal_values(5, -1, 1.0, 4, rng)
+        with pytest.raises(ValueError):
+            chain_terminal_values(5, 1, -1.0, 4, rng)
 
 
 class TestChainExpectation:

@@ -8,8 +8,6 @@ from scipy import stats
 
 from oplimits import (
     CATALOG,
-    OperatorInstance,
-    OperatorKind,
     TruncationPolicy,
     TruncationFailureError,
     baskakov_apply,
@@ -256,15 +254,14 @@ class TestWeightedContraction:
 
 
 class TestOperatorInstance:
+    """The three operator families through their ``*_apply`` functions."""
+
     def test_dispatch(self):
         x = 0.5
-        inst = OperatorInstance(OperatorKind.SZASZ_MIRAKYAN, 10)
-        assert inst.apply(CATALOG["e1"], x) == pytest.approx(x, abs=1e-9)
-        inst = OperatorInstance(OperatorKind.BERNSTEIN, 10)
-        assert inst.apply(CATALOG["e1"], x) == pytest.approx(x, abs=1e-14)
-        inst = OperatorInstance(OperatorKind.BASKAKOV, 10)
-        assert inst.apply(CATALOG["e1"], x) == pytest.approx(x, abs=1e-8)
+        assert sm_apply(10, CATALOG["e1"], x).value == pytest.approx(x, abs=1e-9)
+        assert bernstein_apply(10, CATALOG["e1"], x) == pytest.approx(x, abs=1e-14)
+        assert baskakov_apply(10, CATALOG["e1"], x).value == pytest.approx(x, abs=1e-8)
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
-            OperatorInstance(OperatorKind.BERNSTEIN, 0)
+            bernstein_apply(0, CATALOG["e1"], 0.5)
