@@ -63,7 +63,6 @@ from .generator import (
 from .diffusion import (
     EulerConfig,
     ScaledMoments,
-    chain_jump_probability_bound,
     chain_scaling_moments,
     feller_euler_terminal,
     feller_exact_terminal,

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 One binary, one subcommand per experiment.  A JSON config file provides the
-base settings; individual flags override it.  Exit status: 0 when every
+base settings; individual flags override it.  ``--out`` is not a config
+key: the report path never enters the report.  Exit status: 0 when every
 report row passes, 1 when any row fails, 2 on configuration or runtime
 errors.
 """
@@ -52,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Monte Carlo sample count")
         p.add_argument("--seed", type=int, default=None,
                        help="master random seed")
-        p.add_argument("--out", dest="output_path", default=None,
+        p.add_argument("--out", default=None,
                        help="report path (default <experiment>.csv/.json)")
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="report format")
@@ -64,7 +65,7 @@ def _collect_overrides(args) -> dict:
     if args.config:
         overrides.update(load_config_file(args.config))
     for key in ("n_ladder", "alpha", "t", "function_label", "samples",
-                "seed", "output_path", "format"):
+                "seed", "format"):
         value = getattr(args, key)
         if value is not None:
             overrides[key] = value
@@ -78,7 +79,7 @@ def main(argv=None) -> int:
             args.experiment, _collect_overrides(args)
         )
         report = run_experiment(config)
-        out = config.output_path or f"{config.experiment}.{config.format}"
+        out = args.out or f"{config.experiment}.{config.format}"
         emit_report(report.rows, out, config.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

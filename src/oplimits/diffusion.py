@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import UnsupportedMethodError
 from .mc import MonteCarloEstimate, estimate_from, sample_across_workers
-from .operators import poisson_tail_bound, sm_moment
+from .operators import sm_moment
 
 
 @dataclass(frozen=True)
@@ -133,14 +133,13 @@ def semigroup_mc(
     seed: int,
     method: str = METHOD_EXACT,
     config: EulerConfig = EulerConfig(),
-    workers=None,
 ) -> MonteCarloEstimate:
     """Monte Carlo estimate of E[f(terminal value at time t from x)].
 
     ``kind`` selects the diffusion ("feller" or "wright-fisher"); exact
     sampling is available only for the square-root diffusion.  t = 0 returns
     (f(x), 0) without consuming randomness.  Deterministic given
-    (seed, samples, worker count).
+    (seed, samples).
     """
     if kind not in (FELLER, WRIGHT_FISHER):
         raise ValueError(f"unknown diffusion kind {kind!r}")
@@ -166,7 +165,7 @@ def semigroup_mc(
             terminal = wf_euler_terminal(x, t, config.dt, m, rng)
         return np.asarray(f(terminal), dtype=float)
 
-    return estimate_from(sample_across_workers(draw, samples, seed, workers))
+    return estimate_from(sample_across_workers(draw, samples, seed))
 
 
 class ScaledMoments(NamedTuple):
@@ -195,8 +194,3 @@ def chain_scaling_moments(n: int, y: float) -> ScaledMoments:
     mean_scaled = n * (m1 / n - y)
     var_scaled = n * (m2 / n ** 2 - 2.0 * y * m1 / n + y ** 2)
     return ScaledMoments(float(mean_scaled), float(var_scaled))
-
-
-def chain_jump_probability_bound(n: int, y: float, delta: float) -> float:
-    """Bound on the probability of a one-step chain jump larger than delta."""
-    return poisson_tail_bound(n, y, delta)

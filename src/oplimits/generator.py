@@ -5,8 +5,8 @@ degenerate elliptic operator a(x) f''(x):
 
 * Szasz-Mirakyan: a(x) = x/2 on [0, inf);
 * Bernstein: a(x) = x(1-x)/2 on [0, 1] (the Wright-Fisher generator);
-* Baskakov: a(x) = x(x+1)/2, supported only by a heuristic computation and
-  flagged experimental.
+* Baskakov: a(x) = x(x+1)/2, supported only by a heuristic computation, so
+  no rate assertion relies on it.
 
 This module evaluates the generators, the explicit weighted-norm constant
 controlling the Szasz-Mirakyan rate, the measured residual
@@ -37,11 +37,6 @@ class GeneratorKind(enum.Enum):
         if self is GeneratorKind.WRIGHT_FISHER:
             return 0.5 * x * (1.0 - x)
         return 0.5 * x * (x + 1.0)
-
-    @property
-    def experimental(self) -> bool:
-        # The Baskakov coefficient comes from a heuristic expansion only.
-        return self is GeneratorKind.BASKAKOV_HEURISTIC
 
 
 def generator_apply(kind: GeneratorKind, f, x: float) -> float:

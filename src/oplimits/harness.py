@@ -5,7 +5,9 @@ measured, the bound it was compared against (when one applies), the Monte
 Carlo standard error (when stochastic), the truncation error budget, and the
 resulting pass/fail flag, so every verdict is recomputable from the emitted
 fields alone.  Rows embed the fully resolved configuration (defaults, seed,
-and worker count included) under the ``config`` key of their parameter echo.
+and Monte Carlo stream count included) under the ``config`` key of their
+parameter echo; nothing else, such as the output path, enters a report, so
+its bytes depend only on the experiment's parameters.
 
 Trend checks (monotone decrease along a ladder) are encoded row-wise: the
 row for step i uses the measurement of step i-1 as its bound, shifted by the
@@ -120,7 +122,6 @@ class ExperimentConfig:
     identity_tolerance: float = 1e-10
     monotonicity_slack: float = 0.0
     format: str = "csv"
-    output_path: Optional[str] = None
 
     @classmethod
     def for_experiment(cls, experiment: str, overrides: Optional[dict] = None):
@@ -139,6 +140,8 @@ class ExperimentConfig:
             values[key] = val
         cfg = cls(experiment=experiment, **_normalize(values))
         cfg.validate()
+        # exact once validate() has checked every entry is integral
+        cfg.n_ladder = tuple(int(n) for n in cfg.n_ladder)
         return cfg
 
     def validate(self):
@@ -193,13 +196,13 @@ class ExperimentConfig:
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
 
-    def resolved(self, workers: int) -> dict:
+    def resolved(self) -> dict:
         """The full config echo embedded in every report row."""
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         for key, val in out.items():
             if isinstance(val, tuple):
                 out[key] = list(val)
-        out["workers"] = workers
+        out["workers"] = resolve_workers()
         return out
 
     def policy(self) -> TruncationPolicy:
@@ -217,8 +220,6 @@ def _normalize(values: dict) -> dict:
     for key in ("n_ladder", "x_panel", "lambdas", "slope_window"):
         if key in out and out[key] is not None:
             out[key] = tuple(out[key])
-    if "n_ladder" in out:
-        out["n_ladder"] = tuple(int(n) for n in out["n_ladder"])
     return out
 
 
@@ -263,13 +264,10 @@ class ReportRow:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Rows plus the per-ladder aggregates of one experiment run."""
+    """The rows of one experiment run."""
 
     experiment: str
     rows: tuple
-    n_values: tuple = ()
-    measured: tuple = ()
-    fitted_slope: Optional[float] = None
 
     @property
     def passed(self) -> bool:
@@ -297,7 +295,7 @@ def _prev(values):
     return values[-1] if values else None
 
 
-def run_voronovskaya(config: ExperimentConfig, echo: dict, workers: int):
+def run_voronovskaya(config: ExperimentConfig, echo: dict):
     """Measured second-order residual norms against the explicit rate bound.
 
     Emits one row per ladder entry (measured residual vs bound when the
@@ -333,14 +331,13 @@ def run_voronovskaya(config: ExperimentConfig, echo: dict, workers: int):
             bound = None
         rows.append(_row(echo, params, resid, bound=bound))
 
-    slope = None
     positive = [(n, r) for n, r in zip(config.n_ladder, residuals) if r > 0.0]
     if use_bounds and len(positive) >= 3:
         slope = fit_rate([n for n, _ in positive], [r for _, r in positive])
         lo, hi = config.slope_window
         row = _row(echo, {"check": "fitted-rate", "f": f.label, "window": [lo, hi]}, slope)
         rows.append(replace(row, passed=bool(lo <= slope <= hi)))
-    return rows, config.n_ladder, residuals, slope
+    return rows
 
 
 def _snap_panel(panel, n):
@@ -349,7 +346,7 @@ def _snap_panel(panel, n):
     return np.array(idx), np.array(idx, dtype=float) / n
 
 
-def run_semigroup_convergence(config: ExperimentConfig, echo: dict, workers: int):
+def run_semigroup_convergence(config: ExperimentConfig, echo: dict):
     """Iterate-vs-limit-semigroup discrepancy along an n ladder.
 
     For each n the kernel iterate with floor(n t) steps is compared against
@@ -396,7 +393,7 @@ def run_semigroup_convergence(config: ExperimentConfig, echo: dict, workers: int
         else:
             ests = [
                 semigroup_mc(FELLER, t, float(x), f, config.samples,
-                             seed=(config.seed, pos, i), workers=workers)
+                             seed=(config.seed, pos, i))
                 for i, x in enumerate(xs)
             ]
             ref = np.array([e.mean for e in ests])
@@ -420,13 +417,10 @@ def run_semigroup_convergence(config: ExperimentConfig, echo: dict, workers: int
          "t": t, "alpha": config.alpha},
         discrepancies[-1], bound=config.final_tolerance,
     ))
-    slope = None
-    if len(config.n_ladder) >= 3 and all(d > 0 for d in discrepancies):
-        slope = fit_rate(config.n_ladder, discrepancies)
-    return rows, config.n_ladder, discrepancies, slope
+    return rows
 
 
-def run_kelisky_rivlin(config: ExperimentConfig, echo: dict, workers: int):
+def run_kelisky_rivlin(config: ExperimentConfig, echo: dict):
     """Fixed-n Bernstein iterates against their linear-interpolant limit.
 
     Iterates the exact binomial kernel k_max times and reports the sup
@@ -456,10 +450,10 @@ def run_kelisky_rivlin(config: ExperimentConfig, echo: dict, workers: int):
         {"check": "final-deviation", "n": n, "k": config.k_max, "f": f.label},
         deviations[-1], bound=config.final_tolerance,
     ))
-    return rows, range(1, config.k_max + 1), deviations, None
+    return rows
 
 
-def run_korovkin(config: ExperimentConfig, echo: dict, workers: int):
+def run_korovkin(config: ExperimentConfig, echo: dict):
     """Exponential test family: series-vs-closed-form agreement and norm decay.
 
     For each rate lambda and ladder entry n, checks that the truncated
@@ -472,7 +466,6 @@ def run_korovkin(config: ExperimentConfig, echo: dict, workers: int):
     policy = config.policy()
     w = weight_eval(config.alpha, pts)
     rows = []
-    final_norms = []
     for lam in config.lambdas:
         fn = lambda u, lam=lam: np.exp(-lam * np.asarray(u, dtype=float))  # noqa: E731
         exact_vals = np.exp(-lam * pts)
@@ -501,11 +494,10 @@ def run_korovkin(config: ExperimentConfig, echo: dict, workers: int):
              "alpha": config.alpha},
             norm_errors[-1], bound=config.final_tolerance,
         ))
-        final_norms.append(norm_errors[-1])
-    return rows, config.n_ladder, final_norms, None
+    return rows
 
 
-def run_weak_convergence(config: ExperimentConfig, echo: dict, workers: int):
+def run_weak_convergence(config: ExperimentConfig, echo: dict):
     """Chain endpoints against exact diffusion draws along an n ladder.
 
     For each n, draws ``samples`` endpoints of the floor(n t)-step chain from
@@ -524,11 +516,11 @@ def run_weak_convergence(config: ExperimentConfig, echo: dict, workers: int):
         k = floor_nt(n, t)
         chain = sample_across_workers(
             lambda rng, m, n=n, k=k: chain_terminal_values(n, k, x, m, rng),
-            config.samples, seed=(config.seed, pos, 0), workers=workers,
+            config.samples, seed=(config.seed, pos, 0),
         )
         exact = sample_across_workers(
             lambda rng, m: feller_exact_terminal(x, t, m, rng),
-            config.samples, seed=(config.seed, pos, 1), workers=workers,
+            config.samples, seed=(config.seed, pos, 1),
         )
         ks = ks_distance(chain, exact)
         ext = abs(float(np.mean(chain == 0.0)) - float(np.mean(exact == 0.0)))
@@ -551,7 +543,7 @@ def run_weak_convergence(config: ExperimentConfig, echo: dict, workers: int):
         {"check": "final-ks", "n": config.n_ladder[-1], "x": x, "t": t},
         ks_values[-1], bound=config.ks_tolerance,
     ))
-    return rows, config.n_ladder, ks_values, None
+    return rows
 
 
 def _identity_points(n, x):
@@ -572,23 +564,13 @@ _RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
-    """Validate the config, resolve the stream count, run, and wrap the rows.
+    """Validate the config, build the echo, run, and wrap the rows.
 
-    A runner takes (config, echo, workers) and returns
-    ``(rows, n_values, measured, fitted_slope)``.
+    A runner takes (config, echo) and returns its rows.
     """
     config.validate()
-    workers = resolve_workers()
-    echo = config.resolved(workers)
-    rows, n_values, measured, slope = _RUNNERS[config.experiment](
-        config, echo, workers)
-    return ConvergenceReport(
-        experiment=config.experiment,
-        rows=tuple(rows),
-        n_values=tuple(n_values),
-        measured=tuple(measured),
-        fitted_slope=slope,
-    )
+    rows = _RUNNERS[config.experiment](config, config.resolved())
+    return ConvergenceReport(experiment=config.experiment, rows=tuple(rows))
 
 
 CSV_HEADER = ("experiment", "param_json", "measured", "bound", "stderr",

@@ -20,11 +20,16 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.special import gammaln
 
 from .errors import CutoffTooSmallError, EvaluationError
 from .mc import MonteCarloEstimate, estimate_from, sample_across_workers
-from .operators import TruncationPolicy, DEFAULT_POLICY, _poisson_weights
+from .operators import (
+    DEFAULT_POLICY,
+    TruncationPolicy,
+    _binomial_pmf,
+    _poisson_pmf,
+    _poisson_weights,
+)
 
 # Row supports cover this many standard deviations on each side (plus a fixed
 # buffer), putting the within-row truncation far below any tail_eps in use.
@@ -115,7 +120,7 @@ def build_sm_kernel(
             lo = max(0, int(i - _ROW_SIGMAS * sd - _ROW_BUFFER))
             hi = min(K, int(i + _ROW_SIGMAS * sd + _ROW_BUFFER))
             j = np.arange(lo, hi + 1)
-            row = np.exp(-float(i) + j * np.log(float(i)) - gammaln(j + 1.0))
+            row = _poisson_pmf(float(i), j)
             col_chunks.append(j)
             data_chunks.append(row)
             defect[i] = max(0.0, 1.0 - float(row.sum()))
@@ -149,14 +154,12 @@ def bernstein_kernel(n: int) -> TransitionKernel:
         raise ValueError("n must be >= 1")
     rows = np.empty((n + 1, n + 1))
     j = np.arange(n + 1)
-    log_binom = gammaln(n + 1.0) - gammaln(j + 1.0) - gammaln(n - j + 1.0)
     rows[0] = 0.0
     rows[0, 0] = 1.0
     rows[n] = 0.0
     rows[n, n] = 1.0
     for i in range(1, n):
-        p = i / n
-        rows[i] = np.exp(log_binom + j * np.log(p) + (n - j) * np.log1p(-p))
+        rows[i] = _binomial_pmf(n, i / n, j)
     return TransitionKernel(
         n=n,
         matrix=sparse.csr_matrix(rows),
@@ -248,12 +251,11 @@ def chain_expectation_mc(
     f,
     samples: int,
     seed: int,
-    workers=None,
 ) -> MonteCarloEstimate:
     """Monte Carlo estimate of the k-step chain expectation of f from x.
 
-    Deterministic given (seed, samples, worker count); see :mod:`oplimits.mc`
-    for the partitioning scheme.
+    Deterministic given (seed, samples); see :mod:`oplimits.mc` for the
+    partitioning scheme.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -261,7 +263,6 @@ def chain_expectation_mc(
         lambda rng, m: np.asarray(f(chain_terminal_values(n, k, x, m, rng)), dtype=float),
         samples,
         seed,
-        workers,
     )
     return estimate_from(values)
 

@@ -1,9 +1,11 @@
 """Reproducible Monte Carlo plumbing.
 
-Samples are partitioned deterministically across workers; worker w draws
-from an independent stream spawned from the master seed, and the chunks are
-merged in worker order.  Identical (seed, samples, worker count) therefore
-yields bit-identical results, regardless of how the chunks are scheduled.
+Samples are partitioned deterministically across a fixed number of streams;
+stream w draws from an independent generator spawned from the master seed,
+and the chunks are merged in stream order.  The stream count is decided here
+alone: ``OPLIMITS_WORKERS`` when set, else 4, never the host's CPU count.
+Identical (seed, samples) therefore yields bit-identical results on any
+machine.
 """
 
 import os
@@ -12,6 +14,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 WORKERS_ENV_VAR = "OPLIMITS_WORKERS"
+
+# Stream count when OPLIMITS_WORKERS is unset.
+_DEFAULT_STREAMS = 4
 
 
 class MonteCarloEstimate(NamedTuple):
@@ -23,38 +28,37 @@ class MonteCarloEstimate(NamedTuple):
 
 
 def resolve_workers(workers=None) -> int:
-    """Explicit argument, else the OPLIMITS_WORKERS variable, else cpu count."""
+    """Stream count: explicit argument, else OPLIMITS_WORKERS, else 4."""
     if workers is None:
         env = os.environ.get(WORKERS_ENV_VAR)
-        workers = int(env) if env else (os.cpu_count() or 1)
+        workers = int(env) if env else _DEFAULT_STREAMS
     workers = int(workers)
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     return workers
 
 
-def chunk_sizes(samples: int, workers: int):
-    """Split ``samples`` into ``workers`` near-equal deterministic chunks."""
+def chunk_sizes(samples: int, streams: int):
+    """Split ``samples`` into ``streams`` near-equal deterministic chunks."""
     if samples < 1:
         raise ValueError("samples must be positive")
-    base, extra = divmod(samples, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
+    base, extra = divmod(samples, streams)
+    return [base + (1 if w < extra else 0) for w in range(streams)]
 
 
 def sample_across_workers(
     draw_chunk: Callable[[np.random.Generator, int], np.ndarray],
     samples: int,
     seed: int,
-    workers=None,
 ) -> np.ndarray:
-    """Draw ``samples`` values via per-worker streams, merged in worker order.
+    """Draw ``samples`` values via per-stream generators, merged in order.
 
     ``draw_chunk(rng, m)`` must return m values using only ``rng``.
     """
-    workers = resolve_workers(workers)
-    children = np.random.SeedSequence(seed).spawn(workers)
+    streams = resolve_workers()
+    children = np.random.SeedSequence(seed).spawn(streams)
     parts = []
-    for w, m in enumerate(chunk_sizes(samples, workers)):
+    for w, m in enumerate(chunk_sizes(samples, streams)):
         if m == 0:
             continue
         rng = np.random.default_rng(children[w])

@@ -75,25 +75,50 @@ def _average(k, w, f, n) -> float:
     return float(w @ vals)
 
 
-def _cut_at_tail(k, pmf, ratio_at_end, policy):
-    """Find the smallest K with certified tail mass <= tail_eps.
+def _poisson_pmf(lam, k):
+    """Poisson(lam) pmf at the integers k, evaluated in log space."""
+    return np.exp(-lam + k * np.log(lam) - gammaln(k + 1.0))
 
-    ``ratio_at_end`` bounds the pmf ratio p_{j+1}/p_j for every j past the
-    window end; the geometric remainder it implies is folded into every
-    tail value, so the cut is rigorous even though the window is finite.
-    Returns None when no certified cut exists inside the window.
+
+def _binomial_pmf(n, p, k):
+    """Binomial(n, p) pmf at the integers k, evaluated in log space."""
+    return np.exp(
+        gammaln(n + 1.0)
+        - gammaln(k + 1.0)
+        - gammaln(n - k + 1.0)
+        + k * np.log(p)
+        + (n - k) * np.log1p(-p)
+    )
+
+
+def _cut_at_tail(hi, pmf, ratio_beyond, policy, label, mean):
+    """Evaluate ``pmf`` on 0..hi and cut at the smallest K with tail <= tail_eps.
+
+    ``ratio_beyond(hi)`` bounds the pmf ratio p_{j+1}/p_j for every j past
+    hi; the geometric remainder it implies is folded into every tail value,
+    so the cut is rigorous even though the window is finite.  The window
+    doubles until a certified cut exists inside it.  Returns the support
+    0..K, the pmf on it, and the certified tail mass beyond K.  ``label``
+    and ``mean`` name the law in the error raised past ``max_terms``.
     """
-    if ratio_at_end < 1.0:
-        remainder = pmf[-1] * ratio_at_end / (1.0 - ratio_at_end)
-    else:
-        return None
-    # tail[j] = sum of pmf over j+1..end, plus the beyond-window remainder
-    tail = np.concatenate([np.cumsum(pmf[::-1])[::-1][1:], [0.0]]) + remainder
-    cut = np.nonzero(tail <= policy.tail_eps)[0]
-    if cut.size == 0:
-        return None
-    K = int(cut[0])
-    return k[: K + 1], pmf[: K + 1], float(tail[K])
+    while True:
+        if hi + 1 > policy.max_terms:
+            raise TruncationFailureError(
+                f"series window for {label} {mean} needs more than "
+                f"max_terms={policy.max_terms} terms"
+            )
+        k = np.arange(hi + 1)
+        p = pmf(k)
+        ratio = ratio_beyond(hi)
+        if ratio < 1.0:
+            remainder = p[-1] * ratio / (1.0 - ratio)
+            # tail[j] = sum of pmf over j+1..hi, plus the beyond-window remainder
+            tail = np.concatenate([np.cumsum(p[::-1])[::-1][1:], [0.0]]) + remainder
+            cut = np.nonzero(tail <= policy.tail_eps)[0]
+            if cut.size:
+                K = int(cut[0])
+                return k[: K + 1], p[: K + 1], float(tail[K])
+        hi *= 2
 
 
 def _poisson_weights(lam: float, policy: TruncationPolicy):
@@ -107,19 +132,14 @@ def _poisson_weights(lam: float, policy: TruncationPolicy):
     """
     if lam == 0.0:
         return np.arange(1), np.array([1.0]), 0.0
-    hi = int(lam + 20.0 * np.sqrt(lam) + 60.0)
-    while True:
-        if hi + 1 > policy.max_terms:
-            raise TruncationFailureError(
-                f"series window for mean {lam} needs more than "
-                f"max_terms={policy.max_terms} terms"
-            )
-        k = np.arange(hi + 1)
-        pmf = np.exp(-lam + k * np.log(lam) - gammaln(k + 1.0))
-        result = _cut_at_tail(k, pmf, lam / (hi + 1.0), policy)
-        if result is not None:
-            return result
-        hi *= 2
+    return _cut_at_tail(
+        int(lam + 20.0 * np.sqrt(lam) + 60.0),
+        lambda k: _poisson_pmf(lam, k),
+        lambda hi: lam / (hi + 1.0),
+        policy,
+        "mean",
+        lam,
+    )
 
 
 def truncation_index(n: int, x: float, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
@@ -155,14 +175,7 @@ def bernstein_apply(n: int, f, x: float) -> float:
     if x == 1.0:
         return float(f(1.0))
     k = np.arange(n + 1)
-    logw = (
-        gammaln(n + 1.0)
-        - gammaln(k + 1.0)
-        - gammaln(n - k + 1.0)
-        + k * np.log(x)
-        + (n - k) * np.log1p(-x)
-    )
-    return _average(k, np.exp(logw), f, n)
+    return _average(k, _binomial_pmf(n, x, k), f, n)
 
 
 def _negative_binomial_weights(n: int, x: float, policy: TruncationPolicy):
@@ -177,27 +190,20 @@ def _negative_binomial_weights(n: int, x: float, policy: TruncationPolicy):
     mean = n * x
     sd = np.sqrt(n * x * (1.0 + x))
     geometric = (1.0 + x) * max(0.0, np.log(1.0 / policy.tail_eps))
-    hi = int(mean + 20.0 * sd + geometric + 60.0)
-    while True:
-        if hi + 1 > policy.max_terms:
-            raise TruncationFailureError(
-                f"series window for Baskakov mean {mean} needs more than "
-                f"max_terms={policy.max_terms} terms"
-            )
-        k = np.arange(hi + 1)
-        logw = (
+    return _cut_at_tail(
+        int(mean + 20.0 * sd + geometric + 60.0),
+        lambda k: np.exp(
             gammaln(n + k.astype(float))
             - gammaln(k + 1.0)
             - gammaln(float(n))
             + k * np.log(x)
             - (n + k) * np.log1p(x)
-        )
-        pmf = np.exp(logw)
-        ratio = (n + hi) / (hi + 1.0) * x / (1.0 + x)
-        result = _cut_at_tail(k, pmf, ratio, policy)
-        if result is not None:
-            return result
-        hi *= 2
+        ),
+        lambda hi: (n + hi) / (hi + 1.0) * x / (1.0 + x),
+        policy,
+        "Baskakov mean",
+        mean,
+    )
 
 
 def baskakov_apply(n: int, f, x: float, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:

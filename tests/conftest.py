@@ -1,7 +1,8 @@
 """Shared test setup.
 
-Monte Carlo results depend on (seed, samples, worker count); pinning the
-worker count makes every stochastic assertion machine-independent.
+Monte Carlo results depend on (seed, samples, stream count).  The stream
+count defaults to 4 on every machine; pinning OPLIMITS_WORKERS to that value
+keeps the suite independent of an override set in the caller's environment.
 """
 
 import os

@@ -2,7 +2,7 @@
 
 Each test prints one pass/fail line (visible with ``pytest -rA`` or ``-s``)
 and enforces its tolerances and runtime budget.  Stochastic checks run at
-fixed seeds with the worker count pinned by conftest, so outcomes are
+fixed seeds with the stream count pinned by conftest, so outcomes are
 reproducible.
 """
 
@@ -41,7 +41,10 @@ from oplimits.harness import (
 from oplimits.mc import sample_across_workers
 from oplimits.operators import _poisson_weights, TruncationPolicy
 
-WORKERS = 4
+
+def _measured(report, check):
+    """Measured values of the report's rows for one check, in row order."""
+    return [row.measured for row in report.rows if row.params["check"] == check]
 
 
 def _report(name, ok, detail, elapsed, budget):
@@ -114,9 +117,9 @@ def test_voronovskaya_rate_bound(voronovskaya_ladder):
     start = time.perf_counter()
     grid = default_grid()
     m2 = m_alpha(2.0)
+    bound_rows = [r for r in report.rows if r.params["check"] == "residual-vs-bound"]
     bound_ok = all(
-        resid <= m2 / (6.0 * math.sqrt(n))
-        for n, resid in zip(report.n_values, report.measured)
+        r.measured <= m2 / (6.0 * math.sqrt(r.params["n"])) for r in bound_rows
     )
     poly_worst = 0.0
     for n in (4, 64, 1024):
@@ -124,7 +127,7 @@ def test_voronovskaya_rate_bound(voronovskaya_ladder):
         poly_worst = max(poly_worst, voronovskaya_residual(n, CATALOG["e1"], 2.0, grid))
     elapsed = elapsed_ladder + (time.perf_counter() - start)
     ok = bound_ok and poly_worst <= 1e-6 and elapsed < 60.0
-    residues = ", ".join(f"{r:.2e}" for r in report.measured)
+    residues = ", ".join(f"{r.measured:.2e}" for r in bound_rows)
     _report("voronovskaya residual bound", ok,
             f"residuals [{residues}] all <= M2/(6 sqrt n), "
             f"quadratic/linear residuals <= {poly_worst:.2e}",
@@ -147,19 +150,20 @@ def test_voronovskaya_rate_window(voronovskaya_ladder):
     # of the claim on a function for which it holds.
     cfg, report, elapsed_ladder = voronovskaya_ladder
     lo, hi = cfg.slope_window
-    slope_f1 = report.fitted_slope
+    (slope_f1,) = _measured(report, "fitted-rate")
     pts = default_grid().points
     c2 = float(np.max(weight_eval(cfg.alpha, pts)
                       * np.abs((-pts / 6.0 + pts ** 2 / 8.0) * np.exp(-pts))))
-    n_top = report.n_values[-1]
+    top = [r for r in report.rows if r.params["check"] == "residual-vs-bound"][-1]
+    n_top = top.params["n"]
     # n * residual - c2 = O(1/n), well under 1% of c2 at the top of the ladder
-    scaled_top = n_top * report.measured[-1]
+    scaled_top = n_top * top.measured
 
     start = time.perf_counter()
     witness = run_experiment(
         ExperimentConfig.for_experiment("voronovskaya", {"function_label": "kink3"}))
     elapsed = elapsed_ladder + (time.perf_counter() - start)
-    slope_kink = witness.fitted_slope
+    (slope_kink,) = _measured(witness, "fitted-rate")
     failing = [(row.params["check"], row.params.get("n"), row.measured, row.bound)
                for row in witness.rows if not row.passed]
 
@@ -196,15 +200,16 @@ def test_semigroup_convergence_ladder():
     cfg = ExperimentConfig.for_experiment("semigroup")
     report = run_experiment(cfg)
     elapsed = time.perf_counter() - start
-    decreasing = all(b < a for a, b in zip(report.measured, report.measured[1:]))
-    ok = report.passed and decreasing and report.measured[-1] <= 0.02 and elapsed < 300.0
-    discs = ", ".join(f"{d:.5f}" for d in report.measured)
+    measured = _measured(report, "iterate-vs-semigroup")
+    decreasing = all(b < a for a, b in zip(measured, measured[1:]))
+    ok = report.passed and decreasing and measured[-1] <= 0.02 and elapsed < 300.0
+    discs = ", ".join(f"{d:.5f}" for d in measured)
     _report("iterate-to-semigroup convergence", ok,
             f"discrepancies [{discs}] strictly decreasing, final <= 0.02",
             elapsed, 300.0)
     assert report.passed
     assert decreasing
-    assert report.measured[-1] <= 0.02
+    assert measured[-1] <= 0.02
     assert elapsed < 300.0
 
 
@@ -212,13 +217,14 @@ def test_kelisky_rivlin_limit():
     start = time.perf_counter()
     report = run_experiment(ExperimentConfig.for_experiment("kelisky-rivlin"))
     elapsed = time.perf_counter() - start
-    ok = report.passed and report.measured[-1] <= 1e-8 and elapsed < 1.0
+    measured = _measured(report, "deviation")
+    ok = report.passed and measured[-1] <= 1e-8 and elapsed < 1.0
     _report("kelisky-rivlin fixed-n limit", ok,
-            f"final deviation={report.measured[-1]:.2e} <= 1e-8, "
+            f"final deviation={measured[-1]:.2e} <= 1e-8, "
             f"deviations non-increasing",
             elapsed, 1.0)
     assert report.passed
-    assert report.measured[-1] <= 1e-8
+    assert measured[-1] <= 1e-8
     assert elapsed < 1.0
 
 
@@ -229,7 +235,7 @@ def test_feller_sampler_validation():
     for i, (x, t) in enumerate(itertools.product((0.5, 1.0, 2.0), repeat=2)):
         draws = sample_across_workers(
             lambda rng, m: feller_exact_terminal(x, t, m, rng),
-            n_draws, seed=(777, i), workers=WORKERS,
+            n_draws, seed=(777, i),
         )
         se = draws.std(ddof=1) / math.sqrt(n_draws)
         if abs(draws.mean() - x) > 3 * se:
@@ -260,11 +266,11 @@ def test_exact_vs_euler_agreement():
     x, t, size = 1.0, 1.0, 100_000
     exact = sample_across_workers(
         lambda rng, m: feller_exact_terminal(x, t, m, rng),
-        size, seed=(811, 0), workers=WORKERS,
+        size, seed=(811, 0),
     )
     euler = sample_across_workers(
         lambda rng, m: feller_euler_terminal(x, t, 1e-3, m, rng),
-        size, seed=(811, 1), workers=WORKERS,
+        size, seed=(811, 1),
     )
     ks = ks_distance(exact, euler)
     elapsed = time.perf_counter() - start
@@ -287,7 +293,7 @@ def test_chain_iterate_oracle_equivalence():
     details = []
     for x in x_values:
         est = chain_expectation_mc(n, k, x, CATALOG["f1"], 1_000_000,
-                                   seed=(901, int(10 * x)), workers=WORKERS)
+                                   seed=(901, int(10 * x)))
         i = lattice_fn.index_of(x)
         gap = abs(est.mean - lattice_fn.values[i])
         tol = 3 * est.stderr + lattice_fn.error_budget[i]
@@ -306,14 +312,15 @@ def test_weak_convergence_ladder():
     cfg = ExperimentConfig.for_experiment("weak-convergence")
     report = run_experiment(cfg)
     elapsed = time.perf_counter() - start
-    ok = report.passed and report.measured[-1] <= 0.02 and elapsed < 120.0
-    kss = ", ".join(f"{v:.4f}" for v in report.measured)
+    measured = _measured(report, "ks-distance")
+    ok = report.passed and measured[-1] <= 0.02 and elapsed < 120.0
+    kss = ", ".join(f"{v:.4f}" for v in measured)
     _report("chain-to-diffusion weak convergence", ok,
             f"KS distances [{kss}] non-increasing, final <= 0.02, "
             f"scaling identities exact to 1e-10",
             elapsed, 120.0)
     assert report.passed
-    assert report.measured[-1] <= 0.02
+    assert measured[-1] <= 0.02
     assert elapsed < 120.0
 
 
@@ -329,7 +336,7 @@ def test_concentration_bound():
     for i, (n, x, delta) in enumerate(configs):
         draws = sample_across_workers(
             lambda rng, m: rng.poisson(n * x, size=m).astype(float) / n,
-            n_draws, seed=(933, i), workers=WORKERS,
+            n_draws, seed=(933, i),
         )
         freq = float(np.mean(np.abs(draws - x) >= delta))
         se = math.sqrt(max(freq * (1 - freq), 0.0) / n_draws)
@@ -349,7 +356,7 @@ def test_wright_fisher_moment():
     start = time.perf_counter()
     draws = sample_across_workers(
         lambda rng, m: wf_euler_terminal(0.5, 1.0, 1e-3, m, rng),
-        100_000, seed=(955, 0), workers=WORKERS,
+        100_000, seed=(955, 0),
     )
     g = draws * (1.0 - draws)
     se = g.std(ddof=1) / math.sqrt(g.size)
@@ -382,6 +389,6 @@ def test_report_determinism(tmp_path):
         identical = identical and blobs[0] == blobs[1]
     elapsed = time.perf_counter() - start
     _report("report determinism", identical,
-            "byte-identical CSV across reruns at fixed seed and worker count",
+            "byte-identical CSV across reruns at fixed seed and stream count",
             elapsed, 60.0)
     assert identical

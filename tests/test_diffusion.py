@@ -10,13 +10,11 @@ from oplimits import (
     CATALOG,
     EulerConfig,
     UnsupportedMethodError,
-    chain_jump_probability_bound,
     chain_scaling_moments,
     feller_euler_terminal,
     feller_exact_terminal,
     feller_semigroup_closed_form,
     ks_distance,
-    poisson_tail_bound,
     semigroup_mc,
     wf_euler_terminal,
 )
@@ -139,19 +137,18 @@ class TestSemigroupMC:
         lam, x, t = 1.0, 2.0, 1.0
         ref = feller_semigroup_closed_form(lam, x, t)
         assert ref == pytest.approx(math.exp(-4.0 / 3.0), rel=1e-15)
-        est = semigroup_mc("feller", t, x, CATALOG["f1"], 400_000, seed=5, workers=4)
+        est = semigroup_mc("feller", t, x, CATALOG["f1"], 400_000, seed=5)
         assert abs(est.mean - ref) <= 3 * est.stderr
 
     def test_constant_function(self):
         f = lambda u: 4.5 * np.ones_like(np.asarray(u, dtype=float))
-        est = semigroup_mc("feller", 1.0, 1.0, f, 1_000, seed=1, workers=2)
+        est = semigroup_mc("feller", 1.0, 1.0, f, 1_000, seed=1)
         assert est.mean == 4.5 and est.stderr == 0.0
 
     def test_euler_method_for_wright_fisher(self):
         f = lambda u: np.asarray(u, dtype=float)
         est = semigroup_mc("wright-fisher", 0.5, 0.3, f, 20_000, seed=2,
-                           method="euler", config=EulerConfig(dt=5e-3),
-                           workers=4)
+                           method="euler", config=EulerConfig(dt=5e-3))
         assert abs(est.mean - 0.3) <= 4 * est.stderr
 
     def test_exact_unsupported_for_wright_fisher(self):
@@ -159,8 +156,8 @@ class TestSemigroupMC:
             semigroup_mc("wright-fisher", 1.0, 0.5, CATALOG["e1"], 100, seed=0)
 
     def test_bit_reproducible(self):
-        a = semigroup_mc("feller", 1.0, 1.0, CATALOG["f1"], 50_000, seed=7, workers=4)
-        b = semigroup_mc("feller", 1.0, 1.0, CATALOG["f1"], 50_000, seed=7, workers=4)
+        a = semigroup_mc("feller", 1.0, 1.0, CATALOG["f1"], 50_000, seed=7)
+        b = semigroup_mc("feller", 1.0, 1.0, CATALOG["f1"], 50_000, seed=7)
         assert a == b
 
     def test_closed_form_edges(self):
@@ -205,9 +202,6 @@ class TestScalingMoments:
     def test_off_lattice_rejected(self):
         with pytest.raises(ValueError):
             chain_scaling_moments(10, 0.123)
-
-    def test_jump_bound_delegates(self):
-        assert chain_jump_probability_bound(10, 2.0, 0.5) == poisson_tail_bound(10, 2.0, 0.5)
 
 
 class TestKSDistance:

@@ -42,8 +42,6 @@ class TestGeneratorApply:
         assert generator_apply(
             GeneratorKind.BASKAKOV_HEURISTIC, CATALOG["e2"], 2.0
         ) == pytest.approx(6.0)
-        assert GeneratorKind.BASKAKOV_HEURISTIC.experimental
-        assert not GeneratorKind.SM_HALF_X.experimental
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):

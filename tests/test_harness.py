@@ -19,6 +19,11 @@ from oplimits.harness import (
 )
 
 
+def _measured(report, check):
+    """Measured values of the report's rows for one check, in row order."""
+    return [row.measured for row in report.rows if row.params["check"] == check]
+
+
 class TestFloorSemantics:
     def test_guard_against_float_shortfall(self):
         # 10 * 0.3 is 2.999...96 in binary; the bracket must still be 3
@@ -64,8 +69,9 @@ class TestConfig:
 
     def test_resolved_echo_contains_everything(self):
         cfg = ExperimentConfig.for_experiment("semigroup")
-        echo = cfg.resolved(workers=4)
+        echo = cfg.resolved()
         assert echo["workers"] == 4
+        assert "output_path" not in echo
         assert echo["seed"] == 42
         assert echo["n_ladder"] == [8, 32, 128]
         assert "final_tolerance" in echo
@@ -163,7 +169,7 @@ class TestRunners:
         report = run_experiment(cfg)
         assert report.passed
         assert all(r.params["check"] == "polynomial-exactness" for r in report.rows)
-        assert report.fitted_slope is None
+        assert _measured(report, "fitted-rate") == []
 
     def test_voronovskaya_without_lipschitz_data_reports_only(self):
         cfg = ExperimentConfig.for_experiment(
@@ -193,21 +199,22 @@ class TestRunners:
         cfg = ExperimentConfig.for_experiment("semigroup", {"n_ladder": (8, 32)})
         report = run_experiment(cfg)
         assert report.passed
-        assert report.measured[1] < report.measured[0]
+        measured = _measured(report, "iterate-vs-semigroup")
+        assert measured[1] < measured[0]
         assert all(r.stderr is None for r in report.rows)
 
     def test_semigroup_zero_horizon_is_identity(self):
         cfg = ExperimentConfig.for_experiment("semigroup", {"n_ladder": (8,), "t": 0.0})
         report = run_experiment(cfg)
         assert report.rows[0].params["k"] == 0
-        assert report.measured[0] <= 1e-12
+        assert _measured(report, "iterate-vs-semigroup")[0] <= 1e-12
 
     def test_semigroup_constant_function_fixed_by_both_sides(self):
         cfg = ExperimentConfig.for_experiment(
             "semigroup", {"n_ladder": (8,), "function_label": "e0", "samples": 1_000}
         )
         report = run_experiment(cfg)
-        assert report.measured[0] <= 8 * cfg.tail_eps + 1e-13
+        assert _measured(report, "iterate-vs-semigroup")[0] <= 8 * cfg.tail_eps + 1e-13
 
     def test_semigroup_monte_carlo_reference(self):
         cfg = ExperimentConfig.for_experiment(
@@ -222,7 +229,7 @@ class TestRunners:
     def test_kelisky_rivlin_default_passes(self):
         report = run_experiment(ExperimentConfig.for_experiment("kelisky-rivlin"))
         assert report.passed
-        assert report.measured[-1] <= 1e-8
+        assert _measured(report, "deviation")[-1] <= 1e-8
         assert len(report.rows) == 201
 
     def test_korovkin_default_passes(self):
@@ -237,7 +244,8 @@ class TestRunners:
         )
         report = run_experiment(cfg)
         assert report.passed
-        assert report.measured[1] < report.measured[0]
+        measured = _measured(report, "ks-distance")
+        assert measured[1] < measured[0]
 
     def test_weak_convergence_requires_positive_start(self):
         with pytest.raises(ConfigError):
@@ -274,7 +282,7 @@ class TestDeterminism:
                 "weak-convergence", {"n_ladder": (5, 10), "samples": 5_000, "seed": seed}
             )
             reports.append(run_experiment(cfg))
-        assert reports[0].measured != reports[1].measured
+        assert _measured(reports[0], "ks-distance") != _measured(reports[1], "ks-distance")
 
 
 class TestCLI:
@@ -308,6 +316,27 @@ class TestCLI:
         assert main(["kelisky-rivlin", "--n-ladder", "5,7", "--out", out]) == 2
         assert "config error: kelisky-rivlin" in capsys.readouterr().err
 
+    def test_non_integer_ladder_rejected_not_truncated(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_ladder": [8.5, 32.9]}))
+        out = tmp_path / "x.csv"
+        assert main(["semigroup", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "config error: n_ladder" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_path_in_config_file_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"output_path": str(tmp_path / "r.csv")}))
+        out = str(tmp_path / "x.csv")
+        assert main(["kelisky-rivlin", "--config", str(cfg_path), "--out", out]) == 2
+        assert "unknown config key 'output_path'" in capsys.readouterr().err
+
+    def test_report_bytes_do_not_depend_on_out_path(self, tmp_path):
+        paths = [tmp_path / "a.csv", tmp_path / "sub" / "b.csv"]
+        for path in paths:
+            assert main(["kelisky-rivlin", "--out", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_config_file_plus_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n_ladder": [5, 10], "samples": 4000, "seed": 3}))
@@ -329,6 +358,12 @@ class TestWorkerResolution:
         monkeypatch.setenv("OPLIMITS_WORKERS", "7")
         assert resolve_workers() == 7
         assert resolve_workers(2) == 2  # explicit argument wins over env
+
+    def test_default_does_not_depend_on_cpu_count(self, monkeypatch):
+        from oplimits.mc import resolve_workers
+        monkeypatch.delenv("OPLIMITS_WORKERS", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
+        assert resolve_workers() == 4
 
     def test_invalid_worker_count(self):
         from oplimits.mc import resolve_workers

@@ -233,14 +233,14 @@ class TestChainSampling:
 
 class TestChainExpectation:
     def test_constant_function(self):
-        est = chain_expectation_mc(5, 3, 1.0, CATALOG["e0"], 10_000, seed=3, workers=4)
+        est = chain_expectation_mc(5, 3, 1.0, CATALOG["e0"], 10_000, seed=3)
         assert est.mean == 1.0
         assert est.stderr == 0.0
         assert est.samples == 10_000
 
     def test_deterministic_given_seed_and_workers(self):
-        a = chain_expectation_mc(5, 5, 1.0, CATALOG["f1"], 50_000, seed=21, workers=4)
-        b = chain_expectation_mc(5, 5, 1.0, CATALOG["f1"], 50_000, seed=21, workers=4)
+        a = chain_expectation_mc(5, 5, 1.0, CATALOG["f1"], 50_000, seed=21)
+        b = chain_expectation_mc(5, 5, 1.0, CATALOG["f1"], 50_000, seed=21)
         assert a == b
 
     def test_agrees_with_kernel_iterate(self):
@@ -248,12 +248,12 @@ class TestChainExpectation:
         kernel = small_kernel(n=n, x_max=2.0)
         lf = kernel_iterate(kernel, CATALOG["f1"], k)
         i = lf.index_of(x)
-        est = chain_expectation_mc(n, k, x, CATALOG["f1"], 200_000, seed=17, workers=4)
+        est = chain_expectation_mc(n, k, x, CATALOG["f1"], 200_000, seed=17)
         assert abs(est.mean - lf.values[i]) <= 3 * est.stderr + lf.error_budget[i]
 
     def test_stderr_scales_with_sample_size(self):
-        small = chain_expectation_mc(5, 3, 1.0, CATALOG["f1"], 50_000, seed=9, workers=4)
-        large = chain_expectation_mc(5, 3, 1.0, CATALOG["f1"], 200_000, seed=9, workers=4)
+        small = chain_expectation_mc(5, 3, 1.0, CATALOG["f1"], 50_000, seed=9)
+        large = chain_expectation_mc(5, 3, 1.0, CATALOG["f1"], 200_000, seed=9)
         ratio = 2.0 * large.stderr / small.stderr
         assert 0.8 <= ratio <= 1.2
 
