@@ -145,6 +145,12 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, f.type):
+                raise ConfigError(
+                    f"{f.name} must be {_TYPE_NAMES[f.type]}, got {value!r}"
+                )
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
@@ -175,8 +181,16 @@ class ExperimentConfig:
                 raise ConfigError("weak-convergence requires x > 0")
         if self.samples < 2:
             raise ConfigError("samples must be >= 2")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if not (0.0 < self.tail_eps < 1.0):
             raise ConfigError("tail_eps must lie in (0, 1)")
+        if self.x_max <= 0:
+            raise ConfigError("x_max must be positive")
+        if self.grid_points < 2:
+            raise ConfigError("grid_points must be >= 2")
+        if self.dense_head < 0:
+            raise ConfigError("dense_head must be nonnegative")
         if self.k_max < 1:
             raise ConfigError("k_max must be >= 1")
         lams = self.lambdas
@@ -190,8 +204,7 @@ class ExperimentConfig:
                 "x_panel must be nonempty, strictly increasing and nonnegative"
             )
         window = self.slope_window
-        if (len(window) != 2 or not all(isinstance(v, (int, float)) for v in window)
-                or not window[0] < window[1]):
+        if len(window) != 2 or not window[0] < window[1]:
             raise ConfigError("slope_window must be two numbers lo < hi")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
@@ -215,12 +228,32 @@ class ExperimentConfig:
         return CATALOG[self.function_label]
 
 
+_TYPE_NAMES = {
+    str: "a string",
+    int: "an integer",
+    float: "a finite number",
+    tuple: "a list of finite numbers",
+}
+
+
+def _has_type(value, kind) -> bool:
+    """Whether a config value has its field's declared type (see _TYPE_NAMES)."""
+    if kind is tuple:
+        return isinstance(value, (list, tuple)) and all(
+            _has_type(v, float) for v in value)
+    if kind is str:
+        return isinstance(value, str)
+    if isinstance(value, bool):
+        return False
+    if kind is int:
+        return isinstance(value, int)
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
 def _normalize(values: dict) -> dict:
-    out = dict(values)
-    for key in ("n_ladder", "x_panel", "lambdas", "slope_window"):
-        if key in out and out[key] is not None:
-            out[key] = tuple(out[key])
-    return out
+    """JSON lists become tuples; anything else is left for validate()."""
+    return {key: tuple(val) if isinstance(val, list) else val
+            for key, val in values.items()}
 
 
 def load_config_file(path: str) -> dict:

@@ -1,17 +1,21 @@
 """Reproducible Monte Carlo plumbing.
 
 Samples are partitioned deterministically across a fixed number of streams;
-stream w draws from an independent generator spawned from the master seed,
-and the chunks are merged in stream order.  The stream count is decided here
-alone: ``OPLIMITS_WORKERS`` when set, else 4, never the host's CPU count.
-Identical (seed, samples) therefore yields bit-identical results on any
-machine.
+stream w draws from an independent generator spawned from the master seed.
+The stream count is decided here alone: ``OPLIMITS_WORKERS`` when set, else
+4, never the host's CPU count.  The streams run concurrently on up to
+min(streams, usable CPUs) threads, and their chunks are merged in stream
+order, so identical (seed, samples) yields bit-identical results on any
+machine, whatever its CPU count.
 """
 
 import os
+import threading
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+from .errors import ConfigError
 
 WORKERS_ENV_VAR = "OPLIMITS_WORKERS"
 
@@ -31,11 +35,29 @@ def resolve_workers(workers=None) -> int:
     """Stream count: explicit argument, else OPLIMITS_WORKERS, else 4."""
     if workers is None:
         env = os.environ.get(WORKERS_ENV_VAR)
-        workers = int(env) if env else _DEFAULT_STREAMS
+        if not env:
+            return _DEFAULT_STREAMS
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ConfigError(
+                f"{WORKERS_ENV_VAR} must be a positive integer, got {env!r}"
+            )
+        return workers
     workers = int(workers)
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     return workers
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where supported)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def chunk_sizes(samples: int, streams: int):
@@ -53,22 +75,51 @@ def sample_across_workers(
 ) -> np.ndarray:
     """Draw ``samples`` values via per-stream generators, merged in order.
 
-    ``draw_chunk(rng, m)`` must return m values using only ``rng``.
+    ``draw_chunk(rng, m)`` must return m values using only ``rng``; it is
+    called concurrently from several threads, so it must be thread-safe.
+    Stream w runs on lane w mod L, where L = min(nonempty streams, usable
+    CPUs); the calling thread runs lane 0 and L - 1 helper threads the rest.
+    Each stream's values land at its offset in the output, so the result
+    does not depend on L.  If streams fail, the exception of the first
+    failing stream is raised once every helper thread has been joined.
     """
     streams = resolve_workers()
     children = np.random.SeedSequence(seed).spawn(streams)
-    parts = []
-    for w, m in enumerate(chunk_sizes(samples, streams)):
-        if m == 0:
-            continue
-        rng = np.random.default_rng(children[w])
-        part = np.asarray(draw_chunk(rng, m), dtype=float)
-        if part.shape != (m,):
-            raise ValueError(
-                f"draw_chunk returned shape {part.shape}, expected ({m},)"
-            )
-        parts.append(part)
-    return np.concatenate(parts)
+    sizes = chunk_sizes(samples, streams)
+    offsets = np.cumsum([0] + sizes)
+    nonempty = min(samples, streams)  # only trailing streams can be empty
+    out = np.empty(samples)
+    errors = {}
+
+    def lane(first, step):
+        for w in range(first, nonempty, step):
+            m = sizes[w]
+            try:
+                part = np.asarray(
+                    draw_chunk(np.random.default_rng(children[w]), m), dtype=float
+                )
+                if part.shape != (m,):
+                    raise ValueError(
+                        f"draw_chunk returned shape {part.shape}, expected ({m},)"
+                    )
+            except BaseException as exc:
+                # later streams of this lane cannot fail first
+                errors[w] = exc
+                return
+            out[offsets[w]:offsets[w + 1]] = part
+
+    lanes = min(nonempty, _usable_cpus())
+    helpers = [threading.Thread(target=lane, args=(i, lanes)) for i in range(1, lanes)]
+    for thread in helpers:
+        thread.start()
+    try:
+        lane(0, lanes)
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return out
 
 
 def estimate_from(values: np.ndarray) -> MonteCarloEstimate:

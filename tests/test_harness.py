@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from oplimits.harness import (
     run_experiment,
     _snap_panel,
 )
+from oplimits.iterates import chain_terminal_values
+from oplimits.mc import resolve_workers, sample_across_workers
 
 
 def _measured(report, check):
@@ -92,6 +98,15 @@ class TestConfig:
     def test_malformed_slope_window_rejected(self, window):
         with pytest.raises(ConfigError, match="slope_window"):
             ExperimentConfig.for_experiment("voronovskaya", {"slope_window": window})
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", True), ("t", float("inf")), ("x", "1"), ("k_max", 10.0),
+        ("function_label", 3), ("lambdas", [1, 2, None]), ("format", None),
+        ("seed", -1), ("x_max", 0.0), ("grid_points", 1), ("dense_head", -1),
+    ])
+    def test_wrong_typed_or_out_of_range_value_names_its_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            ExperimentConfig.for_experiment("semigroup", {key: value})
 
     def test_kelisky_rivlin_takes_one_n(self):
         with pytest.raises(ConfigError, match="kelisky-rivlin"):
@@ -337,6 +352,30 @@ class TestCLI:
             assert main(["kelisky-rivlin", "--out", str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("values, key", [
+        ({"samples": 2.5}, "samples"),
+        ({"n_ladder": ["a"]}, "n_ladder"),
+        ({"n_ladder": 5}, "n_ladder"),
+        ({"seed": "x"}, "seed"),
+    ], ids=["float-samples", "string-ladder-entry", "scalar-ladder", "string-seed"])
+    def test_wrong_typed_config_value_names_its_key(self, tmp_path, capsys, values, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(values))
+        out = tmp_path / "x.csv"
+        assert main(["weak-convergence", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"config error: {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
+    def test_malformed_stream_count_names_the_variable(self, tmp_path, capsys,
+                                                       monkeypatch, value):
+        monkeypatch.setenv("OPLIMITS_WORKERS", value)
+        out = tmp_path / "x.csv"
+        assert main(["kelisky-rivlin", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: OPLIMITS_WORKERS must be a positive integer, got {value!r}" in err
+        assert not out.exists()
+
     def test_config_file_plus_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n_ladder": [5, 10], "samples": 4000, "seed": 3}))
@@ -354,19 +393,16 @@ class TestCLI:
 
 class TestWorkerResolution:
     def test_env_variable_wins_over_cpu_count(self, monkeypatch):
-        from oplimits.mc import resolve_workers
         monkeypatch.setenv("OPLIMITS_WORKERS", "7")
         assert resolve_workers() == 7
         assert resolve_workers(2) == 2  # explicit argument wins over env
 
     def test_default_does_not_depend_on_cpu_count(self, monkeypatch):
-        from oplimits.mc import resolve_workers
         monkeypatch.delenv("OPLIMITS_WORKERS", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 64)
         assert resolve_workers() == 4
 
     def test_invalid_worker_count(self):
-        from oplimits.mc import resolve_workers
         with pytest.raises(ValueError):
             resolve_workers(0)
 
@@ -375,3 +411,126 @@ class TestWorkerResolution:
         assert chunk_sizes(10, 4) == [3, 3, 2, 2]
         assert chunk_sizes(3, 4) == [1, 1, 1, 0]
         assert sum(chunk_sizes(1_000_001, 7)) == 1_000_001
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
+    def test_malformed_env_variable_is_named(self, monkeypatch, value):
+        monkeypatch.setenv("OPLIMITS_WORKERS", value)
+        with pytest.raises(ConfigError, match="OPLIMITS_WORKERS"):
+            resolve_workers()
+
+
+def _cpus(monkeypatch, count):
+    """Make the process look as if it may run on ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def _stream(rng):
+    """Index of the stream a generator was spawned for."""
+    return rng.bit_generator.seed_seq.spawn_key[-1]
+
+
+def _chain_draw(rng, m):
+    return chain_terminal_values(10, 10, 1.0, m, rng)
+
+
+class TestConcurrentStreams:
+    """Four pinned streams drawn on min(streams, CPUs) threads."""
+
+    def test_values_do_not_depend_on_cpu_count(self, monkeypatch):
+        draws = []
+        for count in (1, 2, 64):
+            _cpus(monkeypatch, count)
+            draws.append(sample_across_workers(_chain_draw, 10_001, seed=(5, 1)))
+        for values in draws[1:]:
+            np.testing.assert_array_equal(values, draws[0])
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 64])
+    def test_threads_used_are_capped(self, monkeypatch, count):
+        _cpus(monkeypatch, count)
+        idents = set()
+
+        def draw(rng, m):
+            idents.add(threading.get_ident())
+            return _chain_draw(rng, m)
+
+        sample_across_workers(draw, 4_000, seed=3)
+        assert len(idents) <= min(4, count)
+        if count == 1:
+            assert idents == {threading.get_ident()}
+
+    def test_cpu_count_fallback(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        idents = set()
+
+        def draw(rng, m):
+            idents.add(threading.get_ident())
+            return _chain_draw(rng, m)
+
+        sample_across_workers(draw, 100, seed=3)
+        assert idents == {threading.get_ident()}
+
+    def test_empty_streams_are_not_drawn(self, monkeypatch):
+        _cpus(monkeypatch, 64)
+        calls = []
+
+        def draw(rng, m):
+            calls.append((_stream(rng), threading.get_ident()))
+            return rng.random(m)
+
+        assert sample_across_workers(draw, 2, seed=0).shape == (2,)
+        assert sorted(w for w, _ in calls) == [0, 1]
+        assert len({ident for _, ident in calls}) <= 2
+
+    @pytest.mark.parametrize("failure, message", [
+        ("raise", "stream 3 failed"),
+        ("shape", r"draw_chunk returned shape \(3,\), expected \(2,\)"),
+    ])
+    def test_failing_stream_propagates_and_threads_are_joined(
+            self, monkeypatch, failure, message):
+        _cpus(monkeypatch, 4)
+        before = threading.active_count()
+
+        def draw(rng, m):
+            if _stream(rng) == 1:
+                time.sleep(0.1)  # still running when stream 3 has failed
+            if _stream(rng) == 3:
+                if failure == "raise":
+                    raise ValueError("stream 3 failed")
+                return rng.random(m + 1)
+            return rng.random(m)
+
+        with pytest.raises(ValueError, match=message):
+            sample_across_workers(draw, 8, seed=1)
+        assert threading.active_count() == before
+
+    def test_first_failing_stream_is_raised(self, monkeypatch):
+        _cpus(monkeypatch, 4)
+
+        def draw(rng, m):
+            if _stream(rng) in (1, 3):
+                raise RuntimeError(f"stream {_stream(rng)}")
+            return rng.random(m)
+
+        for _ in range(5):
+            with pytest.raises(RuntimeError, match="stream 1"):
+                sample_across_workers(draw, 8, seed=1)
+
+    def test_many_threads_with_rapid_switching(self, monkeypatch):
+        # more threads than cores, switching as often as the interpreter
+        # allows: every stream's values still land at its own offset
+        monkeypatch.setenv("OPLIMITS_WORKERS", "16")
+        _cpus(monkeypatch, 1)
+        reference = sample_across_workers(_chain_draw, 16_003, seed=9)
+        _cpus(monkeypatch, 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.perf_counter()
+            for _ in range(5):
+                np.testing.assert_array_equal(
+                    sample_across_workers(_chain_draw, 16_003, seed=9), reference)
+            assert time.perf_counter() - start < 30.0
+        finally:
+            sys.setswitchinterval(interval)
