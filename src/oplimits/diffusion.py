@@ -139,7 +139,8 @@ def semigroup_mc(
     ``kind`` selects the diffusion ("feller" or "wright-fisher"); exact
     sampling is available only for the square-root diffusion.  t = 0 returns
     (f(x), 0) without consuming randomness.  Deterministic given
-    (seed, samples).
+    (seed, samples).  ``f`` may be called concurrently from several threads,
+    so it must be thread-safe.
     """
     if kind not in (FELLER, WRIGHT_FISHER):
         raise ValueError(f"unknown diffusion kind {kind!r}")

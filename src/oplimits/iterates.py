@@ -255,7 +255,8 @@ def chain_expectation_mc(
     """Monte Carlo estimate of the k-step chain expectation of f from x.
 
     Deterministic given (seed, samples); see :mod:`oplimits.mc` for the
-    partitioning scheme.
+    partitioning scheme.  ``f`` may be called concurrently from several
+    threads, so it must be thread-safe.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")

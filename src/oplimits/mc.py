@@ -3,14 +3,13 @@
 Samples are partitioned deterministically across a fixed number of streams;
 stream w draws from an independent generator spawned from the master seed.
 The stream count is decided here alone: ``OPLIMITS_WORKERS`` when set, else
-4, never the host's CPU count.  The streams run concurrently on up to
+4, never the host's CPU count.  Large streams run concurrently on up to
 min(streams, usable CPUs) threads, and their chunks are merged in stream
 order, so identical (seed, samples) yields bit-identical results on any
 machine, whatever its CPU count.
 """
 
 import os
-import threading
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -21,6 +20,13 @@ WORKERS_ENV_VAR = "OPLIMITS_WORKERS"
 
 # Stream count when OPLIMITS_WORKERS is unset.
 _DEFAULT_STREAMS = 4
+
+# Smallest per-stream chunk drawn on a thread of its own.  numpy's ufuncs
+# keep the GIL on loops of up to 500 elements, so small chunks contend for
+# it.  On 2 CPUs, 4 threaded streams of 256 values took 1.3 to 12 times as
+# long as the same draws one after another; streams of Euler paths or chain
+# iterates paid off from about 1,500 values per stream on.
+_MIN_THREADED_CHUNK = 2048
 
 
 class MonteCarloEstimate(NamedTuple):
@@ -75,50 +81,43 @@ def sample_across_workers(
 ) -> np.ndarray:
     """Draw ``samples`` values via per-stream generators, merged in order.
 
-    ``draw_chunk(rng, m)`` must return m values using only ``rng``; it is
-    called concurrently from several threads, so it must be thread-safe.
-    Stream w runs on lane w mod L, where L = min(nonempty streams, usable
-    CPUs); the calling thread runs lane 0 and L - 1 helper threads the rest.
-    Each stream's values land at its offset in the output, so the result
-    does not depend on L.  If streams fail, the exception of the first
-    failing stream is raised once every helper thread has been joined.
+    ``draw_chunk(rng, m)`` must return m values using only ``rng``; it may
+    be called concurrently from several threads, so it must be thread-safe.
+    The streams run on min(nonempty streams, usable CPUs) threads when every
+    stream draws at least ``_MIN_THREADED_CHUNK`` values, and one after
+    another on the calling thread otherwise.  Each stream's values land at
+    its offset in the output, so the result does not depend on the thread
+    count.  If streams fail, the exception of the lowest-numbered failing
+    stream is raised, after every thread has been joined.
     """
     streams = resolve_workers()
     children = np.random.SeedSequence(seed).spawn(streams)
     sizes = chunk_sizes(samples, streams)
     offsets = np.cumsum([0] + sizes)
-    nonempty = min(samples, streams)  # only trailing streams can be empty
     out = np.empty(samples)
-    errors = {}
 
-    def lane(first, step):
-        for w in range(first, nonempty, step):
-            m = sizes[w]
-            try:
-                part = np.asarray(
-                    draw_chunk(np.random.default_rng(children[w]), m), dtype=float
-                )
-                if part.shape != (m,):
-                    raise ValueError(
-                        f"draw_chunk returned shape {part.shape}, expected ({m},)"
-                    )
-            except BaseException as exc:
-                # later streams of this lane cannot fail first
-                errors[w] = exc
-                return
-            out[offsets[w]:offsets[w + 1]] = part
+    def draw(w):
+        m = sizes[w]
+        part = np.asarray(draw_chunk(np.random.default_rng(children[w]), m), dtype=float)
+        if part.shape != (m,):
+            raise ValueError(
+                f"draw_chunk returned shape {part.shape}, expected ({m},)"
+            )
+        out[offsets[w]:offsets[w + 1]] = part
 
-    lanes = min(nonempty, _usable_cpus())
-    helpers = [threading.Thread(target=lane, args=(i, lanes)) for i in range(1, lanes)]
-    for thread in helpers:
-        thread.start()
-    try:
-        lane(0, lanes)
-    finally:
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
+    nonempty = range(min(samples, streams))  # only trailing streams can be empty
+    threads = min(len(nonempty), _usable_cpus())
+    if threads == 1 or samples // streams < _MIN_THREADED_CHUNK:
+        for w in nonempty:
+            draw(w)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # reading the results in stream order raises the lowest-numbered
+        # failure and cancels the streams not yet started; leaving the
+        # block joins every thread
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(draw, nonempty))
     return out
 
 
