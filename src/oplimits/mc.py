@@ -25,8 +25,14 @@ _DEFAULT_STREAMS = 4
 # keep the GIL on loops of up to 500 elements, so small chunks contend for
 # it.  On 2 CPUs, 4 threaded streams of 256 values took 1.3 to 12 times as
 # long as the same draws one after another; streams of Euler paths or chain
-# iterates paid off from about 1,500 values per stream on.
-_MIN_THREADED_CHUNK = 2048
+# iterates paid off from about 1,500 values per stream on.  Paying off on
+# average is not enough: with a few thousand values a stream hands the GIL
+# over every few microseconds (an Euler step is six short numpy calls), so
+# its wall time follows the load on the other CPUs.  Threaded Euler streams
+# of 5,000 values spread the benchmark's library-calls wall_s 3.7 times as
+# wide as serial draws did (quartile distance 0.487 s against 0.131 s); the
+# 25,000-value Poisson streams of weak-convergence stayed steady.
+_MIN_THREADED_CHUNK = 16384
 
 
 class MonteCarloEstimate(NamedTuple):
