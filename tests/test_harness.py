@@ -419,12 +419,6 @@ class TestWorkerResolution:
             resolve_workers()
 
 
-def _cpus(monkeypatch, count):
-    """Make the process look as if it may run on ``count`` CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                        raising=False)
-
-
 def _stream(rng):
     """Index of the stream a generator was spawned for."""
     return rng.bit_generator.seed_seq.spawn_key[-1]
@@ -443,7 +437,7 @@ class TestConcurrentStreams:
         # more threads than cores, switching as often as the interpreter allows
         (16, 1e-6),
     ])
-    def test_values_do_not_depend_on_cpu_count(self, monkeypatch, streams,
+    def test_values_do_not_depend_on_cpu_count(self, monkeypatch, cpus, streams,
                                                switch_interval):
         monkeypatch.setenv("OPLIMITS_WORKERS", str(streams))
         samples = streams * _MIN_THREADED_CHUNK + 3
@@ -451,7 +445,7 @@ class TestConcurrentStreams:
         interval = sys.getswitchinterval()
         try:
             for count in (1, 2, streams, 64):
-                _cpus(monkeypatch, count)
+                cpus(count)
                 if switch_interval is not None and count > 1:
                     sys.setswitchinterval(switch_interval)
                 draws.append(sample_across_workers(_chain_draw, samples, seed=(5, 1)))
@@ -461,8 +455,8 @@ class TestConcurrentStreams:
             np.testing.assert_array_equal(values, draws[0])
 
     @pytest.mark.parametrize("count", [1, 2, 3, 64])
-    def test_threads_used_are_capped(self, monkeypatch, count):
-        _cpus(monkeypatch, count)
+    def test_threads_used_are_capped(self, cpus, count):
+        cpus(count)
         idents = set()
 
         def draw(rng, m):
@@ -476,8 +470,8 @@ class TestConcurrentStreams:
         else:
             assert threading.get_ident() not in idents
 
-    def test_small_chunks_stay_on_the_calling_thread(self, monkeypatch):
-        _cpus(monkeypatch, 64)
+    def test_small_chunks_stay_on_the_calling_thread(self, cpus):
+        cpus(64)
         idents = set()
 
         def draw(rng, m):
@@ -499,8 +493,8 @@ class TestConcurrentStreams:
         sample_across_workers(draw, 4 * _MIN_THREADED_CHUNK, seed=3)
         assert idents == {threading.get_ident()}
 
-    def test_empty_streams_are_not_drawn(self, monkeypatch):
-        _cpus(monkeypatch, 64)
+    def test_empty_streams_are_not_drawn(self, cpus):
+        cpus(64)
         calls = []
 
         def draw(rng, m):
@@ -515,8 +509,8 @@ class TestConcurrentStreams:
         ("shape", r"draw_chunk returned shape \(\d+,\), expected \(\d+,\)"),
     ])
     def test_failing_stream_propagates_and_threads_are_joined(
-            self, monkeypatch, failure, message):
-        _cpus(monkeypatch, 4)
+            self, cpus, failure, message):
+        cpus(4)
         before = threading.active_count()
 
         def draw(rng, m):
@@ -532,8 +526,8 @@ class TestConcurrentStreams:
             sample_across_workers(draw, 4 * _MIN_THREADED_CHUNK, seed=1)
         assert threading.active_count() == before
 
-    def test_first_failing_stream_is_raised(self, monkeypatch):
-        _cpus(monkeypatch, 4)
+    def test_first_failing_stream_is_raised(self, cpus):
+        cpus(4)
 
         def draw(rng, m):
             if _stream(rng) in (1, 3):

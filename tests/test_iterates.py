@@ -1,15 +1,18 @@
 """Transition kernels, kernel iterates, chain sampling, and fixed-n limits."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import sparse, stats
 from scipy.special import gammaln
 
+import oplimits.iterates
 from oplimits import (
     CATALOG,
     CutoffTooSmallError,
+    EvaluationError,
     TestFunction,
     bernstein_kernel,
     build_sm_kernel,
@@ -19,6 +22,7 @@ from oplimits import (
     kernel_iterate,
     lattice_cutoff,
 )
+from oplimits.iterates import TransitionKernel, _MIN_THREADED_NNZ
 
 
 def small_kernel(n=5, x_max=2.0, tail_eps=1e-12):
@@ -29,14 +33,14 @@ def small_kernel(n=5, x_max=2.0, tail_eps=1e-12):
 class TestKernelConstruction:
     def test_state_zero_is_absorbing(self):
         kernel = small_kernel()
-        row = kernel.row_probs(0)
+        row = kernel.matrix[[0]].toarray().ravel()
         assert row[0] == 1.0
         assert np.all(row[1:] == 0.0)
         assert kernel.defect[0] == 0.0
 
     def test_row_one_is_unit_poisson(self):
         kernel = small_kernel()
-        row = kernel.row_probs(1)
+        row = kernel.matrix[[1]].toarray().ravel()
         for j in range(10):
             assert row[j] == pytest.approx(math.exp(-1.0) / math.factorial(j), rel=1e-13)
 
@@ -48,7 +52,7 @@ class TestKernelConstruction:
         kernel = small_kernel()
         latt = kernel.lattice()
         for i in range(kernel.checked_rows + 1):
-            row = kernel.row_probs(i)
+            row = kernel.matrix[[i]].toarray().ravel()
             mean = float(row @ latt)
             slack = kernel.defect[i] * kernel.K / kernel.n + 1e-12
             assert abs(mean - i / kernel.n) <= slack
@@ -58,7 +62,7 @@ class TestKernelConstruction:
         latt = kernel.lattice()
         n = kernel.n
         for i in range(kernel.checked_rows + 1):
-            row = kernel.row_probs(i)
+            row = kernel.matrix[[i]].toarray().ravel()
             m2 = float(row @ latt ** 2)
             y = i / n
             assert m2 == pytest.approx(y ** 2 + y / n, abs=1e-10)
@@ -72,6 +76,145 @@ class TestKernelConstruction:
     def test_unchecked_construction_allowed(self):
         kernel = build_sm_kernel(1, 5, 1e-12)
         assert kernel.size == 6
+
+
+def _chunk_list_kernel(K):
+    """The row-by-row chunk-list construction of the SM kernel, as an oracle."""
+    indptr = np.zeros(K + 2, dtype=np.int64)
+    col_chunks = []
+    data_chunks = []
+    defect = np.zeros(K + 1)
+    for i in range(K + 1):
+        if i == 0:
+            col_chunks.append(np.array([0]))
+            data_chunks.append(np.array([1.0]))
+        else:
+            sd = np.sqrt(i)
+            lo = max(0, int(i - 14.0 * sd - 30))
+            hi = min(K, int(i + 14.0 * sd + 30))
+            j = np.arange(lo, hi + 1)
+            lam = float(i)
+            row = np.exp(-lam + j * np.log(lam) - gammaln(j + 1.0))
+            col_chunks.append(j)
+            data_chunks.append(row)
+            defect[i] = max(0.0, 1.0 - float(row.sum()))
+        indptr[i + 1] = indptr[i] + len(col_chunks[-1])
+    matrix = sparse.csr_matrix(
+        (np.concatenate(data_chunks), np.concatenate(col_chunks), indptr),
+        shape=(K + 1, K + 1),
+    )
+    return matrix, defect
+
+
+class TestInPlaceBuild:
+    @pytest.mark.parametrize("n", [1, 8, 128])
+    @pytest.mark.parametrize("cutoff", ["zero", "one", "lattice"])
+    def test_matches_chunk_list_construction(self, n, cutoff):
+        K = {"zero": 0, "one": 1, "lattice": lattice_cutoff(n, 10.0)}[cutoff]
+        kernel = build_sm_kernel(n, K)
+        matrix, defect = _chunk_list_kernel(K)
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(kernel.matrix, name), getattr(matrix, name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(kernel.defect, defect)
+        assert kernel.matrix.shape == (K + 1, K + 1)
+
+
+class _RecordingMatrix(sparse.csr_matrix):
+    """A CSR matrix noting which threads multiply with it."""
+
+    def __init__(self, matrix, idents, fail_off_thread=False):
+        super().__init__(matrix)
+        self.idents = idents
+        self.fail_off_thread = fail_off_thread
+
+    def __matmul__(self, other):
+        ident = threading.get_ident()
+        self.idents.add(ident)
+        if self.fail_off_thread and ident != threading.main_thread().ident:
+            raise RuntimeError("helper product failed")
+        return super().__matmul__(other)
+
+
+def _recording(kernel, idents, fail_off_thread=False):
+    return TransitionKernel(
+        n=kernel.n,
+        matrix=_RecordingMatrix(kernel.matrix, idents, fail_off_thread),
+        defect=kernel.defect,
+        tail_eps=kernel.tail_eps,
+    )
+
+
+def _serial_iterate(kernel, f, k):
+    """One product of f and one of the mass per step, on the calling thread."""
+    v = np.asarray(f(kernel.lattice()), dtype=float)
+    f_sup = float(np.max(np.abs(v)))
+    mass = np.ones(kernel.size)
+    for _ in range(k):
+        v = kernel.matrix @ v
+        mass = kernel.matrix @ mass
+    return v, f_sup * np.clip(1.0 - mass, 0.0, None)
+
+
+class TestThreadedIterate:
+    """f and the mass propagate on two threads only for large kernels."""
+
+    @pytest.mark.parametrize("threshold", ["below", "at", "real"])
+    def test_values_do_not_depend_on_cpu_count(self, monkeypatch, cpus, threshold):
+        if threshold == "real":
+            n = 20
+            kernel = build_sm_kernel(n, lattice_cutoff(n, 10.0))
+            assert kernel.matrix.nnz >= _MIN_THREADED_NNZ
+        else:
+            kernel = small_kernel()
+            nnz = kernel.matrix.nnz
+            monkeypatch.setattr(oplimits.iterates, "_MIN_THREADED_NNZ",
+                                nnz + 1 if threshold == "below" else nnz)
+        k = 2 * kernel.n
+        values, budget = _serial_iterate(kernel, CATALOG["f1"], k)
+        for count in (1, 2, 64):
+            cpus(count)
+            lf = kernel_iterate(kernel, CATALOG["f1"], k)
+            np.testing.assert_array_equal(lf.values, values)
+            np.testing.assert_array_equal(lf.error_budget, budget)
+
+    @pytest.mark.parametrize("count, threshold, helpers", [
+        (1, "at", 0),
+        (2, "below", 0),
+        (64, "below", 0),
+        (2, "at", 1),
+        (64, "at", 1),
+    ])
+    def test_at_most_one_helper_thread(self, monkeypatch, cpus, count, threshold,
+                                       helpers):
+        cpus(count)
+        kernel = small_kernel()
+        nnz = kernel.matrix.nnz
+        monkeypatch.setattr(oplimits.iterates, "_MIN_THREADED_NNZ",
+                            nnz + 1 if threshold == "below" else nnz)
+        idents = set()
+        kernel_iterate(_recording(kernel, idents), CATALOG["f1"], 4)
+        assert threading.get_ident() in idents
+        assert len(idents) == 1 + helpers
+
+    def test_non_finite_f_raises_and_starts_nothing(self, monkeypatch, cpus):
+        cpus(2)
+        monkeypatch.setattr(oplimits.iterates, "_MIN_THREADED_NNZ", 0)
+        before = threading.active_count()
+        f = TestFunction("inf", lambda x: np.where(np.asarray(x) > 1.0, np.inf, 1.0))
+        with pytest.raises(EvaluationError):
+            kernel_iterate(small_kernel(), f, 3)
+        assert threading.active_count() == before
+
+    def test_helper_failure_propagates_and_helper_is_joined(self, monkeypatch, cpus):
+        cpus(2)
+        monkeypatch.setattr(oplimits.iterates, "_MIN_THREADED_NNZ", 0)
+        before = threading.active_count()
+        kernel = _recording(small_kernel(), set(), fail_off_thread=True)
+        with pytest.raises(RuntimeError, match="helper product failed"):
+            kernel_iterate(kernel, CATALOG["f1"], 3)
+        assert threading.active_count() == before
 
 
 class TestKernelIterate:
@@ -143,19 +286,21 @@ class TestKernelIterate:
 class TestBernsteinKernel:
     def test_absorbing_endpoints(self):
         kernel = bernstein_kernel(6)
-        top = kernel.row_probs(6)
-        bottom = kernel.row_probs(0)
+        top = kernel.matrix[[6]].toarray().ravel()
+        bottom = kernel.matrix[[0]].toarray().ravel()
         assert bottom[0] == 1.0 and np.all(bottom[1:] == 0.0)
         assert top[6] == 1.0 and np.all(top[:6] == 0.0)
 
     def test_rows_are_stochastic(self):
         kernel = bernstein_kernel(9)
         for i in range(10):
-            assert float(kernel.row_probs(i).sum()) == pytest.approx(1.0, abs=1e-14)
+            row = kernel.matrix[[i]].toarray().ravel()
+            assert float(row.sum()) == pytest.approx(1.0, abs=1e-14)
 
     def test_binomial_row(self):
         kernel = bernstein_kernel(2)
-        np.testing.assert_allclose(kernel.row_probs(1), [0.25, 0.5, 0.25], atol=1e-15)
+        row = kernel.matrix[[1]].toarray().ravel()
+        np.testing.assert_allclose(row, [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_zero_defect(self):
         assert np.all(bernstein_kernel(5).defect == 0.0)

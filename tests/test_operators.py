@@ -1,10 +1,17 @@
 """Operator applications, moments, closed forms, and tail control."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammaln
+
+import oplimits
+import oplimits.operators
 
 from oplimits import (
     CATALOG,
@@ -21,10 +28,56 @@ from oplimits import (
     truncation_index,
     weighted_sup_norm,
 )
-from oplimits.operators import _poisson_weights, DEFAULT_POLICY
+from oplimits.operators import _poisson_pmf, _poisson_weights, DEFAULT_POLICY
 
 SAMPLED_NX = [(1, 0.3), (1, 2.0), (3, 0.7), (5, 5.0), (10, 1.0),
               (10, 9.5), (31, 0.2), (100, 3.7), (400, 1.1), (1000, 0.9)]
+
+
+class TestPoissonPmf:
+    """The pmf reads log k! from a table that grows on demand."""
+
+    @staticmethod
+    def _direct(lam, k):
+        return np.exp(-lam + k * np.log(lam) - gammaln(k + 1.0))
+
+    def test_bits_equal_direct_evaluation_across_growth(self, monkeypatch):
+        monkeypatch.setattr(oplimits.operators, "_log_factorials", np.empty(0))
+        cases = [
+            (3.0, np.arange(10)),
+            (0.5, np.arange(0)),
+            (250.0, np.arange(40, 600)),
+            (17.0, np.array([7, 2000, 3])),
+            (1e4, np.arange(20000)),
+            (51200.0, np.arange(45000, 58000)),
+            (2.0, np.arange(5)),
+        ]
+        sizes = []
+        for lam, k in cases:
+            got = _poisson_pmf(lam, k)
+            assert got.shape == k.shape
+            np.testing.assert_array_equal(got, self._direct(lam, k))
+            sizes.append(oplimits.operators._log_factorials.size)
+        assert sizes == sorted(sizes)
+        assert sizes[0] < sizes[-1] == 58000
+
+    def test_table_entries_are_gammaln_values(self, monkeypatch):
+        monkeypatch.setattr(oplimits.operators, "_log_factorials", np.empty(0))
+        _poisson_pmf(1.0, np.arange(100))
+        _poisson_pmf(1.0, np.arange(101))  # grows by doubling
+        table = oplimits.operators._log_factorials
+        assert table.size == 200
+        np.testing.assert_array_equal(table, gammaln(np.arange(200) + 1.0))
+
+    def test_import_builds_no_table(self):
+        src = os.path.dirname(os.path.dirname(oplimits.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import oplimits, oplimits.operators as o; print(o._log_factorials.size)"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "0"
 
 
 class TestSzaszMirakyan:
