@@ -19,6 +19,12 @@ agreement) before anything else relies on it.  In particular E[Y_t] = x
 Euler schemes use full truncation: the state is clamped to the state space
 after every increment, which preserves absorption at the degenerate
 boundary.  The final step is shortened to land exactly on the horizon.
+Their normals are drawn a block of steps at a time, each block one RNG call
+of at least ``mc._MIN_THREADED_CHUNK`` values (fewer only in a path's last
+block) that releases the GIL throughout.  A block holds exactly the values
+per-step draws would, so ``semigroup_mc`` counts an Euler path's steps
+when it decides whether its streams run on threads, and its estimates do
+not depend on that decision.
 """
 
 from dataclasses import dataclass
@@ -27,7 +33,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UnsupportedMethodError
-from .mc import MonteCarloEstimate, estimate_from, sample_across_workers
+from .mc import (
+    _MIN_THREADED_CHUNK,
+    MonteCarloEstimate,
+    estimate_from,
+    sample_across_workers,
+)
 from .operators import sm_moment
 
 
@@ -61,12 +72,36 @@ def feller_exact_terminal(
 
 
 def _euler_steps(T: float, dt: float):
-    """Full steps of length dt followed by a shortened final step."""
+    """Step count and final step length of an Euler path to the horizon T.
+
+    Full steps of length dt; when they fall short of T, one more step,
+    shortened to land exactly on T.
+    """
     nfull = int(T / dt)
     rem = T - nfull * dt
     if rem > 1e-15 * max(1.0, T):
-        return nfull, rem
-    return nfull, 0.0
+        return nfull + 1, rem
+    return nfull, dt
+
+
+def _euler_increments(T: float, dt: float, size: int, rng: np.random.Generator):
+    """Yield (h, z) per Euler step: its length h and its ``size`` normals z.
+
+    The normals are drawn in blocks of ``rows`` steps, at least
+    ``_MIN_THREADED_CHUNK`` values per call (fewer only in the last block),
+    into one reused buffer.  numpy fills the block in C order, so row j
+    holds exactly the normals a per-step ``standard_normal(size)`` would
+    draw at step j; a block call releases the GIL for its whole length,
+    which lets Euler streams run side by side on threads.
+    """
+    nsteps, last = _euler_steps(T, dt)
+    rows = max(1, min(nsteps, -(-_MIN_THREADED_CHUNK // max(size, 1))))
+    block = np.empty((rows, size))
+    for start in range(0, nsteps, rows):
+        drawn = block[: min(rows, nsteps - start)]
+        rng.standard_normal(out=drawn)
+        for j, z in enumerate(drawn, start):
+            yield (last if j == nsteps - 1 else dt), z
 
 
 def feller_euler_terminal(
@@ -78,11 +113,8 @@ def feller_euler_terminal(
     if x < 0:
         raise ValueError("x must be nonnegative")
     y = np.full(size, float(x))
-    nfull, rem = _euler_steps(T, dt)
-    for _ in range(nfull):
-        y = np.maximum(0.0, y + np.sqrt(y * dt) * rng.standard_normal(size))
-    if rem > 0.0:
-        y = np.maximum(0.0, y + np.sqrt(y * rem) * rng.standard_normal(size))
+    for h, z in _euler_increments(T, dt, size, rng):
+        y = np.maximum(0.0, y + np.sqrt(y * h) * z)
     return y
 
 
@@ -95,11 +127,8 @@ def wf_euler_terminal(
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"starting point must lie in [0, 1], got {x}")
     v = np.full(size, float(x))
-    nfull, rem = _euler_steps(T, dt)
-    for _ in range(nfull):
-        v = np.clip(v + np.sqrt(v * (1.0 - v) * dt) * rng.standard_normal(size), 0.0, 1.0)
-    if rem > 0.0:
-        v = np.clip(v + np.sqrt(v * (1.0 - v) * rem) * rng.standard_normal(size), 0.0, 1.0)
+    for h, z in _euler_increments(T, dt, size, rng):
+        v = np.clip(v + np.sqrt(v * (1.0 - v) * h) * z, 0.0, 1.0)
     return v
 
 
@@ -166,7 +195,9 @@ def semigroup_mc(
             terminal = wf_euler_terminal(x, t, config.dt, m, rng)
         return np.asarray(f(terminal), dtype=float)
 
-    return estimate_from(sample_across_workers(draw, samples, seed))
+    # an Euler path's normals are drawn up to all of its steps per RNG call
+    steps = _euler_steps(t, config.dt)[0] if method == METHOD_EULER else 1
+    return estimate_from(sample_across_workers(draw, samples, seed, steps=steps))
 
 
 class ScaledMoments(NamedTuple):

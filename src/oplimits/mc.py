@@ -3,10 +3,10 @@
 Samples are partitioned deterministically across a fixed number of streams;
 stream w draws from an independent generator spawned from the master seed.
 The stream count is decided here alone: ``OPLIMITS_WORKERS`` when set, else
-4, never the host's CPU count.  Large streams run concurrently on up to
-min(streams, usable CPUs) threads, and their chunks are merged in stream
-order, so identical (seed, samples) yields bit-identical results on any
-machine, whatever its CPU count.
+4, never the host's CPU count.  Streams whose RNG calls draw many values
+each run concurrently on up to min(streams, usable CPUs) threads, and
+their chunks are merged in stream order, so identical (seed, samples)
+yields bit-identical results on any machine, whatever its CPU count.
 """
 
 import os
@@ -21,17 +21,24 @@ WORKERS_ENV_VAR = "OPLIMITS_WORKERS"
 # Stream count when OPLIMITS_WORKERS is unset.
 _DEFAULT_STREAMS = 4
 
-# Smallest per-stream chunk drawn on a thread of its own.  numpy's ufuncs
-# keep the GIL on loops of up to 500 elements, so small chunks contend for
-# it.  On 2 CPUs, 4 threaded streams of 256 values took 1.3 to 12 times as
-# long as the same draws one after another; streams of Euler paths or chain
-# iterates paid off from about 1,500 values per stream on.  Paying off on
-# average is not enough: with a few thousand values a stream hands the GIL
-# over every few microseconds (an Euler step is six short numpy calls), so
-# its wall time follows the load on the other CPUs.  Threaded Euler streams
-# of 5,000 values spread the benchmark's library-calls wall_s 3.7 times as
-# wide as serial draws did (quartile distance 0.487 s against 0.131 s); the
-# 25,000-value Poisson streams of weak-convergence stayed steady.
+# Fewest values a stream must draw per RNG call to get a thread of its own
+# (its chunk times the ``steps`` of sample_across_workers).  numpy's
+# generators release the GIL for one whole call, so what keeps a threaded
+# stream steady is a long call, not a long stream.  Streams that hand the
+# GIL over every few microseconds contend for it: on 2 CPUs, 4 threaded
+# streams of 256 values took 1.3 to 12 times as long as the same draws one
+# after another, and Euler streams of 5,000 paths that drew each step's
+# normals in a call of their own spread the benchmark's library-calls
+# wall_s 3.7 times as wide as serial draws did (quartile distance 0.487 s
+# against 0.131 s).  The 25,000-value Poisson calls of weak-convergence
+# stay steady, and so do Euler paths that draw their normals in blocks of
+# at least this many (a draw is about 90 us per 5,000 normals, three
+# quarters of a step).  Threaded/serial wall time of 4 streams of blocked
+# Euler paths (2 CPUs, interleaved medians): 0.62 at 5,000 paths of 1,000
+# steps, 0.71 at 2,048 paths of 100 steps, 0.76 at 256 paths of 1,000
+# steps; just above the threshold, where a call takes a few milliseconds,
+# starting the pool costs more than it saves: 1.04 at 17 paths of 1,000
+# steps and 1.18 (0.4 ms) at 2,048 paths of 10 steps.
 _MIN_THREADED_CHUNK = 16384
 
 
@@ -84,16 +91,22 @@ def sample_across_workers(
     draw_chunk: Callable[[np.random.Generator, int], np.ndarray],
     samples: int,
     seed: int,
+    *,
+    steps: int = 1,
 ) -> np.ndarray:
     """Draw ``samples`` values via per-stream generators, merged in order.
 
     ``draw_chunk(rng, m)`` must return m values using only ``rng``; it may
     be called concurrently from several threads, so it must be thread-safe.
-    The streams run on min(nonempty streams, usable CPUs) threads when every
-    stream draws at least ``_MIN_THREADED_CHUNK`` values, and one after
-    another on the calling thread otherwise.  Each stream's values land at
-    its offset in the output, so the result does not depend on the thread
-    count.  If streams fail, the exception of the lowest-numbered failing
+    ``steps`` is how many values per sample one RNG call of a stream may
+    draw: an Euler path's step count, as its normals are drawn a block of
+    steps at a time; 1 where every call draws one value per sample, as
+    exact draws and chain steps do.  The streams run on min(nonempty
+    streams, usable CPUs) threads when a stream's calls draw at least
+    ``_MIN_THREADED_CHUNK`` values each (``samples // streams * steps``
+    reaches it), and one after another on the calling thread otherwise.
+    Each stream's values land at its offset in the output, so the result
+    does not depend on the thread count.  If streams fail, the exception of the lowest-numbered failing
     stream is raised, after every thread has been joined.
     """
     streams = resolve_workers()
@@ -113,7 +126,7 @@ def sample_across_workers(
 
     nonempty = range(min(samples, streams))  # only trailing streams can be empty
     threads = min(len(nonempty), _usable_cpus())
-    if threads == 1 or samples // streams < _MIN_THREADED_CHUNK:
+    if threads == 1 or samples // streams * steps < _MIN_THREADED_CHUNK:
         for w in nonempty:
             draw(w)
     else:

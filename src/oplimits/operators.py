@@ -10,9 +10,9 @@ distribution parameterized by the evaluation point x:
 Infinite series are truncated at an index whose omitted probability mass is
 below a policy tolerance; every truncated evaluation reports that omitted
 mass alongside the value so downstream error budgets stay explicit.  Weights
-are computed in log space (via ``gammaln``), which stays stable for Poisson
-means up to at least 5e4; the Poisson law reads log k! from a table of
-``gammaln`` values that grows on demand.
+are computed in log space, which stays stable for Poisson means up to at
+least 5e4; all three laws read log k! from one table of ``gammaln`` values
+that grows on demand.
 
 Also provides the exact Poisson moment polynomials, the closed form of the
 Szasz-Mirakyan operator on exponentials, the exact centered fourth moment,
@@ -83,13 +83,13 @@ _log_factorials = np.empty(0)
 
 
 def _log_factorial(k):
-    """log k! at the nonnegative integers k, read from the growing table."""
+    """log k! at a nonnegative integer or integer array k, from the growing table."""
     global _log_factorials
     table = _log_factorials
     try:
         return table[k]
     except IndexError:
-        size = max(int(k.max()) + 1, 2 * table.size)
+        size = max(int(np.max(k)) + 1, 2 * table.size)
         table = np.concatenate([table, gammaln(np.arange(table.size, size) + 1.0)])
         _log_factorials = table
         return table[k]
@@ -103,9 +103,9 @@ def _poisson_pmf(lam, k):
 def _binomial_pmf(n, p, k):
     """Binomial(n, p) pmf at the integers k, evaluated in log space."""
     return np.exp(
-        gammaln(n + 1.0)
-        - gammaln(k + 1.0)
-        - gammaln(n - k + 1.0)
+        _log_factorial(n)
+        - _log_factorial(k)
+        - _log_factorial(n - k)
         + k * np.log(p)
         + (n - k) * np.log1p(-p)
     )
@@ -213,9 +213,9 @@ def _negative_binomial_weights(n: int, x: float, policy: TruncationPolicy):
     return _cut_at_tail(
         int(mean + 20.0 * sd + geometric + 60.0),
         lambda k: np.exp(
-            gammaln(n + k.astype(float))
-            - gammaln(k + 1.0)
-            - gammaln(float(n))
+            _log_factorial(n - 1 + k)
+            - _log_factorial(k)
+            - _log_factorial(n - 1)
             + k * np.log(x)
             - (n + k) * np.log1p(x)
         ),

@@ -1,6 +1,7 @@
 """Exact and Euler simulation of the limit diffusions."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from oplimits import (
     semigroup_mc,
     wf_euler_terminal,
 )
+from oplimits.diffusion import _euler_steps
+from oplimits.mc import _MIN_THREADED_CHUNK, chunk_sizes, estimate_from
 from oplimits.operators import _poisson_weights, DEFAULT_POLICY
 
 
@@ -163,6 +166,133 @@ class TestSemigroupMC:
     def test_closed_form_edges(self):
         assert feller_semigroup_closed_form(2.0, 1.5, 0.0) == pytest.approx(math.exp(-3.0))
         assert feller_semigroup_closed_form(3.0, 0.0, 2.0) == 1.0
+
+
+def _feller_per_step(x, T, dt, size, rng):
+    """Euler endpoints drawing each step's normals in a call of their own."""
+    y = np.full(size, float(x))
+    nfull = int(T / dt)
+    rem = T - nfull * dt
+    for _ in range(nfull):
+        y = np.maximum(0.0, y + np.sqrt(y * dt) * rng.standard_normal(size))
+    if rem > 1e-15 * max(1.0, T):
+        y = np.maximum(0.0, y + np.sqrt(y * rem) * rng.standard_normal(size))
+    return y
+
+
+def _wf_per_step(x, T, dt, size, rng):
+    v = np.full(size, float(x))
+    nfull = int(T / dt)
+    rem = T - nfull * dt
+    for _ in range(nfull):
+        v = np.clip(v + np.sqrt(v * (1.0 - v) * dt) * rng.standard_normal(size), 0.0, 1.0)
+    if rem > 1e-15 * max(1.0, T):
+        v = np.clip(v + np.sqrt(v * (1.0 - v) * rem) * rng.standard_normal(size), 0.0, 1.0)
+    return v
+
+
+EULER_PAIRS = [
+    (feller_euler_terminal, _feller_per_step, 0.8),
+    (wf_euler_terminal, _wf_per_step, 0.4),
+]
+
+
+class TestBlockedEulerDraws:
+    """Normals drawn a block of steps at a time equal the per-step draws bit for bit."""
+
+    @pytest.mark.parametrize("terminal, per_step, x", EULER_PAIRS)
+    @pytest.mark.parametrize("size", [0, 1, 7, 5000, 20000])
+    @pytest.mark.parametrize("T, dt", [
+        (0.1234, 1e-2),  # 12 full steps and a shortened 13th
+        (0.25, 1e-3),    # 250 full steps, not a multiple of 4 rows of 5,000
+    ])
+    def test_bits_equal_per_step_draws(self, terminal, per_step, x, size, T, dt):
+        rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
+        np.testing.assert_array_equal(terminal(x, T, dt, size, rng),
+                                      per_step(x, T, dt, size, oracle_rng))
+        # no normal is drawn beyond the path's own
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_step_counts_of_the_cases(self):
+        assert _euler_steps(0.1234, 1e-2) == (13, 0.1234 - 12 * 1e-2)
+        assert _euler_steps(0.25, 1e-3) == (250, 1e-3)
+        rows = -(-_MIN_THREADED_CHUNK // 5000)
+        assert rows == 4 and 250 % rows and 13 % rows
+
+    @pytest.mark.parametrize("terminal, per_step, x", EULER_PAIRS)
+    def test_horizon_below_resolution_draws_nothing(self, terminal, per_step, x):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        np.testing.assert_array_equal(terminal(x, 1e-16, 1e-3, 5, rng), np.full(5, x))
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("kind, terminal, per_step, x", [
+        ("feller", *EULER_PAIRS[0]),
+        ("wright-fisher", *EULER_PAIRS[1]),
+    ])
+    def test_semigroup_mc_does_not_depend_on_cpu_count(self, cpus, kind, terminal,
+                                                       per_step, x):
+        samples, t, dt, seed = 20_000, 0.1, 1e-3, (8, 2)
+        f = lambda u: np.exp(-np.asarray(u, dtype=float))
+        children = np.random.SeedSequence(seed).spawn(4)
+        oracle = estimate_from(np.concatenate([
+            f(per_step(x, t, dt, m, np.random.default_rng(child)))
+            for child, m in zip(children, chunk_sizes(samples, 4))
+        ]))
+        for count in (1, 2, 64):
+            cpus(count)
+            est = semigroup_mc(kind, t, x, f, samples, seed=seed, method="euler",
+                               config=EulerConfig(dt=dt))
+            assert est == oracle
+
+
+class TestEulerThreading:
+    """Euler streams thread by normals per RNG call: paths times steps."""
+
+    @staticmethod
+    def _threads_of(**call):
+        idents = set()
+
+        def f(u):
+            idents.add(threading.get_ident())
+            return np.asarray(u, dtype=float)
+
+        semigroup_mc(f=f, **call)
+        return idents
+
+    @pytest.mark.parametrize("count", [1, 2, 64])
+    def test_long_euler_streams_are_threaded(self, cpus, count):
+        cpus(count)
+        idents = self._threads_of(kind="feller", t=1.0, x=1.0, samples=20_000,
+                                  seed=4, method="euler")
+        assert len(idents) <= min(4, count)
+        if count == 1:
+            assert idents == {threading.get_ident()}
+        else:
+            assert threading.get_ident() not in idents
+
+    def test_threshold_counts_steps(self, cpus):
+        cpus(64)
+        assert _euler_steps(0.01, 1e-3)[0] == 10
+        per_stream = -(-_MIN_THREADED_CHUNK // 10)
+        call = dict(kind="wright-fisher", t=0.01, x=0.5, seed=6, method="euler")
+        below = self._threads_of(samples=4 * (per_stream - 1), **call)
+        assert below == {threading.get_ident()}
+        at = self._threads_of(samples=4 * per_stream, **call)
+        assert threading.get_ident() not in at
+
+    def test_small_euler_call_stays_on_the_calling_thread(self, cpus):
+        # the tracer test's call, whose layer metrics assume one thread
+        cpus(64)
+        idents = self._threads_of(kind="feller", t=0.01, x=1.0, samples=100, seed=1,
+                                  method="euler")
+        assert idents == {threading.get_ident()}
+
+    def test_exact_draws_count_one_value_per_sample(self, cpus):
+        cpus(64)
+        idents = self._threads_of(kind="feller", t=1.0, x=1.0,
+                                  samples=4 * _MIN_THREADED_CHUNK - 1, seed=2)
+        assert idents == {threading.get_ident()}
 
 
 class TestAbsorptionMonotonicity:

@@ -21,7 +21,7 @@ from oplimits.harness import (
     run_experiment,
     _snap_panel,
 )
-from oplimits.iterates import chain_terminal_values
+from oplimits.iterates import chain_expectation_mc, chain_terminal_values
 from oplimits.mc import _MIN_THREADED_CHUNK, resolve_workers, sample_across_workers
 
 
@@ -479,6 +479,19 @@ class TestConcurrentStreams:
             return _chain_draw(rng, m)
 
         sample_across_workers(draw, 4 * _MIN_THREADED_CHUNK - 1, seed=3)
+        assert idents == {threading.get_ident()}
+
+    def test_chain_steps_do_not_count_toward_threading(self, cpus):
+        # each chain step is one Poisson call of the whole chunk, so a
+        # 32-step chain below the threshold draws no more per call
+        cpus(64)
+        idents = set()
+
+        def f(u):
+            idents.add(threading.get_ident())
+            return np.asarray(u, dtype=float)
+
+        chain_expectation_mc(10, 32, 1.0, f, 4 * _MIN_THREADED_CHUNK - 1, seed=3)
         assert idents == {threading.get_ident()}
 
     def test_cpu_count_fallback(self, monkeypatch):

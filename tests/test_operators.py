@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 from scipy.special import gammaln
 
@@ -28,7 +29,13 @@ from oplimits import (
     truncation_index,
     weighted_sup_norm,
 )
-from oplimits.operators import _poisson_pmf, _poisson_weights, DEFAULT_POLICY
+from oplimits.operators import (
+    DEFAULT_POLICY,
+    _binomial_pmf,
+    _negative_binomial_weights,
+    _poisson_pmf,
+    _poisson_weights,
+)
 
 SAMPLED_NX = [(1, 0.3), (1, 2.0), (3, 0.7), (5, 5.0), (10, 1.0),
               (10, 9.5), (31, 0.2), (100, 3.7), (400, 1.1), (1000, 0.9)]
@@ -78,6 +85,89 @@ class TestPoissonPmf:
             capture_output=True, text=True, check=True,
         )
         assert out.stdout.strip() == "0"
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+indices = st.integers(min_value=1, max_value=5000)
+interior = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
+half_line = st.floats(min_value=1e-6, max_value=10.0)
+
+
+class TestLatticeLawsFromTable:
+    """Binomial and negative-binomial weights read log k! from the table bit for bit."""
+
+    @PROPERTY_SETTINGS
+    @given(n=indices, p=interior)
+    @example(n=1, p=0.5)
+    def test_binomial_equals_gammaln_formula(self, n, p):
+        k = np.arange(n + 1)
+        direct = np.exp(
+            gammaln(n + 1.0)
+            - gammaln(k + 1.0)
+            - gammaln(n - k + 1.0)
+            + k * np.log(p)
+            + (n - k) * np.log1p(-p)
+        )
+        np.testing.assert_array_equal(_binomial_pmf(n, p, k), direct)
+
+    @PROPERTY_SETTINGS
+    @given(n=indices, x=half_line)
+    @example(n=1, x=0.5)
+    def test_negative_binomial_equals_gammaln_formula(self, n, x):
+        k, w, _ = _negative_binomial_weights(n, x, DEFAULT_POLICY)
+        direct = np.exp(
+            gammaln(n + k.astype(float))
+            - gammaln(k + 1.0)
+            - gammaln(float(n))
+            + k * np.log(x)
+            - (n + k) * np.log1p(x)
+        )
+        np.testing.assert_array_equal(w, direct)
+
+    def test_scalar_index_grows_the_table(self, monkeypatch):
+        monkeypatch.setattr(oplimits.operators, "_log_factorials", np.empty(0))
+        assert oplimits.operators._log_factorial(7) == gammaln(8.0)
+        assert oplimits.operators._log_factorials.size == 8
+
+
+def _one(u):
+    return np.ones_like(np.asarray(u, dtype=float))
+
+
+def _identity(u):
+    return np.asarray(u, dtype=float)
+
+
+# Log-space weights carry a rounding error of about eps * log K! each: at
+# n = 5000 and x = 10 (means up to 5e4) 1 and x come back within a relative
+# 6e-10.  The omitted tail (at most tail_eps = 1e-12 of mass, beyond K/n)
+# lowers the average of x by up to a few 1e-12 absolute, which is a large
+# relative error when x is 1e-6.
+PRESERVATION = dict(rel=1e-9, abs=1e-10)
+
+
+class TestOperatorProperties:
+    """Positivity and preservation of 1 and x, over random (n, x)."""
+
+    @PROPERTY_SETTINGS
+    @given(n=indices, u=interior, x=half_line,
+           c=st.floats(min_value=0.0, max_value=5.0))
+    @example(n=1, u=0.5, x=0.5, c=0.0)
+    def test_positive_functions_map_to_positive_values(self, n, u, x, c):
+        f = lambda v: np.exp(-c * np.asarray(v, dtype=float))
+        assert bernstein_apply(n, f, u) > 0.0
+        assert sm_apply(n, f, x).value > 0.0
+        assert baskakov_apply(n, f, x).value > 0.0
+
+    @PROPERTY_SETTINGS
+    @given(n=indices, u=interior, x=half_line)
+    @example(n=1, u=0.5, x=0.5)
+    def test_constants_and_x_are_preserved(self, n, u, x):
+        assert bernstein_apply(n, _one, u) == pytest.approx(1.0, **PRESERVATION)
+        assert bernstein_apply(n, _identity, u) == pytest.approx(u, **PRESERVATION)
+        for apply in (sm_apply, baskakov_apply):
+            assert apply(n, _one, x).value == pytest.approx(1.0, **PRESERVATION)
+            assert apply(n, _identity, x).value == pytest.approx(x, **PRESERVATION)
 
 
 class TestSzaszMirakyan:
