@@ -7,7 +7,7 @@ Three layers:
   (:mod:`oplimits.funcspace`);
 * operator iterates, computed exactly through truncated transition kernels
   and stochastically through lattice Markov chains
-  (:mod:`oplimits.iterates`), with the limiting degenerate generators and
+  (:mod:`oplimits.iterates`), with the limiting degenerate generator and
   quantitative residuals (:mod:`oplimits.generator`);
 * the limit diffusions with exact and Euler sampling
   (:mod:`oplimits.diffusion`), tied together by reproducible experiments
@@ -19,11 +19,9 @@ from .funcspace import (
     Grid,
     TestFunction,
     default_grid,
-    lipschitz_estimate_d2,
     make_geometric_grid,
     second_derivative,
     weight_eval,
-    weighted_sup_norm,
 )
 from .operators import (
     DEFAULT_POLICY,
@@ -31,9 +29,7 @@ from .operators import (
     TruncationPolicy,
     baskakov_apply,
     bernstein_apply,
-    poisson_tail_bound,
     sm_apply,
-    sm_centered_fourth_moment_bound,
     sm_exponential_closed_form,
     sm_moment,
     truncation_index,
@@ -50,12 +46,9 @@ from .iterates import (
     lattice_cutoff,
 )
 from .generator import (
-    GeneratorKind,
-    MaxPrincipleResult,
     fit_rate,
     generator_apply,
     m_alpha,
-    positive_max_principle_check,
     semigroup_rate_bound,
     voronovskaya_bound,
     voronovskaya_residual,

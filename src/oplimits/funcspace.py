@@ -1,21 +1,16 @@
 """Weighted function spaces on the half line.
 
 Provides the polynomial-taming weights ``w_alpha(x) = 1/(1 + x^alpha)``,
-grid-based approximations of the weighted sup-norm, finite-difference
-second derivatives, Lipschitz-constant estimation for second derivatives,
-and a catalog of standard test functions (exponentials, monomials, two
-bounded rational/exponential profiles and a cubic kink).
-
-All sup-type quantities are evaluated as maxima over finite grids and are
-therefore lower bounds of the corresponding suprema over [0, inf).
+the evaluation grids that weighted sup-norms are taken over (a grid max is
+a lower bound of the supremum over [0, inf)), finite-difference second
+derivatives, and a catalog of standard test functions (exponentials,
+monomials, two bounded rational/exponential profiles and a cubic kink).
 """
 
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-
-from .errors import EvaluationError
 
 # Finite-difference step for second derivatives; balances O(h^2) truncation
 # against double-precision roundoff in the divided difference.
@@ -98,25 +93,6 @@ class Grid:
         if np.any(np.diff(pts) <= 0):
             raise ValueError("grid points must be strictly increasing")
 
-    def __len__(self):
-        return self.points.size
-
-    @property
-    def x_max(self) -> float:
-        return float(self.points[-1])
-
-    def refine(self, factor: int) -> "Grid":
-        """Insert ``factor - 1`` evenly spaced points into every gap."""
-        if factor < 1:
-            raise ValueError("refinement factor must be >= 1")
-        if factor == 1:
-            return self
-        pts = self.points
-        pieces = [pts[:1]]
-        for a, b in zip(pts[:-1], pts[1:]):
-            pieces.append(np.linspace(a, b, factor + 1)[1:])
-        return Grid(np.concatenate(pieces))
-
 
 def make_geometric_grid(x_max: float, m: int, dense_head: int = 0) -> Grid:
     """Build {0} plus a uniform head on (0, 1] plus a geometric tail.
@@ -147,22 +123,6 @@ def default_grid() -> Grid:
     return make_geometric_grid(50.0, 300, 100)
 
 
-def weighted_sup_norm(f, grid: Grid, alpha: float) -> float:
-    """Max of ``|w_alpha(x) * f(x)|`` over the grid.
-
-    A lower bound of the weighted sup-norm over [0, inf).  Raises
-    :class:`EvaluationError` carrying the offending point if ``f`` is
-    non-finite anywhere on the grid.
-    """
-    pts = grid.points
-    vals = np.asarray(f(pts), dtype=float)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        x_bad = float(pts[np.nonzero(bad)[0][0]])
-        raise EvaluationError(f"non-finite function value at x={x_bad}", x=x_bad)
-    return float(np.max(np.abs(weight_eval(alpha, pts) * vals)))
-
-
 def second_derivative(f, x: float, h: float = DEFAULT_FD_STEP) -> float:
     """Second derivative of ``f`` at ``x``.
 
@@ -182,24 +142,6 @@ def second_derivative(f, x: float, h: float = DEFAULT_FD_STEP) -> float:
     return float(
         (2.0 * f(x) - 5.0 * f(x + h) + 4.0 * f(x + 2 * h) - f(x + 3 * h)) / h ** 2
     )
-
-
-def lipschitz_estimate_d2(f, grid: Grid) -> float:
-    """Estimate the Lipschitz constant of ``f''``.
-
-    Returns the function's declared constant when available, otherwise the
-    maximum slope of the second derivative over adjacent grid pairs.  The
-    grid estimate is a lower bound of the true constant.
-    """
-    declared = getattr(f, "lip_d2", None)
-    if declared is not None:
-        return float(declared)
-    if len(grid) < 2:
-        raise ValueError("need at least 2 grid points to estimate a slope")
-    pts = grid.points
-    d2 = np.array([second_derivative(f, float(x)) for x in pts])
-    slopes = np.abs(np.diff(d2) / np.diff(pts))
-    return float(np.max(slopes))
 
 
 def _const_one(x):

@@ -1,22 +1,15 @@
-"""Degenerate second-order limit generators and quantitative residuals.
+"""The Szasz-Mirakyan limit generator and quantitative residuals.
 
-The scaled defect n(L_n f - f) of each lattice operator converges to a
-degenerate elliptic operator a(x) f''(x):
+The scaled defect n(P_n f - f) of the Szasz-Mirakyan operator converges to
+the degenerate elliptic operator A f(x) = (x/2) f''(x) on [0, inf).
 
-* Szasz-Mirakyan: a(x) = x/2 on [0, inf);
-* Bernstein: a(x) = x(1-x)/2 on [0, 1] (the Wright-Fisher generator);
-* Baskakov: a(x) = x(x+1)/2, supported only by a heuristic computation, so
-  no rate assertion relies on it.
-
-This module evaluates the generators, the explicit weighted-norm constant
-controlling the Szasz-Mirakyan rate, the measured residual
-``w_alpha |n(P_n f - f) - A f|`` and its theoretical bound, the assembled
-iterate-to-semigroup rate bound, log-log rate fitting, and a checkable form
-of the positive maximum principle.
+This module evaluates the generator, the explicit weighted-norm constant
+controlling the rate, the measured residual ``w_alpha |n(P_n f - f) - A f|``
+and its theoretical bound, the assembled iterate-to-semigroup rate bound,
+and log-log rate fitting.
 """
 
-import enum
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,36 +17,17 @@ from .funcspace import Grid, second_derivative, weight_eval
 from .operators import TruncationPolicy, DEFAULT_POLICY, sm_apply
 
 
-class GeneratorKind(enum.Enum):
-    """Tags the diffusion coefficient a(x) of a limit generator."""
-
-    SM_HALF_X = "sm-half-x"
-    WRIGHT_FISHER = "wright-fisher"
-    BASKAKOV_HEURISTIC = "baskakov-heuristic"
-
-    def coefficient(self, x: float) -> float:
-        if self is GeneratorKind.SM_HALF_X:
-            return 0.5 * x
-        if self is GeneratorKind.WRIGHT_FISHER:
-            return 0.5 * x * (1.0 - x)
-        return 0.5 * x * (x + 1.0)
-
-
-def generator_apply(kind: GeneratorKind, f, x: float) -> float:
-    """Evaluate a(x) f''(x), with the degenerate boundary values forced to 0.
+def generator_apply(f, x: float) -> float:
+    """Evaluate (x/2) f''(x), with the degenerate boundary value 0 at x = 0.
 
     Uses the analytic second derivative when ``f`` carries one, else the
     O(h^2) finite-difference stencil of :func:`second_derivative`.
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
-    if kind is GeneratorKind.WRIGHT_FISHER and x > 1.0:
-        raise ValueError(f"Wright-Fisher generator is defined on [0, 1], got x={x}")
     if x == 0.0:
         return 0.0
-    if kind is GeneratorKind.WRIGHT_FISHER and x == 1.0:
-        return 0.0
-    return kind.coefficient(x) * second_derivative(f, x)
+    return 0.5 * x * second_derivative(f, x)
 
 
 def m_alpha(alpha: float) -> float:
@@ -99,7 +73,7 @@ def voronovskaya_residual(
     for x in grid.points:
         x = float(x)
         pn = sm_apply(n, f, x, policy).value
-        residual = n * (pn - float(f(x))) - generator_apply(GeneratorKind.SM_HALF_X, f, x)
+        residual = n * (pn - float(f(x))) - generator_apply(f, x)
         worst = max(worst, weight_eval(alpha, x) * abs(residual))
     return worst
 
@@ -162,28 +136,3 @@ def fit_rate(n_values: Sequence[int], errors: Sequence[float]) -> float:
     if np.any(errors <= 0):
         raise ValueError("errors must be strictly positive for a log fit")
     return float(np.polyfit(np.log(n_values), np.log(errors), 1)[0])
-
-
-class MaxPrincipleResult(NamedTuple):
-    """Outcome of a positive-maximum-principle check with its witness point."""
-
-    passed: bool
-    x0: float
-    generator_value: float
-
-
-def positive_max_principle_check(
-    kind: GeneratorKind, f, grid: Grid, tol: float = 1e-6
-) -> MaxPrincipleResult:
-    """Check a(x0) f''(x0) <= tol at the grid argmax x0 of f, when f(x0) >= 0.
-
-    The tolerance absorbs O(h^2) finite-difference error.  If the grid max
-    is negative the principle's hypothesis is empty and the check passes
-    vacuously; the witness point is reported either way.
-    """
-    vals = np.asarray(f(grid.points), dtype=float)
-    i0 = int(np.argmax(vals))
-    x0 = float(grid.points[i0])
-    gval = generator_apply(kind, f, x0)
-    passed = (vals[i0] < 0.0) or (gval <= tol)
-    return MaxPrincipleResult(passed=bool(passed), x0=x0, generator_value=gval)

@@ -35,7 +35,6 @@ from .diffusion import (
 from .errors import ConfigError
 from .funcspace import CATALOG, Grid, make_geometric_grid, weight_eval
 from .generator import (
-    GeneratorKind,
     fit_rate,
     generator_apply,
     semigroup_rate_bound,
@@ -403,10 +402,7 @@ def run_semigroup_convergence(config: ExperimentConfig, echo: dict):
     use_bounds = lip is not None and lip > 0 and config.alpha > 1.5
     if use_bounds:
         grid = config.grid()
-        af_vals = np.array([
-            generator_apply(GeneratorKind.SM_HALF_X, f, float(x))
-            for x in grid.points
-        ])
+        af_vals = np.array([generator_apply(f, float(x)) for x in grid.points])
         norm_af = float(np.max(np.abs(weight_eval(config.alpha, grid.points) * af_vals)))
 
     for pos, n in enumerate(config.n_ladder):

@@ -13,9 +13,9 @@ additionally propagates the constant-one function so that the exact leaked
 mass per starting state is known.  The resulting per-point error budget
 (sup |f| times leaked mass) is rigorous and, unlike a uniform bound over all
 rows, stays tight at the interior states the experiments evaluate.  On a
-large kernel the two products of each step run side by side on two threads;
-each is the same sparse product either way, so the results do not depend on
-the CPU count.
+large kernel the two propagations run side by side on two threads; each is
+the same sequence of sparse products either way, so the results do not
+depend on the CPU count.
 """
 
 from dataclasses import dataclass, field
@@ -42,13 +42,15 @@ _ROW_BUFFER = 30
 # lattice_cutoff's headroom factor on the largest starting mean.
 _CUTOFF_SAFETY = 2.5
 
-# Smallest kernel, in nonzeros, whose two products per step kernel_iterate
-# runs on two threads.  Handing a product to the helper costs tens of
-# microseconds per step, so it pays only when one product takes much longer.
-# Interleaved timings of k = n steps on the semigroup kernels (x_max = 10),
-# 2 CPUs, threaded/serial median: n = 8 (80,017 nnz) 1.44; n = 16 (212,400)
-# 0.95 and n = 20 (288,758) 0.94, both with quartiles on either side of 1;
-# n = 32 (554,142) 0.52-0.80; n = 128 (3,911,444) 0.62.
+# Smallest kernel, in nonzeros, whose two propagations kernel_iterate runs
+# on two threads.  The helper takes its whole loop of products in one
+# handoff.  Interleaved timings of k = n steps on the semigroup kernels
+# (x_max = 10), 2 CPUs, threaded/serial median [quartiles]: n = 8 (80,017
+# nnz) 0.83 [0.80, 0.91]; n = 16 (212,400) 0.60; n = 20 (288,758) 0.57;
+# n = 32 (554,142) 0.54; n = 128 (3,911,444) 0.51.  A handoff per step
+# measured 1.29, 0.84, 0.76, 0.68 and 0.56 on the same kernels.  Below the
+# threshold a serial run of k = n steps takes under about 10 ms, so a
+# thread would save a few milliseconds at most.
 _MIN_THREADED_NNZ = 262144
 
 
@@ -58,23 +60,15 @@ class TransitionKernel:
 
     ``matrix`` holds the truncated rows; ``defect[i]`` is the probability
     mass row i lost to truncation (within-row tail plus anything beyond K).
-    ``checked_rows`` records through which row the defect was validated
-    against ``tail_eps`` at construction time.
     """
 
     n: int
     matrix: sparse.csr_matrix = field(repr=False)
     defect: np.ndarray = field(repr=False)
-    tail_eps: float
-    checked_rows: Optional[int] = None
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def K(self) -> int:
-        return self.size - 1
 
     def lattice(self) -> np.ndarray:
         return np.arange(self.size) / self.n
@@ -146,9 +140,7 @@ def build_sm_kernel(
                 row=worst,
                 defect=float(defect[worst]),
             )
-    return TransitionKernel(
-        n=n, matrix=matrix, defect=defect, tail_eps=tail_eps, checked_rows=checked_rows
-    )
+    return TransitionKernel(n=n, matrix=matrix, defect=defect)
 
 
 def bernstein_kernel(n: int) -> TransitionKernel:
@@ -167,13 +159,7 @@ def bernstein_kernel(n: int) -> TransitionKernel:
     rows[n, n] = 1.0
     for i in range(1, n):
         rows[i] = _binomial_pmf(n, i / n, j)
-    return TransitionKernel(
-        n=n,
-        matrix=sparse.csr_matrix(rows),
-        defect=np.zeros(n + 1),
-        tail_eps=0.0,
-        checked_rows=n,
-    )
+    return TransitionKernel(n=n, matrix=sparse.csr_matrix(rows), defect=np.zeros(n + 1))
 
 
 @dataclass(frozen=True)
@@ -192,16 +178,12 @@ class LatticeFunction:
     values: np.ndarray = field(repr=False)
     error_budget: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise EvaluationError("lattice function holds non-finite values")
 
-    def index_of(self, x: float) -> int:
-        """Lattice index of a point x = i/n (validated)."""
-        i = int(round(x * self.n))
-        if abs(x * self.n - i) > 1e-9 or i < 0 or i >= len(self.values):
-            raise ValueError(f"{x} is not a lattice point i/{self.n} within range")
-        return i
+def _power(matrix, v, k: int) -> np.ndarray:
+    """``matrix`` applied k times to v, one sparse product per step."""
+    for _ in range(k):
+        v = matrix @ v
+    return v
 
 
 def kernel_iterate(kernel: TransitionKernel, f, k: int) -> LatticeFunction:
@@ -211,9 +193,9 @@ def kernel_iterate(kernel: TransitionKernel, f, k: int) -> LatticeFunction:
     its shortfall from 1 is the exact per-state leaked mass, which prices
     the truncation error budget.  ``f`` is evaluated once, on the calling
     thread.  With more than one usable CPU and at least
-    ``_MIN_THREADED_NNZ`` nonzeros, one helper thread computes each step's
-    product of the values while the calling thread computes the product of
-    the mass; the values are bit-identical to running both on one thread.
+    ``_MIN_THREADED_NNZ`` nonzeros, one helper thread runs all k products of
+    the values while the calling thread runs those of the mass; the values
+    are bit-identical to running both on one thread.
     """
     if k < 0:
         raise ValueError("iteration count k must be nonnegative")
@@ -230,18 +212,16 @@ def kernel_iterate(kernel: TransitionKernel, f, k: int) -> LatticeFunction:
     if k and matrix.nnz >= _MIN_THREADED_NNZ and _usable_cpus() > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        # scipy's CSR matvec releases the GIL, so the helper's product of f
-        # runs alongside the calling thread's product of the mass; leaving
+        # scipy's CSR matvec releases the GIL, so the helper's products of f
+        # run alongside the calling thread's products of the mass; leaving
         # the block joins the helper
         with ThreadPoolExecutor(max_workers=1) as helper:
-            for _ in range(k):
-                product = helper.submit(matrix.__matmul__, v)
-                mass = matrix @ mass
-                v = product.result()
+            values = helper.submit(_power, matrix, v, k)
+            mass = _power(matrix, mass, k)
+            v = values.result()
     else:
-        for _ in range(k):
-            v = matrix @ v
-            mass = matrix @ mass
+        v = _power(matrix, v, k)
+        mass = _power(matrix, mass, k)
     if not np.all(np.isfinite(v)):
         raise EvaluationError("non-finite accumulation during kernel iteration")
     leak = np.clip(1.0 - mass, 0.0, None)

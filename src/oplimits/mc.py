@@ -106,8 +106,9 @@ def sample_across_workers(
     ``_MIN_THREADED_CHUNK`` values each (``samples // streams * steps``
     reaches it), and one after another on the calling thread otherwise.
     Each stream's values land at its offset in the output, so the result
-    does not depend on the thread count.  If streams fail, the exception of the lowest-numbered failing
-    stream is raised, after every thread has been joined.
+    does not depend on the thread count.  If streams fail, the exception of
+    the lowest-numbered failing stream is raised, after every thread has
+    been joined.
     """
     streams = resolve_workers()
     children = np.random.SeedSequence(seed).spawn(streams)

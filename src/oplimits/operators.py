@@ -14,11 +14,10 @@ are computed in log space, which stays stable for Poisson means up to at
 least 5e4; all three laws read log k! from one table of ``gammaln`` values
 that grows on demand.
 
-Also provides the exact Poisson moment polynomials, the closed form of the
-Szasz-Mirakyan operator on exponentials, the exact centered fourth moment,
-and a Bernstein-type exponential concentration bound for the scaled Poisson
-variable; these are the quantitative ingredients the convergence experiments
-rely on.
+Also provides the exact Poisson moment polynomials, which the chain's
+scaling identities in the weak-convergence experiment read, and the closed
+form of the Szasz-Mirakyan operator on exponentials, the Korovkin
+experiment's oracle for the truncated series.
 """
 
 from dataclasses import dataclass
@@ -264,25 +263,3 @@ def sm_moment(n: int, p: int, x: float) -> float:
     if p == 4:
         return float(m ** 4 + 6 * m ** 3 + 7 * m ** 2 + m)
     raise ValueError(f"moment order p must be in {{1, 2, 3, 4}}, got {p}")
-
-
-def sm_centered_fourth_moment_bound(n: int, x: float) -> float:
-    """Exact value of E[(T/n - x)^4] for T ~ Poisson(n x).
-
-    Equals ``3 x^2 / n^2 + x / n^3``; its square root controls the cubic
-    remainder in the second-order expansion of the operator.
-    """
-    n = _validate(n, x)
-    return float(3.0 * x ** 2 / n ** 2 + x / n ** 3)
-
-
-def poisson_tail_bound(n: int, x: float, delta: float) -> float:
-    """Exponential bound on P(|T/n - x| >= delta) for T ~ Poisson(n x).
-
-    Returns ``2 exp(-n delta^2 / (2 (x + delta)))``.  The bound may exceed 1
-    for small n; it is reported as-is and clipped only at reporting layers.
-    """
-    n = _validate(n, x)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return float(2.0 * np.exp(-n * delta ** 2 / (2.0 * (x + delta))))

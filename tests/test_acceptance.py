@@ -25,7 +25,6 @@ from oplimits import (
     ks_distance,
     lattice_cutoff,
     m_alpha,
-    poisson_tail_bound,
     sm_apply,
     sm_exponential_closed_form,
     sm_moment,
@@ -294,7 +293,7 @@ def test_chain_iterate_oracle_equivalence():
     for x in x_values:
         est = chain_expectation_mc(n, k, x, CATALOG["f1"], 1_000_000,
                                    seed=(901, int(10 * x)))
-        i = lattice_fn.index_of(x)
+        i = round(x * n)
         gap = abs(est.mean - lattice_fn.values[i])
         tol = 3 * est.stderr + lattice_fn.error_budget[i]
         details.append(f"x={x}: |gap|={gap:.2e} <= {tol:.2e}")
@@ -322,34 +321,6 @@ def test_weak_convergence_ladder():
     assert report.passed
     assert measured[-1] <= 0.02
     assert elapsed < 120.0
-
-
-def test_concentration_bound():
-    start = time.perf_counter()
-    configs = [
-        (5, 1.0, 1.0), (10, 1.0, 0.5), (20, 1.0, 0.5), (50, 2.0, 0.5),
-        (100, 1.0, 0.3), (100, 5.0, 1.0), (200, 2.0, 0.3), (400, 1.0, 0.2),
-        (30, 3.0, 1.0), (1, 0.0, 1.0),
-    ]
-    n_draws = 1_000_000
-    failures = []
-    for i, (n, x, delta) in enumerate(configs):
-        draws = sample_across_workers(
-            lambda rng, m: rng.poisson(n * x, size=m).astype(float) / n,
-            n_draws, seed=(933, i),
-        )
-        freq = float(np.mean(np.abs(draws - x) >= delta))
-        se = math.sqrt(max(freq * (1 - freq), 0.0) / n_draws)
-        if freq > poisson_tail_bound(n, x, delta) + 5 * se:
-            failures.append((n, x, delta))
-    elapsed = time.perf_counter() - start
-    ok = not failures and elapsed < 30.0
-    _report("scaled-poisson concentration bound", ok,
-            f"empirical tail freq <= bound + 5 se at {len(configs)} configs, 1e6 draws each"
-            + ("" if not failures else f"; failures: {failures}"),
-            elapsed, 30.0)
-    assert not failures
-    assert elapsed < 30.0
 
 
 def test_wright_fisher_moment():

@@ -1,4 +1,4 @@
-"""Limit generators, the explicit rate constant, residuals, and rate fits."""
+"""The limit generator, the explicit rate constant, residuals, and rate fits."""
 
 import math
 
@@ -7,47 +7,28 @@ import pytest
 
 from oplimits import (
     CATALOG,
-    GeneratorKind,
-    TestFunction,
     default_grid,
     fit_rate,
     generator_apply,
     m_alpha,
-    make_geometric_grid,
-    positive_max_principle_check,
     semigroup_rate_bound,
     voronovskaya_bound,
     voronovskaya_residual,
 )
-from oplimits.funcspace import Grid
 
 
 class TestGeneratorApply:
     def test_degenerate_boundary(self):
         for label in ("e2", "f1", "cauchy"):
-            assert generator_apply(GeneratorKind.SM_HALF_X, CATALOG[label], 0.0) == 0.0
-        assert generator_apply(GeneratorKind.WRIGHT_FISHER, CATALOG["e2"], 1.0) == 0.0
+            assert generator_apply(CATALOG[label], 0.0) == 0.0
 
     def test_half_x_coefficient(self):
         # (x/2) f'' at f = x^2, x = 3
-        assert generator_apply(GeneratorKind.SM_HALF_X, CATALOG["e2"], 3.0) == pytest.approx(3.0)
-
-    def test_wright_fisher_coefficient(self):
-        assert generator_apply(
-            GeneratorKind.WRIGHT_FISHER, CATALOG["e2"], 0.5
-        ) == pytest.approx(0.25)
-
-    def test_baskakov_heuristic_coefficient(self):
-        # x(x+1)/2 * f'' at f = x^2, x = 2
-        assert generator_apply(
-            GeneratorKind.BASKAKOV_HEURISTIC, CATALOG["e2"], 2.0
-        ) == pytest.approx(6.0)
+        assert generator_apply(CATALOG["e2"], 3.0) == pytest.approx(3.0)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
-            generator_apply(GeneratorKind.WRIGHT_FISHER, CATALOG["e2"], 1.5)
-        with pytest.raises(ValueError):
-            generator_apply(GeneratorKind.SM_HALF_X, CATALOG["e2"], -0.1)
+            generator_apply(CATALOG["e2"], -0.1)
 
 
 class TestRateConstant:
@@ -169,42 +150,3 @@ class TestFitRate:
             fit_rate([4, 16], [1.0, 0.5])
         with pytest.raises(ValueError):
             fit_rate([4, 16, 64], [1.0, 0.0, 0.1])
-
-
-class TestPositiveMaxPrinciple:
-    def test_decaying_exponential_peaks_at_origin(self):
-        result = positive_max_principle_check(GeneratorKind.SM_HALF_X, CATALOG["f1"], default_grid())
-        assert result.passed
-        assert result.x0 == 0.0
-        assert result.generator_value == 0.0
-
-    def test_interior_concave_peak(self):
-        # x exp(-x) peaks at x = 1 where the second derivative is negative
-        grid = make_geometric_grid(10.0, 100, 50)
-        result = positive_max_principle_check(GeneratorKind.SM_HALF_X, CATALOG["xexp"], grid)
-        assert result.passed
-        assert result.x0 == pytest.approx(1.0, abs=0.02)
-        assert result.generator_value < 0.0
-
-    def test_linear_on_truncated_grid(self):
-        grid = make_geometric_grid(5.0, 30, 10)
-        result = positive_max_principle_check(GeneratorKind.SM_HALF_X, CATALOG["e1"], grid)
-        assert result.passed
-        assert result.x0 == 5.0
-
-    def test_detects_violation_on_coarse_grid(self):
-        # a convex function whose coarse-grid argmax is interior in spirit:
-        # x^2 has positive curvature everywhere, so any positive grid max
-        # with x0 > 0 must fail the check
-        grid = Grid(np.array([0.0, 5.0]))
-        result = positive_max_principle_check(GeneratorKind.SM_HALF_X, CATALOG["e2"], grid)
-        assert not result.passed
-        assert result.x0 == 5.0
-
-    def test_negative_max_is_vacuous(self):
-        f = TestFunction(
-            "neg", lambda x: -1.0 - np.asarray(x, dtype=float) ** 2,
-            d2_fn=lambda x: -2.0 * np.ones_like(np.asarray(x, dtype=float)),
-        )
-        grid = make_geometric_grid(5.0, 20, 5)
-        assert positive_max_principle_check(GeneratorKind.SM_HALF_X, f, grid).passed

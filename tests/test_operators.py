@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
-from scipy.special import gammaln
+from scipy.special import gammaln, pdtrc
 
 import oplimits
 import oplimits.operators
@@ -21,13 +21,11 @@ from oplimits import (
     baskakov_apply,
     bernstein_apply,
     make_geometric_grid,
-    poisson_tail_bound,
     sm_apply,
-    sm_centered_fourth_moment_bound,
     sm_exponential_closed_form,
     sm_moment,
     truncation_index,
-    weighted_sup_norm,
+    weight_eval,
 )
 from oplimits.operators import (
     DEFAULT_POLICY,
@@ -291,6 +289,10 @@ class TestBaskakov:
         assert out.value == pytest.approx(50.0, abs=1e-8)
 
 
+# log10 of Poisson means spread evenly over [1e-3, 5e4]
+poisson_log_means = st.floats(min_value=-3.0, max_value=math.log10(5e4))
+
+
 class TestMoments:
     def test_worked_values(self):
         assert sm_moment(3, 1, 2.0) == 6.0
@@ -311,40 +313,17 @@ class TestMoments:
         with pytest.raises(ValueError):
             sm_moment(3, 5, 1.0)
 
-    def test_centered_fourth_moment(self):
-        assert sm_centered_fourth_moment_bound(1, 1.0) == 4.0
-        assert sm_centered_fourth_moment_bound(17, 0.0) == 0.0
-        assert sm_centered_fourth_moment_bound(10, 2.0) == pytest.approx(0.122, abs=1e-15)
-
-    def test_centered_fourth_moment_brute_force(self):
-        n, x = 3, 1.0
-        k, w, _ = _poisson_weights(n * x, TruncationPolicy(tail_eps=1e-30))
-        brute = float(w @ (k / n - x) ** 4)
-        assert sm_centered_fourth_moment_bound(n, x) == pytest.approx(brute, abs=1e-12)
-
-
-class TestTailBound:
-    def test_worked_values(self):
-        assert poisson_tail_bound(100, 1.0, 1.0) == pytest.approx(2 * math.exp(-25), rel=1e-12)
-        # vacuous bound above 1 is returned unclipped
-        assert poisson_tail_bound(1, 0.0, 1.0) == pytest.approx(2 * math.exp(-0.5), rel=1e-12)
-        assert poisson_tail_bound(1, 0.0, 1.0) > 1.0
-
-    def test_monotone_in_n(self):
-        vals = [poisson_tail_bound(n, 1.0, 0.5) for n in (1, 4, 16, 64)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            poisson_tail_bound(10, 1.0, 0.0)
-
-    def test_empirical_concentration(self):
-        n, x, delta = 50, 2.0, 0.5
-        rng = np.random.default_rng(123)
-        draws = rng.poisson(n * x, size=200_000) / n
-        freq = float(np.mean(np.abs(draws - x) >= delta))
-        stderr = math.sqrt(max(freq * (1 - freq), 1e-12) / draws.size)
-        assert freq <= poisson_tail_bound(n, x, delta) + 5 * stderr
+    # Over lam in [1e-3, 5e4] the polynomials match the weighted sums within
+    # a relative 2.3e-10 at worst (lam ~ 0.0026, p = 4): there the omitted
+    # tail of 1e-15, weighted by k^4, is largest against a mean near lam.
+    @PROPERTY_SETTINGS
+    @given(log_lam=poisson_log_means, p=st.integers(min_value=1, max_value=4))
+    @example(log_lam=math.log10(0.0026), p=4)
+    def test_polynomials_equal_weighted_sums(self, log_lam, p):
+        lam = 10.0 ** log_lam
+        k, w, _ = _poisson_weights(lam, TruncationPolicy(tail_eps=1e-15))
+        brute = float(w @ k.astype(float) ** p)
+        assert sm_moment(1, p, lam) == pytest.approx(brute, rel=1e-9)
 
 
 class TestTruncationIndex:
@@ -367,6 +346,20 @@ class TestTruncationIndex:
         with pytest.raises(TruncationFailureError):
             truncation_index(1000, 50.0, TruncationPolicy(tail_eps=1e-12, max_terms=100))
 
+    # pdtrc(K, lam) is the Poisson mass beyond K.  The certified tail is
+    # exact up to rounding (worst measured ratio 1 + 7e-11), and one term
+    # fewer already leaves more than tail_eps behind (worst 1.0009 tail_eps).
+    @PROPERTY_SETTINGS
+    @given(log_lam=poisson_log_means, log_eps=st.floats(min_value=-15.0, max_value=-6.0))
+    @example(log_lam=-3.0, log_eps=-15.0)
+    def test_certified_cut_is_rigorous_and_minimal(self, log_lam, log_eps):
+        lam, tail_eps = 10.0 ** log_lam, 10.0 ** log_eps
+        k, _, omitted = _poisson_weights(lam, TruncationPolicy(tail_eps=tail_eps))
+        K = int(k[-1])
+        assert omitted <= tail_eps
+        assert pdtrc(K, lam) <= omitted * (1.0 + 1e-9)
+        assert pdtrc(K - 1, lam) >= tail_eps * (1.0 - 1e-3)
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             TruncationPolicy(tail_eps=0.0)
@@ -388,11 +381,12 @@ class TestWeightedContraction:
         # comparison leaves only documented grid slack.
         f = CATALOG[label]
         grid = make_geometric_grid(50.0, 120, 40)
+        # the finer grid holds every point of the coarse one
+        fine = make_geometric_grid(50.0, 477, 160).points
+        rhs = float(np.max(np.abs(weight_eval(alpha, fine) * f(fine))))
         for n in (5, 50):
             image = np.array([sm_apply(n, f, float(x)).value for x in grid.points])
-            img_fn = lambda u, image=image, pts=grid.points: np.interp(u, pts, image)
-            lhs = weighted_sup_norm(img_fn, grid, alpha)
-            rhs = weighted_sup_norm(f, grid.refine(4), alpha)
+            lhs = float(np.max(np.abs(weight_eval(alpha, grid.points) * image)))
             assert lhs <= rhs + 1e-8
 
 
