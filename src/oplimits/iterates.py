@@ -16,8 +16,17 @@ rows, stays tight at the interior states the experiments evaluate.  On a
 large kernel the two propagations run side by side on two threads; each is
 the same sequence of sparse products either way, so the results do not
 depend on the CPU count.
+
+Chain sampling does not step the chain.  After its first Poisson(n x) step
+the Poisson chain is a critical Galton-Watson process with Poisson(1)
+offspring, so the k-step law has a closed-form probability generating
+function.  One inverse FFT of it gives the whole law, and each endpoint is
+then one uniform draw pushed through the cumulative distribution.
 """
 
+import functools
+import math
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -45,13 +54,13 @@ _CUTOFF_SAFETY = 2.5
 # Smallest kernel, in nonzeros, whose two propagations kernel_iterate runs
 # on two threads.  The helper takes its whole loop of products in one
 # handoff.  Interleaved timings of k = n steps on the semigroup kernels
-# (x_max = 10), 2 CPUs, threaded/serial median [quartiles]: n = 8 (80,017
-# nnz) 0.83 [0.80, 0.91]; n = 16 (212,400) 0.60; n = 20 (288,758) 0.57;
-# n = 32 (554,142) 0.54; n = 128 (3,911,444) 0.51.  A handoff per step
-# measured 1.29, 0.84, 0.76, 0.68 and 0.56 on the same kernels.  Below the
-# threshold a serial run of k = n steps takes under about 10 ms, so a
-# thread would save a few milliseconds at most.
-_MIN_THREADED_NNZ = 262144
+# (x_max = 10), 2 CPUs, 200 pairs each, threaded/serial median [quartiles]:
+# n = 7 (66,095 nnz) 1.20 [1.06, 1.41]; n = 8 (80,017) 1.05 [0.97, 1.17];
+# n = 9 (94,696) 0.98 [0.88, 1.08]; n = 10 (110,095) 0.84 [0.77, 0.92];
+# n = 12 (142,387) 0.74; n = 16 (212,400) 0.63; n = 32 (554,142) 0.58.
+# Threads break even near 95,000 nonzeros, where a serial run of k = n
+# steps takes about 2 ms and starting the helper costs a few tenths of one.
+_MIN_THREADED_NNZ = 98304
 
 
 @dataclass(frozen=True)
@@ -228,13 +237,93 @@ def kernel_iterate(kernel: TransitionKernel, f, k: int) -> LatticeFunction:
     return LatticeFunction(n=kernel.n, values=v, error_budget=f_sup * leak)
 
 
+# Ceiling on the certified bound for the probability mass of n X_k at or
+# above the FFT size M.  The inverse FFT folds that mass back onto
+# {0, ..., M-1} (aliasing), so the bound caps the law's aliasing error in
+# total variation.
+_ALIAS_BUDGET = 1e-15
+
+# Points r - 1, evenly spaced in (0, 2/k), at which the Chernoff bound
+# G(r) r^-M is evaluated; any one of them gives a valid bound.
+_BOUND_POINTS = 256
+
+# Concurrent Monte Carlo streams wait for the first stream's law instead of
+# each building it.
+_LAW_LOCK = threading.Lock()
+
+
+def _fft_size_at_least(m: float) -> int:
+    """Smallest even size of the form 2^a, 3 * 2^a or 5 * 2^a that is >= m."""
+    return min(
+        c * 2 ** max(1, math.ceil(math.log2(max(m, 1.0) / c))) for c in (1, 3, 5)
+    )
+
+
+def _gw_psi(s_minus_one: np.ndarray, k: int) -> np.ndarray:
+    """phi_{k-1}(s) - 1 at s = 1 + ``s_minus_one``, for k >= 1.
+
+    Iterates psi_0 = s - 1, psi_j = expm1(psi_{j-1}), which is
+    phi_j = exp(phi_{j-1} - 1) kept accurate where phi_j is near 1.
+    """
+    psi = s_minus_one
+    for _ in range(k - 1):
+        psi = np.expm1(psi)
+    return psi
+
+
+def _alias_bound(n: int, k: int, x: float, size: int) -> float:
+    """Chernoff bound min_r G(r) r^-size on P(n X_k >= size), for k >= 1.
+
+    G(r) = exp(n x (phi_{k-1}(r) - 1)) is the generating function of n X_k
+    at real r > 1.  The critical process keeps G finite only for r below
+    about 1 + 2/k, so r - 1 runs over a grid of (0, 2/k); grid points where
+    G overflows are skipped.
+    """
+    rm1 = np.linspace(0.0, 2.0 / k, _BOUND_POINTS + 2)[1:-1]
+    with np.errstate(over="ignore"):
+        log_bound = n * x * _gw_psi(rm1, k) - size * np.log1p(rm1)
+    return float(np.exp(np.min(log_bound)))
+
+
+@functools.lru_cache(maxsize=8)
+def _chain_cdf(n: int, k: int, x: float) -> np.ndarray:
+    """Read-only cumulative distribution of n X_k on {0, ..., M-1}, k >= 1.
+
+    M starts 12 standard deviations (Var n X_k = n x k) plus 64 above the
+    mean n x and grows until :func:`_alias_bound` meets ``_ALIAS_BUDGET``.
+    The law is ``irfft`` of G on the M/2 + 1 points exp(-2 pi i m / M);
+    its round-off negatives are clipped to zero.
+    """
+    mean = n * x
+    size = _fft_size_at_least(mean + 12.0 * math.sqrt(mean * k) + 64)
+    while _alias_bound(n, k, x, size) > _ALIAS_BUDGET:
+        size = _fft_size_at_least(size + 1)
+    unit_circle_minus_one = np.expm1(np.arange(size // 2 + 1) * (-2j * np.pi / size))
+    pmf = np.fft.irfft(np.exp(mean * _gw_psi(unit_circle_minus_one, k)), size)
+    cdf = np.cumsum(np.clip(pmf, 0.0, None))
+    cdf.flags.writeable = False
+    return cdf
+
+
 def chain_terminal_values(
     n: int, k: int, x: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Vectorized endpoints of ``size`` independent k-step chains from x.
 
     Each step replaces every value v by Poisson(n v)/n; the state 0 is
-    absorbing.
+    absorbing.  The endpoints are drawn from the exact law of n X_k, whose
+    generating function is G(s) = exp(n x (phi_{k-1}(s) - 1)) with
+    phi_0(s) = s and phi_j(s) = exp(phi_{j-1}(s) - 1): a Poisson(n x)
+    first step, then k - 1 generations of a critical Galton-Watson process
+    with Poisson(1) offspring.  An inverse FFT of G at M roots of unity
+    gives the law, and each endpoint is one uniform from ``rng`` located
+    in its cumulative distribution.  The law differs from the exact one by
+    at most ``_ALIAS_BUDGET`` (1e-15) in total variation from aliasing,
+    certified at every call by a Chernoff bound on the mass at or above M,
+    plus round-off of about M times the double unit roundoff (M = 1,536 at
+    n = k = 50, where the measured total is 3e-14).  The law is built once
+    per (n, k, x) and cached, so concurrent streams share it; its cost
+    grows as k M, with M about n x + 12 sqrt(n x k) or more.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -242,10 +331,14 @@ def chain_terminal_values(
         raise ValueError("k must be nonnegative")
     if x < 0:
         raise ValueError("x must be nonnegative")
-    v = np.full(size, float(x))
-    for _ in range(k):
-        v = rng.poisson(n * v).astype(float) / n
-    return v
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
+    if k == 0 or x == 0:
+        return np.full(size, float(x))
+    with _LAW_LOCK:
+        cdf = _chain_cdf(n, k, float(x))
+    u = rng.random(size) * cdf[-1]
+    return np.searchsorted(cdf, u, side="right") / n
 
 
 def chain_expectation_mc(

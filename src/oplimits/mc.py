@@ -30,8 +30,9 @@ _DEFAULT_STREAMS = 4
 # after another, and Euler streams of 5,000 paths that drew each step's
 # normals in a call of their own spread the benchmark's library-calls
 # wall_s 3.7 times as wide as serial draws did (quartile distance 0.487 s
-# against 0.131 s).  The 25,000-value Poisson calls of weak-convergence
-# stay steady, and so do Euler paths that draw their normals in blocks of
+# against 0.131 s).  The 25,000-value calls of weak-convergence (a uniform
+# per chain endpoint, a Poisson and a Gamma per exact diffusion draw) stay
+# steady, and so do Euler paths that draw their normals in blocks of
 # at least this many (a draw is about 90 us per 5,000 normals, three
 # quarters of a step).  Threaded/serial wall time of 4 streams of blocked
 # Euler paths (2 CPUs, interleaved medians): 0.62 at 5,000 paths of 1,000
@@ -101,10 +102,11 @@ def sample_across_workers(
     ``steps`` is how many values per sample one RNG call of a stream may
     draw: an Euler path's step count, as its normals are drawn a block of
     steps at a time; 1 where every call draws one value per sample, as
-    exact draws and chain steps do.  The streams run on min(nonempty
-    streams, usable CPUs) threads when a stream's calls draw at least
-    ``_MIN_THREADED_CHUNK`` values each (``samples // streams * steps``
-    reaches it), and one after another on the calling thread otherwise.
+    exact diffusion draws and chain endpoints do.  The streams run on
+    min(nonempty streams, usable CPUs) threads when a stream's calls draw
+    at least ``_MIN_THREADED_CHUNK`` values each (``samples // streams *
+    steps`` reaches it), and one after another on the calling thread
+    otherwise.
     Each stream's values land at its offset in the output, so the result
     does not depend on the thread count.  If streams fail, the exception of
     the lowest-numbered failing stream is raised, after every thread has

@@ -482,8 +482,8 @@ class TestConcurrentStreams:
         assert idents == {threading.get_ident()}
 
     def test_chain_steps_do_not_count_toward_threading(self, cpus):
-        # each chain step is one Poisson call of the whole chunk, so a
-        # 32-step chain below the threshold draws no more per call
+        # a chain endpoint is one uniform from the exact 32-step law, so a
+        # chunk below the threshold draws no more per call than any other
         cpus(64)
         idents = set()
 

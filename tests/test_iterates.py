@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse, stats
 from scipy.special import gammaln
 
@@ -22,7 +23,15 @@ from oplimits import (
     kernel_iterate,
     lattice_cutoff,
 )
-from oplimits.iterates import TransitionKernel, _MIN_THREADED_NNZ
+from oplimits.iterates import (
+    _ALIAS_BUDGET,
+    _MIN_THREADED_NNZ,
+    TransitionKernel,
+    _alias_bound,
+    _chain_cdf,
+    _fft_size_at_least,
+)
+from oplimits.mc import _MIN_THREADED_CHUNK
 
 
 SMALL_TAIL_EPS = 1e-12
@@ -363,6 +372,20 @@ class TestChainSampling:
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         assert stats.chi2.sf(chi2, kmax) > 0.001
 
+    def test_five_step_distribution_is_kernel_law(self):
+        n, k, i = 5, 5, 5
+        rng = np.random.default_rng(13)
+        draws = np.round(chain_terminal_values(n, k, i / n, 200_000, rng) * n).astype(int)
+        law = _kernel_law(n, k, i)
+        # bins with at least 20 expected draws, the rest pooled into the last
+        jmax = int(np.nonzero(law * draws.size >= 20)[0][-1])
+        pmf = law[: jmax + 1].copy()
+        pmf[-1] = 1.0 - pmf[:-1].sum()
+        observed = np.bincount(np.minimum(draws, jmax), minlength=jmax + 1)
+        expected = pmf * draws.size
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert stats.chi2.sf(chi2, jmax) > 0.001
+
     def test_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
@@ -371,6 +394,94 @@ class TestChainSampling:
             chain_terminal_values(5, -1, 1.0, 4, rng)
         with pytest.raises(ValueError):
             chain_terminal_values(5, 1, -1.0, 4, rng)
+        for x in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                chain_terminal_values(5, 1, x, 4, rng)
+
+
+def _kernel_law(n, k, i):
+    """e_i^T P^k from a kernel deep enough to lose no more than round-off."""
+    K = int(i + 20 * math.sqrt(i * k) + 20 * k + 100)
+    kernel = build_sm_kernel(n, K)
+    e = np.zeros(K + 1)
+    e[i] = 1.0
+    for _ in range(k):
+        e = kernel.matrix.T @ e
+    assert abs(1.0 - e.sum()) <= 1e-12
+    return e
+
+
+def _law(n, k, x):
+    return np.diff(_chain_cdf(n, k, x), prepend=0.0)
+
+
+LAW_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+class TestChainLaw:
+    """The FFT law of n X_k against closed forms and the kernel."""
+
+    @LAW_SETTINGS
+    @given(n=st.integers(1, 60), k=st.integers(1, 60),
+           x=st.floats(min_value=0.01, max_value=3.0),
+           lam=st.floats(min_value=0.01, max_value=5.0))
+    def test_laplace_transform_is_iterated_v_n(self, n, k, x, lam):
+        # E exp(-lam X_1) from y is exp(-y v_n(lam)), v_n(lam) = n (1 - e^{-lam/n})
+        v = lam
+        for _ in range(k):
+            v = -n * math.expm1(-v / n)
+        p = _law(n, k, x)
+        j = np.arange(p.size)
+        assert abs(float(p @ np.exp(-lam * j / n)) - math.exp(-x * v)) <= 1e-12
+
+    @LAW_SETTINGS
+    @given(n=st.integers(1, 60), k=st.integers(1, 60),
+           x=st.floats(min_value=0.01, max_value=3.0))
+    def test_extinction_mass_is_closed_form(self, n, k, x):
+        phi = 0.0
+        for _ in range(k - 1):
+            phi = math.exp(phi - 1.0)
+        assert abs(_law(n, k, x)[0] - math.exp(-n * x * (1.0 - phi))) <= 1e-13
+
+    @LAW_SETTINGS
+    @given(n=st.integers(1, 50), k=st.integers(1, 50), data=st.data())
+    def test_equals_kernel_power(self, n, k, data):
+        i = data.draw(st.integers(1, 2 * n))
+        p = _law(n, k, i / n)
+        e = _kernel_law(n, k, i)
+        m = min(p.size, e.size)
+        assert np.max(np.abs(p[:m] - e[:m])) <= 1e-13
+        # round-off stays within M unit roundoffs in total variation
+        tv = 0.5 * (np.abs(p[:m] - e[:m]).sum() + p[m:].sum() + e[m:].sum())
+        assert tv <= p.size * np.finfo(float).eps + abs(1.0 - e.sum())
+
+    def test_alias_bound_bounds_the_tail(self):
+        n, k, x = 50, 50, 1.0
+        cdf = _chain_cdf(n, k, x)
+        for size in (64, 128, 256, 384, 512, 768, 1024):
+            tail = 1.0 - cdf[size - 1]
+            assert tail <= _alias_bound(n, k, x, size) * (1 + 1e-9) + 1e-15
+
+    def test_large_n_outgrows_the_twelve_sigma_start(self):
+        n = k = 250
+        start = _fft_size_at_least(n + 12.0 * math.sqrt(n * k) + 64)
+        size = _chain_cdf(n, k, 1.0).size
+        assert _alias_bound(n, k, 1.0, start) > _ALIAS_BUDGET
+        assert size > start
+        assert _alias_bound(n, k, 1.0, size) <= _ALIAS_BUDGET
+
+    @given(m=st.floats(min_value=0.0, max_value=1e6))
+    def test_fft_sizes_are_the_smallest_smooth_even_sizes(self, m):
+        sizes = sorted(c * 2 ** a for c in (1, 3, 5) for a in range(1, 22))
+        assert _fft_size_at_least(m) == next(s for s in sizes if s >= m)
+
+    def test_law_is_read_only_and_shared_by_streams(self, cpus):
+        cpus(4)
+        _chain_cdf.cache_clear()
+        chain_expectation_mc(7, 3, 1.3, CATALOG["f1"], 4 * _MIN_THREADED_CHUNK, seed=5)
+        assert _chain_cdf.cache_info().misses == 1
+        with pytest.raises(ValueError):
+            _chain_cdf(7, 3, 1.3)[0] = 1.0
 
 
 class TestChainExpectation:
