@@ -7,15 +7,17 @@ absorbing.  For the binomial (Bernstein) chain on [0, 1] the law from i/n is
 Binomial(n, i/n)/n, with 0 and 1 absorbing.
 
 Exact computation truncates the state space at a cutoff K and applies the
-row-stochastic kernel repeatedly as a sparse matrix-vector product.  Rows
-are NOT renormalized: the omitted mass per row is tracked, and the iterate
-additionally propagates the constant-one function so that the exact leaked
-mass per starting state is known.  The resulting per-point error budget
-(sup |f| times leaked mass) is rigorous and, unlike a uniform bound over all
-rows, stays tight at the interior states the experiments evaluate.  On a
-large kernel the two propagations run side by side on two threads; each is
-the same sequence of sparse products either way, so the results do not
-depend on the CPU count.
+row-stochastic kernel repeatedly as a sparse matrix-vector product.  Each
+Poisson row keeps a two-sided window whose Bernstein tail bounds certify at
+most 2^-64 of mass missing on either side, below the resolution of a row
+sum.  Rows are NOT renormalized: the omitted mass per row is tracked, and
+the iterate additionally propagates the constant-one function so that the
+exact leaked mass per starting state is known.  The resulting per-point
+error budget (sup |f| times leaked mass) is rigorous and, unlike a uniform
+bound over all rows, stays tight at the interior states the experiments
+evaluate.  On a large kernel the two propagations run side by side on two
+threads; each is the same sequence of sparse products either way, so the
+results do not depend on the CPU count.
 
 Chain sampling does not step the chain.  After its first Poisson(n x) step
 the Poisson chain is a critical Galton-Watson process with Poisson(1)
@@ -43,10 +45,9 @@ from .operators import (
     _poisson_weights,
 )
 
-# Row supports cover this many standard deviations on each side (plus a fixed
-# buffer), putting the within-row truncation far below any tail_eps in use.
-_ROW_SIGMAS = 14.0
-_ROW_BUFFER = 30
+# Log of the per-side mass budget 2^-64 of a kernel row, below the 2^-53
+# resolution of a row sum, so dropping that mass moves no stored value.
+_ROW_LOG_BUDGET = 64.0 * math.log(2.0)
 
 # lattice_cutoff's headroom factor on the largest starting mean.
 _CUTOFF_SAFETY = 2.5
@@ -55,11 +56,12 @@ _CUTOFF_SAFETY = 2.5
 # on two threads.  The helper takes its whole loop of products in one
 # handoff.  Interleaved timings of k = n steps on the semigroup kernels
 # (x_max = 10), 2 CPUs, 200 pairs each, threaded/serial median [quartiles]:
-# n = 7 (66,095 nnz) 1.20 [1.06, 1.41]; n = 8 (80,017) 1.05 [0.97, 1.17];
-# n = 9 (94,696) 0.98 [0.88, 1.08]; n = 10 (110,095) 0.84 [0.77, 0.92];
-# n = 12 (142,387) 0.74; n = 16 (212,400) 0.63; n = 32 (554,142) 0.58.
-# Threads break even near 95,000 nonzeros, where a serial run of k = n
-# steps takes about 2 ms and starting the helper costs a few tenths of one.
+# n = 7 (49,936 nnz) 1.63 [1.30, 2.80]; n = 8 (59,134) 1.57 [1.25, 2.38];
+# n = 9 (68,846) 1.39 [1.06, 2.04]; n = 10 (79,045) 1.09 [0.92, 1.31];
+# n = 11 (89,363) 0.95 [0.86, 1.10]; n = 12 (100,468) 0.94 [0.86, 1.09];
+# n = 16 (147,004) 0.84; n = 32 (374,919) 0.65; n = 128 (2,624,087) 0.49.
+# Threads break even near 90,000 nonzeros, where a serial run of k = n
+# steps takes about 3 ms and starting the helper costs a few tenths of one.
 _MIN_THREADED_NNZ = 98304
 
 
@@ -100,6 +102,20 @@ def lattice_cutoff(
     return max(int(k[-1]), 1)
 
 
+def _row_window(i: np.ndarray, K: int):
+    """Columns lo..hi of Poisson(i) rows, each side missing at most 2^-64.
+
+    For X ~ Poisson(i) and a >= 0, P(X <= i - a) <= exp(-a^2 / (2 i)) and
+    P(X >= i + a) <= exp(-a^2 / (2 (i + a/3))) (Bernstein).  With L the log
+    of the budget, a = sqrt(2 i L) prices the lower side and
+    a = L/3 + sqrt(L^2/9 + 2 i L) the upper one; hi is then clipped to K.
+    """
+    L = _ROW_LOG_BUDGET
+    lo = np.maximum(0, np.floor(i - np.sqrt(2.0 * L * i)).astype(np.int64))
+    hi = np.ceil(i + L / 3.0 + np.sqrt(L * L / 9.0 + 2.0 * L * i)).astype(np.int64)
+    return lo, np.minimum(K, hi)
+
+
 def build_sm_kernel(
     n: int,
     K: int,
@@ -108,21 +124,19 @@ def build_sm_kernel(
 ) -> TransitionKernel:
     """Truncated Poisson transition kernel: row i is the Poisson(i) pmf.
 
-    Row 0 is the point mass at 0.  Each row is truncated to its own
-    high-probability window intersected with [0, K]; the exact omitted mass
-    is recorded in ``defect``.  When ``checked_rows`` is given, rows
-    0..checked_rows must each have defect at most ``tail_eps``, otherwise
-    :class:`CutoffTooSmallError` reports the worst offender.
+    Row 0 is the point mass at 0.  Each row is truncated to its certified
+    window (see :func:`_row_window`) intersected with [0, K]; the omitted
+    mass, one minus the stored row sum, is recorded in ``defect``.  When
+    ``checked_rows`` is given, rows 0..checked_rows must each have defect at
+    most ``tail_eps``, otherwise :class:`CutoffTooSmallError` reports the
+    worst offender.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if K < 0:
         raise ValueError("K must be nonnegative")
     i = np.arange(K + 1)
-    sd = np.sqrt(i)
-    # int() truncation toward zero, as astype does
-    lo = np.maximum(0, (i - _ROW_SIGMAS * sd - _ROW_BUFFER).astype(np.int64))
-    hi = np.minimum(K, (i + _ROW_SIGMAS * sd + _ROW_BUFFER).astype(np.int64))
+    lo, hi = _row_window(i, K)
     lo[0] = hi[0] = 0  # state 0 is absorbing
     indptr = np.concatenate([[0], np.cumsum(hi - lo + 1)])
     data = np.empty(indptr[-1])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse, stats
-from scipy.special import gammaln
+from scipy.special import gammaln, pdtr, pdtrc
 
 import oplimits.iterates
 from oplimits import (
@@ -23,6 +23,7 @@ from oplimits import (
     kernel_iterate,
     lattice_cutoff,
 )
+from oplimits.harness import ExperimentConfig, _snap_panel, floor_nt
 from oplimits.iterates import (
     _ALIAS_BUDGET,
     _MIN_THREADED_NNZ,
@@ -30,8 +31,10 @@ from oplimits.iterates import (
     _alias_bound,
     _chain_cdf,
     _fft_size_at_least,
+    _row_window,
 )
 from oplimits.mc import _MIN_THREADED_CHUNK
+from oplimits.operators import _poisson_pmf
 
 
 SMALL_TAIL_EPS = 1e-12
@@ -91,32 +94,43 @@ class TestKernelConstruction:
         assert kernel.size == 6
 
 
-def _chunk_list_kernel(K):
-    """The row-by-row chunk-list construction of the SM kernel, as an oracle."""
+ROW_BUDGET = 2.0 ** -64
+
+
+def _fixed_window(i, K):
+    """i +- (14 sqrt(i) + 30): fixed windows wider than the certified ones."""
+    sd = math.sqrt(i)
+    return max(0, int(i - 14.0 * sd - 30)), min(K, int(i + 14.0 * sd + 30))
+
+
+def _certified_window(i, K):
+    """The Bernstein windows, each side missing at most 2^-64 of Poisson(i)."""
+    L = 64.0 * math.log(2.0)
+    lo = math.floor(i - math.sqrt(2.0 * L * i))
+    hi = math.ceil(i + L / 3.0 + math.sqrt(L * L / 9.0 + 2.0 * L * i))
+    return max(0, lo), min(K, hi)
+
+
+def _chunk_list_kernel(n, K, window):
+    """The SM kernel built row by row from chunk lists, as an oracle."""
     indptr = np.zeros(K + 2, dtype=np.int64)
-    col_chunks = []
-    data_chunks = []
+    col_chunks = [np.array([0])]
+    data_chunks = [np.array([1.0])]
     defect = np.zeros(K + 1)
-    for i in range(K + 1):
-        if i == 0:
-            col_chunks.append(np.array([0]))
-            data_chunks.append(np.array([1.0]))
-        else:
-            sd = np.sqrt(i)
-            lo = max(0, int(i - 14.0 * sd - 30))
-            hi = min(K, int(i + 14.0 * sd + 30))
-            j = np.arange(lo, hi + 1)
-            lam = float(i)
-            row = np.exp(-lam + j * np.log(lam) - gammaln(j + 1.0))
-            col_chunks.append(j)
-            data_chunks.append(row)
-            defect[i] = max(0.0, 1.0 - float(row.sum()))
-        indptr[i + 1] = indptr[i] + len(col_chunks[-1])
+    indptr[1] = 1
+    for i in range(1, K + 1):
+        lo, hi = window(i, K)
+        j = np.arange(lo, hi + 1)
+        row = _poisson_pmf(float(i), j)
+        col_chunks.append(j)
+        data_chunks.append(row)
+        defect[i] = max(0.0, 1.0 - float(row.sum()))
+        indptr[i + 1] = indptr[i] + j.size
     matrix = sparse.csr_matrix(
         (np.concatenate(data_chunks), np.concatenate(col_chunks), indptr),
         shape=(K + 1, K + 1),
     )
-    return matrix, defect
+    return TransitionKernel(n=n, matrix=matrix, defect=defect)
 
 
 class TestInPlaceBuild:
@@ -125,13 +139,61 @@ class TestInPlaceBuild:
     def test_matches_chunk_list_construction(self, n, cutoff):
         K = {"zero": 0, "one": 1, "lattice": lattice_cutoff(n, 10.0)}[cutoff]
         kernel = build_sm_kernel(n, K)
-        matrix, defect = _chunk_list_kernel(K)
+        oracle = _chunk_list_kernel(n, K, _certified_window)
         for name in ("data", "indices", "indptr"):
-            got, want = getattr(kernel.matrix, name), getattr(matrix, name)
+            got, want = getattr(kernel.matrix, name), getattr(oracle.matrix, name)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(kernel.defect, defect)
+        np.testing.assert_array_equal(kernel.defect, oracle.defect)
         assert kernel.matrix.shape == (K + 1, K + 1)
+
+
+class TestCertifiedWindows:
+    """Each row keeps a window missing at most 2^-64 of mass per side."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(i=st.integers(1, 100_000), data=st.data())
+    def test_each_side_misses_at_most_two_to_the_minus_64(self, i, data):
+        K = data.draw(st.integers(i, 2 * i + 100))
+        lo, hi = (int(e[0]) for e in _row_window(np.array([i]), K))
+        assert (lo, hi) == _certified_window(i, K)
+        assert 0 <= lo <= i <= hi <= K
+        if lo > 0:
+            assert pdtr(lo - 1, i) <= ROW_BUDGET
+        if hi < K:
+            assert pdtrc(hi, i) <= ROW_BUDGET
+
+    def test_a_third_fewer_nonzeros_than_fixed_windows(self):
+        n = 128
+        K = lattice_cutoff(n, 10.0)
+        kernel = build_sm_kernel(n, K)
+        assert kernel.matrix.nnz <= 2_700_000
+        assert _chunk_list_kernel(n, K, _fixed_window).matrix.nnz > 3_900_000
+        # every stored window is certified, including those clipped at K
+        m = kernel.matrix
+        lo, hi = m.indices[m.indptr[:-1]], m.indices[m.indptr[1:] - 1]
+        i = np.arange(K + 1)
+        cut_below = (i > 0) & (lo > 0)
+        cut_above = (i > 0) & (hi < K)
+        assert np.all(pdtr(lo[cut_below] - 1, i[cut_below]) <= ROW_BUDGET)
+        assert np.all(pdtrc(hi[cut_above], i[cut_above]) <= ROW_BUDGET)
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_iterates_match_the_fixed_window_kernel(self, n):
+        config = ExperimentConfig.for_experiment("semigroup")
+        K = lattice_cutoff(n, max(config.x_panel), config.tail_eps)
+        k = floor_nt(n, config.t)
+        fixed = _chunk_list_kernel(n, K, _fixed_window)
+        kernel = build_sm_kernel(n, K, config.tail_eps)
+        idx, _ = _snap_panel(config.x_panel, n)
+        for f in CATALOG.values():
+            want = kernel_iterate(fixed, f, k)
+            got = kernel_iterate(kernel, f, k)
+            np.testing.assert_array_equal(got.values[idx], want.values[idx])
+            np.testing.assert_array_equal(got.error_budget[idx], want.error_budget[idx])
+            np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-30)
+            np.testing.assert_allclose(got.error_budget, want.error_budget,
+                                       rtol=0, atol=1e-30)
 
 
 class _RecordingMatrix(sparse.csr_matrix):
