@@ -18,9 +18,7 @@ from .funcspace import (
     CATALOG,
     Grid,
     TestFunction,
-    default_grid,
     make_geometric_grid,
-    second_derivative,
     weight_eval,
 )
 from .operators import (
@@ -39,7 +37,6 @@ from .iterates import (
     TransitionKernel,
     bernstein_kernel,
     build_sm_kernel,
-    chain_expectation_mc,
     chain_terminal_values,
     kelisky_rivlin_reference,
     kernel_iterate,

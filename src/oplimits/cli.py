@@ -78,9 +78,9 @@ def main(argv=None) -> int:
         config = ExperimentConfig.for_experiment(
             args.experiment, _collect_overrides(args)
         )
-        report = run_experiment(config)
+        rows = run_experiment(config)
         out = args.out or f"{config.experiment}.{config.format}"
-        emit_report(report.rows, out, config.format)
+        emit_report(rows, out, config.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -88,9 +88,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    n_pass = sum(1 for r in report.rows if r.passed)
+    n_pass = sum(1 for r in rows if r.passed)
     shown = 0
-    for r in report.rows:
+    for r in rows:
         if r.passed and shown >= 40:
             continue  # failures always print; cap the pass-row echo
         shown += 1
@@ -100,10 +100,10 @@ def main(argv=None) -> int:
         bound = "" if r.bound is None else f" bound={r.bound:.6g}"
         print(f"[{verdict}] {r.experiment}/{check} {detail} "
               f"measured={r.measured:.6g}{bound}")
-    if shown < len(report.rows):
-        print(f"... ({len(report.rows) - shown} more rows in the report)")
-    print(f"{n_pass}/{len(report.rows)} rows passed; report written to {out}")
-    return 0 if n_pass == len(report.rows) else 1
+    if shown < len(rows):
+        print(f"... ({len(rows) - shown} more rows in the report)")
+    print(f"{n_pass}/{len(rows)} rows passed; report written to {out}")
+    return 0 if n_pass == len(rows) else 1
 
 
 if __name__ == "__main__":

@@ -159,7 +159,7 @@ def semigroup_mc(
     x: float,
     f,
     samples: int,
-    seed: int,
+    seed: int | tuple[int, ...],
     method: str = METHOD_EXACT,
     config: EulerConfig = EulerConfig(),
 ) -> MonteCarloEstimate:

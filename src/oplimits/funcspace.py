@@ -2,19 +2,15 @@
 
 Provides the polynomial-taming weights ``w_alpha(x) = 1/(1 + x^alpha)``,
 the evaluation grids that weighted sup-norms are taken over (a grid max is
-a lower bound of the supremum over [0, inf)), finite-difference second
-derivatives, and a catalog of standard test functions (exponentials,
-monomials, two bounded rational/exponential profiles and a cubic kink).
+a lower bound of the supremum over [0, inf)), and a catalog of standard
+test functions with analytic second derivatives (exponentials, monomials,
+two bounded rational/exponential profiles and a cubic kink).
 """
 
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-
-# Finite-difference step for second derivatives; balances O(h^2) truncation
-# against double-precision roundoff in the divided difference.
-DEFAULT_FD_STEP = 1e-4
 
 
 def weight_eval(alpha: float, x: float):
@@ -53,8 +49,7 @@ class TestFunction:
     fn : callable
         Vectorized evaluation map; total and finite on [0, inf).
     d2_fn : callable, optional
-        Analytic second derivative, used in preference to finite
-        differences when present.
+        Analytic second derivative, which the generator evaluates.
     lip_d2 : float, optional
         A known Lipschitz constant of the second derivative.
     """
@@ -116,32 +111,6 @@ def make_geometric_grid(x_max: float, m: int, dense_head: int = 0) -> Grid:
     j = np.arange(1, m, dtype=float)
     parts.append(x_max ** (j / (m - 1)))
     return Grid(np.unique(np.concatenate(parts)))
-
-
-def default_grid() -> Grid:
-    """The 400-point working grid: dense head on [0, 1], geometric tail to 50."""
-    return make_geometric_grid(50.0, 300, 100)
-
-
-def second_derivative(f, x: float, h: float = DEFAULT_FD_STEP) -> float:
-    """Second derivative of ``f`` at ``x``.
-
-    Uses the analytic derivative when the function carries one, otherwise
-    a second-order finite-difference stencil: central for ``x >= h``,
-    one-sided at the boundary.  O(h^2) accurate for C^4 functions.
-    """
-    if x < 0:
-        raise ValueError("second_derivative is only defined on [0, inf)")
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    d2 = getattr(f, "d2_fn", None)
-    if d2 is not None:
-        return float(d2(x))
-    if x >= h:
-        return float((f(x - h) - 2.0 * f(x) + f(x + h)) / h ** 2)
-    return float(
-        (2.0 * f(x) - 5.0 * f(x + h) + 4.0 * f(x + 2 * h) - f(x + 3 * h)) / h ** 2
-    )
 
 
 def _const_one(x):

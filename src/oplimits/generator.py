@@ -13,21 +13,24 @@ from typing import Sequence
 
 import numpy as np
 
-from .funcspace import Grid, second_derivative, weight_eval
+from .funcspace import Grid, weight_eval
 from .operators import TruncationPolicy, DEFAULT_POLICY, sm_apply
 
 
 def generator_apply(f, x: float) -> float:
     """Evaluate (x/2) f''(x), with the degenerate boundary value 0 at x = 0.
 
-    Uses the analytic second derivative when ``f`` carries one, else the
-    O(h^2) finite-difference stencil of :func:`second_derivative`.
+    ``f`` must carry its analytic second derivative ``d2_fn``, as every
+    catalog function does.
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
+    d2 = getattr(f, "d2_fn", None)
+    if d2 is None:
+        raise ValueError("generator_apply needs f with an analytic d2_fn")
     if x == 0.0:
         return 0.0
-    return 0.5 * x * second_derivative(f, x)
+    return 0.5 * x * float(d2(x))
 
 
 def m_alpha(alpha: float) -> float:

@@ -294,18 +294,6 @@ class ReportRow:
         return json.dumps(self.params, sort_keys=True)
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """The rows of one experiment run."""
-
-    experiment: str
-    rows: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
-
-
 def _row(echo, params, measured, bound=None, stderr=None, error_budget=None,
          slack=0.0):
     """Build a row; the verdict is measured <= bound + slack (or pass when
@@ -515,6 +503,7 @@ def run_korovkin(config: ExperimentConfig, echo: dict):
                 {"check": "norm-error", "n": n, "lambda": lam,
                  "alpha": config.alpha},
                 norm_err, bound=_prev(norm_errors),
+                slack=config.monotonicity_slack,
             ))
             norm_errors.append(norm_err)
         rows.append(_row(
@@ -592,14 +581,13 @@ _RUNNERS = {
 }
 
 
-def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
-    """Validate the config, build the echo, run, and wrap the rows.
+def run_experiment(config: ExperimentConfig) -> tuple:
+    """Validate the config, build the echo, run, and return the rows.
 
     A runner takes (config, echo) and returns its rows.
     """
     config.validate()
-    rows = _RUNNERS[config.experiment](config, config.resolved())
-    return ConvergenceReport(experiment=config.experiment, rows=tuple(rows))
+    return tuple(_RUNNERS[config.experiment](config, config.resolved()))
 
 
 CSV_HEADER = ("experiment", "param_json", "measured", "bound", "stderr",

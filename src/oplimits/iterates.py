@@ -10,14 +10,13 @@ Exact computation truncates the state space at a cutoff K and applies the
 row-stochastic kernel repeatedly as a sparse matrix-vector product.  Each
 Poisson row keeps a two-sided window whose Bernstein tail bounds certify at
 most 2^-64 of mass missing on either side, below the resolution of a row
-sum.  Rows are NOT renormalized: the omitted mass per row is tracked, and
-the iterate additionally propagates the constant-one function so that the
-exact leaked mass per starting state is known.  The resulting per-point
-error budget (sup |f| times leaked mass) is rigorous and, unlike a uniform
-bound over all rows, stays tight at the interior states the experiments
-evaluate.  On a large kernel the two propagations run side by side on two
-threads; each is the same sequence of sparse products either way, so the
-results do not depend on the CPU count.
+sum.  Rows are NOT renormalized: the iterate additionally propagates the
+constant-one function, so the exact leaked mass per starting state is
+known.  The resulting per-point error budget (sup |f| times leaked mass) is
+rigorous and, unlike a uniform bound over all rows, stays tight at the
+interior states the experiments evaluate.  The two propagations run side by
+side on two threads; each is the same sequence of sparse products on
+either, so the results do not depend on the CPU count.
 
 Chain sampling does not step the chain.  After its first Poisson(n x) step
 the Poisson chain is a critical Galton-Watson process with Poisson(1)
@@ -29,6 +28,7 @@ then one uniform draw pushed through the cumulative distribution.
 import functools
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,7 +36,6 @@ import numpy as np
 from scipy import sparse
 
 from .errors import CutoffTooSmallError, EvaluationError
-from .mc import MonteCarloEstimate, _usable_cpus, estimate_from, sample_across_workers
 from .operators import (
     DEFAULT_POLICY,
     TruncationPolicy,
@@ -52,30 +51,16 @@ _ROW_LOG_BUDGET = 64.0 * math.log(2.0)
 # lattice_cutoff's headroom factor on the largest starting mean.
 _CUTOFF_SAFETY = 2.5
 
-# Smallest kernel, in nonzeros, whose two propagations kernel_iterate runs
-# on two threads.  The helper takes its whole loop of products in one
-# handoff.  Interleaved timings of k = n steps on the semigroup kernels
-# (x_max = 10), 2 CPUs, 200 pairs each, threaded/serial median [quartiles]:
-# n = 7 (49,936 nnz) 1.63 [1.30, 2.80]; n = 8 (59,134) 1.57 [1.25, 2.38];
-# n = 9 (68,846) 1.39 [1.06, 2.04]; n = 10 (79,045) 1.09 [0.92, 1.31];
-# n = 11 (89,363) 0.95 [0.86, 1.10]; n = 12 (100,468) 0.94 [0.86, 1.09];
-# n = 16 (147,004) 0.84; n = 32 (374,919) 0.65; n = 128 (2,624,087) 0.49.
-# Threads break even near 90,000 nonzeros, where a serial run of k = n
-# steps takes about 3 ms and starting the helper costs a few tenths of one.
-_MIN_THREADED_NNZ = 98304
-
-
 @dataclass(frozen=True)
 class TransitionKernel:
     """One-step transition probabilities on the lattice {i/n : 0 <= i <= K}.
 
-    ``matrix`` holds the truncated rows; ``defect[i]`` is the probability
-    mass row i lost to truncation (within-row tail plus anything beyond K).
+    ``matrix`` holds the truncated rows; one minus a row's sum is the mass
+    that row lost to truncation (within-row tail plus anything beyond K).
     """
 
     n: int
     matrix: sparse.csr_matrix = field(repr=False)
-    defect: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -125,11 +110,10 @@ def build_sm_kernel(
     """Truncated Poisson transition kernel: row i is the Poisson(i) pmf.
 
     Row 0 is the point mass at 0.  Each row is truncated to its certified
-    window (see :func:`_row_window`) intersected with [0, K]; the omitted
-    mass, one minus the stored row sum, is recorded in ``defect``.  When
-    ``checked_rows`` is given, rows 0..checked_rows must each have defect at
-    most ``tail_eps``, otherwise :class:`CutoffTooSmallError` reports the
-    worst offender.
+    window (see :func:`_row_window`) intersected with [0, K].  When
+    ``checked_rows`` is given, rows 0..checked_rows must each miss at most
+    ``tail_eps`` of mass (one minus the stored row sum), otherwise
+    :class:`CutoffTooSmallError` reports the worst offender.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -163,14 +147,14 @@ def build_sm_kernel(
                 row=worst,
                 defect=float(defect[worst]),
             )
-    return TransitionKernel(n=n, matrix=matrix, defect=defect)
+    return TransitionKernel(n=n, matrix=matrix)
 
 
 def bernstein_kernel(n: int) -> TransitionKernel:
     """Exact (n+1) x (n+1) binomial transition kernel on {i/n : 0 <= i <= n}.
 
     Row i is Binomial(n, i/n); rows 0 and n are point masses (absorbing
-    endpoints) and every row carries zero defect.
+    endpoints) and no row is truncated.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -182,7 +166,7 @@ def bernstein_kernel(n: int) -> TransitionKernel:
     rows[n, n] = 1.0
     for i in range(1, n):
         rows[i] = _binomial_pmf(n, i / n, j)
-    return TransitionKernel(n=n, matrix=sparse.csr_matrix(rows), defect=np.zeros(n + 1))
+    return TransitionKernel(n=n, matrix=sparse.csr_matrix(rows))
 
 
 @dataclass(frozen=True)
@@ -197,7 +181,6 @@ class LatticeFunction:
     lattice never saw, and the budget understates by that growth factor.
     """
 
-    n: int
     values: np.ndarray = field(repr=False)
     error_budget: np.ndarray = field(repr=False)
 
@@ -215,10 +198,9 @@ def kernel_iterate(kernel: TransitionKernel, f, k: int) -> LatticeFunction:
     Alongside the function values the constant-one function is propagated;
     its shortfall from 1 is the exact per-state leaked mass, which prices
     the truncation error budget.  ``f`` is evaluated once, on the calling
-    thread.  With more than one usable CPU and at least
-    ``_MIN_THREADED_NNZ`` nonzeros, one helper thread runs all k products of
-    the values while the calling thread runs those of the mass; the values
-    are bit-identical to running both on one thread.
+    thread.  One helper thread runs all k products of the values while the
+    calling thread runs those of the mass; the values are bit-identical to
+    running both on one thread.
     """
     if k < 0:
         raise ValueError("iteration count k must be nonnegative")
@@ -232,23 +214,17 @@ def kernel_iterate(kernel: TransitionKernel, f, k: int) -> LatticeFunction:
     f_sup = float(np.max(np.abs(v)))
     matrix = kernel.matrix
     mass = np.ones(kernel.size)
-    if k and matrix.nnz >= _MIN_THREADED_NNZ and _usable_cpus() > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # scipy's CSR matvec releases the GIL, so the helper's products of f
-        # run alongside the calling thread's products of the mass; leaving
-        # the block joins the helper
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            values = helper.submit(_power, matrix, v, k)
-            mass = _power(matrix, mass, k)
-            v = values.result()
-    else:
-        v = _power(matrix, v, k)
+    # scipy's CSR matvec releases the GIL, so the helper's products of f run
+    # alongside the calling thread's products of the mass; leaving the block
+    # joins the helper
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        values = helper.submit(_power, matrix, v, k)
         mass = _power(matrix, mass, k)
+        v = values.result()
     if not np.all(np.isfinite(v)):
         raise EvaluationError("non-finite accumulation during kernel iteration")
     leak = np.clip(1.0 - mass, 0.0, None)
-    return LatticeFunction(n=kernel.n, values=v, error_budget=f_sup * leak)
+    return LatticeFunction(values=v, error_budget=f_sup * leak)
 
 
 # Ceiling on the certified bound for the probability mass of n X_k at or
@@ -353,30 +329,6 @@ def chain_terminal_values(
         cdf = _chain_cdf(n, k, float(x))
     u = rng.random(size) * cdf[-1]
     return np.searchsorted(cdf, u, side="right") / n
-
-
-def chain_expectation_mc(
-    n: int,
-    k: int,
-    x: float,
-    f,
-    samples: int,
-    seed: int,
-) -> MonteCarloEstimate:
-    """Monte Carlo estimate of the k-step chain expectation of f from x.
-
-    Deterministic given (seed, samples); see :mod:`oplimits.mc` for the
-    partitioning scheme.  ``f`` may be called concurrently from several
-    threads, so it must be thread-safe.
-    """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    values = sample_across_workers(
-        lambda rng, m: np.asarray(f(chain_terminal_values(n, k, x, m, rng)), dtype=float),
-        samples,
-        seed,
-    )
-    return estimate_from(values)
 
 
 def kelisky_rivlin_reference(f, x: float) -> float:

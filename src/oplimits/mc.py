@@ -91,12 +91,14 @@ def chunk_sizes(samples: int, streams: int):
 def sample_across_workers(
     draw_chunk: Callable[[np.random.Generator, int], np.ndarray],
     samples: int,
-    seed: int,
+    seed: int | tuple[int, ...],
     *,
     steps: int = 1,
 ) -> np.ndarray:
     """Draw ``samples`` values via per-stream generators, merged in order.
 
+    ``seed`` is the master seed's entropy: an int, or a tuple of ints such
+    as (config seed, ladder position, draw) that keeps calls apart.
     ``draw_chunk(rng, m)`` must return m values using only ``rng``; it may
     be called concurrently from several threads, so it must be thread-safe.
     ``steps`` is how many values per sample one RNG call of a stream may

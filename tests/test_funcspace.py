@@ -1,4 +1,4 @@
-"""Weights, grids, and derivative estimation."""
+"""Weights, grids, and the catalog of test functions."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,17 @@ import pytest
 from oplimits import (
     CATALOG,
     Grid,
-    TestFunction,
-    default_grid,
     make_geometric_grid,
-    second_derivative,
     weight_eval,
 )
+
+# the experiments' default working grid: dense head on [0, 1], geometric tail to 50
+GRID = make_geometric_grid(50.0, 300, 100)
+
+
+def _central_d2(f, x, h):
+    """Central second difference of f at x >= h, O(h^2) for C^4 functions."""
+    return float((f(x - h) - 2.0 * f(x) + f(x + h)) / h ** 2)
 
 
 class TestWeight:
@@ -29,7 +34,7 @@ class TestWeight:
             weight_eval(0.99, 1.0)
 
     def test_strictly_decreasing(self):
-        pts = default_grid().points[1:]  # positive part
+        pts = GRID.points[1:]  # positive part
         for alpha in (1.0, 1.5, 2.0, 4.0):
             vals = weight_eval(alpha, pts)
             assert np.all(np.diff(vals) < 0)
@@ -56,12 +61,6 @@ class TestGrids:
         assert grid.points[-1] == 100.0
         assert 1.0 in grid.points
 
-    def test_default_grid_shape(self):
-        grid = default_grid()
-        assert grid.points.size == 400
-        assert grid.points[0] == 0.0
-        assert grid.points[-1] == 50.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Grid(np.array([1.0, 2.0]))  # must start at 0
@@ -73,76 +72,36 @@ class TestGrids:
             make_geometric_grid(10.0, 1)
 
 
-class TestSecondDerivative:
-    def test_analytic_path_is_used(self):
-        assert second_derivative(CATALOG["e2"], 3.7) == 2.0
-
-    def test_quadratic_by_finite_differences(self):
-        f = TestFunction("sq", lambda x: np.asarray(x, dtype=float) ** 2)
-        for x in (0.0, 0.3, 2.0):
-            assert second_derivative(f, x) == pytest.approx(2.0, abs=1e-6)
-
-    def test_one_sided_stencil_at_origin(self):
-        f = TestFunction("exp", lambda x: np.exp(-np.asarray(x, dtype=float)))
-        assert second_derivative(f, 0.0) == pytest.approx(1.0, abs=1e-5)
-
-    def test_linear_function_vanishes(self):
-        f = TestFunction("lin", lambda x: np.asarray(x, dtype=float))
-        for x in (0.0, 1.0, 7.7):
-            assert second_derivative(f, x) == pytest.approx(0.0, abs=1e-8)
-
-    @pytest.mark.parametrize("label", ["f1", "f2", "f3", "xexp", "cauchy"])
-    def test_halving_h_improves_accuracy(self, label):
-        # In the truncation-dominated regime the O(h^2) stencil gains a
-        # factor >= 3 per halving on smooth functions.
-        ref = CATALOG[label]
-        bare = TestFunction("bare", ref.fn)
-        for x in (0.5, 1.5):
-            exact = float(ref.d2_fn(x))
-            err_h = abs(second_derivative(bare, x, h=0.02) - exact)
-            err_h2 = abs(second_derivative(bare, x, h=0.01) - exact)
-            assert err_h2 * 3.0 <= err_h + 1e-14
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            second_derivative(CATALOG["e2"], -0.1)
-        with pytest.raises(ValueError):
-            second_derivative(CATALOG["e2"], 1.0, h=0.0)
-
-
 class TestCatalog:
     def test_expected_labels(self):
         assert {"e0", "e1", "e2", "f1", "f2", "f3", "xexp", "cauchy", "kink3"} <= set(CATALOG)
 
     @pytest.mark.parametrize("label", sorted(CATALOG))
     def test_finite_on_grid(self, label):
-        vals = np.asarray(CATALOG[label](default_grid().points), dtype=float)
+        vals = np.asarray(CATALOG[label](GRID.points), dtype=float)
         assert np.all(np.isfinite(vals))
 
     @pytest.mark.parametrize("label", ["f1", "f2", "f3", "xexp", "cauchy", "e2"])
     def test_declared_d2_matches_finite_differences(self, label):
         f = CATALOG[label]
-        bare = TestFunction("bare", f.fn)
         for x in (0.1, 1.0, 4.0):
-            fd = second_derivative(bare, x, h=1e-3)
+            fd = _central_d2(f, x, h=1e-3)
             assert fd == pytest.approx(float(f.d2_fn(x)), abs=5e-5)
 
     def test_kink3_d2_matches_finite_differences(self):
         f = CATALOG["kink3"]
-        bare = TestFunction("bare", f.fn)
         h = 1e-3
         for x in (0.1, 4.0):
-            fd = second_derivative(bare, x, h=h)
+            fd = _central_d2(f, x, h=h)
             assert fd == pytest.approx(float(f.d2_fn(x)), abs=5e-5)
         # at the kink the stencil reads (h^3 + h^3) / h^2 = 2h against f'' = 0
         assert float(f.d2_fn(1.0)) == 0.0
-        assert second_derivative(bare, 1.0, h=h) == pytest.approx(2 * h, rel=1e-6)
+        assert _central_d2(f, 1.0, h=h) == pytest.approx(2 * h, rel=1e-6)
 
     def test_kink3_d2_slope_across_the_kink(self):
         f = CATALOG["kink3"]
-        bare = TestFunction("bare", f.fn, d2_fn=f.d2_fn)
         pts = np.array([0.0, 0.5, 0.9, 1.1, 2.0, 5.0])
-        d2 = np.array([second_derivative(bare, float(x)) for x in pts])
+        d2 = np.array([float(f.d2_fn(float(x))) for x in pts])
         slope = float(np.max(np.abs(np.diff(d2) / np.diff(pts))))
         assert slope == pytest.approx(6.0, rel=1e-12)
         assert f.lip_d2 == 6.0

@@ -7,7 +7,8 @@ import pytest
 
 from oplimits import (
     CATALOG,
-    default_grid,
+    TestFunction,
+    make_geometric_grid,
     fit_rate,
     generator_apply,
     m_alpha,
@@ -15,6 +16,9 @@ from oplimits import (
     voronovskaya_bound,
     voronovskaya_residual,
 )
+
+# the experiments' default working grid: dense head on [0, 1], geometric tail to 50
+GRID = make_geometric_grid(50.0, 300, 100)
 
 
 class TestGeneratorApply:
@@ -29,6 +33,12 @@ class TestGeneratorApply:
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             generator_apply(CATALOG["e2"], -0.1)
+
+    def test_requires_analytic_second_derivative(self):
+        bare = TestFunction("bare", CATALOG["e2"].fn)
+        for x in (0.0, 3.0):
+            with pytest.raises(ValueError, match="d2_fn"):
+                generator_apply(bare, x)
 
 
 class TestRateConstant:
@@ -71,14 +81,14 @@ class TestVoronovskayaResidual:
     def test_quadratic_is_exact(self):
         # the operator shifts x^2 by exactly x/n, matching the generator term
         for n in (4, 64, 1024):
-            assert voronovskaya_residual(n, CATALOG["e2"], 2.0, default_grid()) <= 1e-6
+            assert voronovskaya_residual(n, CATALOG["e2"], 2.0, GRID) <= 1e-6
 
     def test_linear_is_exact(self):
         for n in (4, 256):
-            assert voronovskaya_residual(n, CATALOG["e1"], 2.0, default_grid()) <= 1e-9
+            assert voronovskaya_residual(n, CATALOG["e1"], 2.0, GRID) <= 1e-9
 
     def test_exponential_within_theoretical_bound(self):
-        grid = default_grid()
+        grid = GRID
         for n in (4, 100):
             resid = voronovskaya_residual(n, CATALOG["f1"], 2.0, grid)
             assert 0.0 < resid <= voronovskaya_bound(n, 2.0, 1.0)
@@ -96,7 +106,7 @@ class TestVoronovskayaResidual:
         with pytest.raises(ValueError):
             voronovskaya_bound(100, 1.2, 1.0)
         with pytest.raises(ValueError):
-            voronovskaya_residual(10, CATALOG["f1"], 0.5, default_grid())
+            voronovskaya_residual(10, CATALOG["f1"], 0.5, GRID)
 
     def test_series_route_matches_closed_form_route_at_large_index(self):
         # end-to-end check of the series evaluation at Poisson means up to
@@ -105,7 +115,7 @@ class TestVoronovskayaResidual:
         from oplimits import sm_exponential_closed_form, weight_eval
 
         n, alpha = 1024, 2.0
-        grid = default_grid()
+        grid = GRID
         f = CATALOG["f1"]
         series_route = voronovskaya_residual(n, f, alpha, grid)
         closed_route = 0.0

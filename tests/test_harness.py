@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import sys
 import threading
@@ -21,13 +22,13 @@ from oplimits.harness import (
     run_experiment,
     _snap_panel,
 )
-from oplimits.iterates import chain_expectation_mc, chain_terminal_values
+from oplimits.iterates import chain_terminal_values
 from oplimits.mc import _MIN_THREADED_CHUNK, resolve_workers, sample_across_workers
 
 
-def _measured(report, check):
-    """Measured values of the report's rows for one check, in row order."""
-    return [row.measured for row in report.rows if row.params["check"] == check]
+def _measured(rows, check):
+    """Measured values of the rows for one check, in row order."""
+    return [row.measured for row in rows if row.params["check"] == check]
 
 
 class TestFloorSemantics:
@@ -181,85 +182,102 @@ class TestRunners:
         cfg = ExperimentConfig.for_experiment(
             "voronovskaya", {"n_ladder": (4, 16, 64), "function_label": "e2"}
         )
-        report = run_experiment(cfg)
-        assert report.passed
-        assert all(r.params["check"] == "polynomial-exactness" for r in report.rows)
-        assert _measured(report, "fitted-rate") == []
+        rows = run_experiment(cfg)
+        assert all(r.passed for r in rows)
+        assert all(r.params["check"] == "polynomial-exactness" for r in rows)
+        assert _measured(rows, "fitted-rate") == []
 
     def test_voronovskaya_without_lipschitz_data_reports_only(self):
         cfg = ExperimentConfig.for_experiment(
             "voronovskaya", {"n_ladder": (4, 16, 64), "function_label": "cauchy"}
         )
-        report = run_experiment(cfg)
-        assert report.passed  # informational rows carry no verdict
-        assert all(r.params["check"] == "residual-only" for r in report.rows)
-        assert all(r.bound is None for r in report.rows)
+        rows = run_experiment(cfg)
+        assert all(r.passed for r in rows)  # informational rows carry no verdict
+        assert all(r.params["check"] == "residual-only" for r in rows)
+        assert all(r.bound is None for r in rows)
 
     def test_voronovskaya_exponential_bounds_hold_rate_is_first_order(self):
         cfg = ExperimentConfig.for_experiment(
             "voronovskaya", {"n_ladder": (4, 16, 64)}
         )
-        report = run_experiment(cfg)
-        bound_rows = [r for r in report.rows if r.params["check"] == "residual-vs-bound"]
+        rows = run_experiment(cfg)
+        bound_rows = [r for r in rows if r.params["check"] == "residual-vs-bound"]
         assert all(r.passed for r in bound_rows)
         # the measured residual decays like 1/n for this smooth function,
         # so the declared [-0.65, -0.35] window (which brackets the
         # guaranteed 1/sqrt(n) rate) reports a failure here
-        slope_rows = [r for r in report.rows if r.params["check"] == "fitted-rate"]
+        slope_rows = [r for r in rows if r.params["check"] == "fitted-rate"]
         assert len(slope_rows) == 1
         assert -1.25 < slope_rows[0].measured < -0.8
         assert not slope_rows[0].passed
 
     def test_semigroup_closed_form_reference(self):
         cfg = ExperimentConfig.for_experiment("semigroup", {"n_ladder": (8, 32)})
-        report = run_experiment(cfg)
-        assert report.passed
-        measured = _measured(report, "iterate-vs-semigroup")
+        rows = run_experiment(cfg)
+        assert all(r.passed for r in rows)
+        measured = _measured(rows, "iterate-vs-semigroup")
         assert measured[1] < measured[0]
-        assert all(r.stderr is None for r in report.rows)
+        assert all(r.stderr is None for r in rows)
 
     def test_semigroup_zero_horizon_is_identity(self):
         cfg = ExperimentConfig.for_experiment("semigroup", {"n_ladder": (8,), "t": 0.0})
-        report = run_experiment(cfg)
-        assert report.rows[0].params["k"] == 0
-        assert _measured(report, "iterate-vs-semigroup")[0] <= 1e-12
+        rows = run_experiment(cfg)
+        assert rows[0].params["k"] == 0
+        assert _measured(rows, "iterate-vs-semigroup")[0] <= 1e-12
 
     def test_semigroup_constant_function_fixed_by_both_sides(self):
         cfg = ExperimentConfig.for_experiment(
             "semigroup", {"n_ladder": (8,), "function_label": "e0", "samples": 1_000}
         )
-        report = run_experiment(cfg)
-        assert _measured(report, "iterate-vs-semigroup")[0] <= 8 * cfg.tail_eps + 1e-13
+        rows = run_experiment(cfg)
+        assert _measured(rows, "iterate-vs-semigroup")[0] <= 8 * cfg.tail_eps + 1e-13
 
     def test_semigroup_monte_carlo_reference(self):
         cfg = ExperimentConfig.for_experiment(
             "semigroup",
             {"n_ladder": (8,), "function_label": "xexp", "samples": 20_000},
         )
-        report = run_experiment(cfg)
-        rung = report.rows[0]
+        rows = run_experiment(cfg)
+        rung = rows[0]
         assert rung.stderr is not None and rung.stderr > 0
         assert rung.error_budget is not None
 
     def test_kelisky_rivlin_default_passes(self):
-        report = run_experiment(ExperimentConfig.for_experiment("kelisky-rivlin"))
-        assert report.passed
-        assert _measured(report, "deviation")[-1] <= 1e-8
-        assert len(report.rows) == 201
+        rows = run_experiment(ExperimentConfig.for_experiment("kelisky-rivlin"))
+        assert all(r.passed for r in rows)
+        assert _measured(rows, "deviation")[-1] <= 1e-8
+        assert len(rows) == 201
 
     def test_korovkin_default_passes(self):
-        report = run_experiment(ExperimentConfig.for_experiment("korovkin"))
-        assert report.passed
-        checks = {r.params["check"] for r in report.rows}
+        rows = run_experiment(ExperimentConfig.for_experiment("korovkin"))
+        assert all(r.passed for r in rows)
+        checks = {r.params["check"] for r in rows}
         assert checks == {"series-vs-closed-form", "norm-error", "final-norm-error"}
+
+    def test_korovkin_norm_trend_applies_the_declared_slack(self, monkeypatch):
+        # a closed form of f + delta(n) puts every weighted norm error at
+        # delta(n) (the weight is 1 at x = 0), rising by 1e-6 from n = 1 to
+        # n = 10, within the declared slack of 1e-5
+        delta = {1: 1e-3, 10: 1e-3 + 1e-6}
+        monkeypatch.setattr("oplimits.harness.sm_exponential_closed_form",
+                            lambda n, lam, x: math.exp(-lam * x) + delta[n])
+        cfg = ExperimentConfig.for_experiment(
+            "korovkin", {"n_ladder": (1, 10), "monotonicity_slack": 1e-5,
+                         "grid_points": 8, "dense_head": 0},
+        )
+        trend = [r for r in run_experiment(cfg) if r.params["check"] == "norm-error"]
+        rises = [r for r in trend if r.bound is not None]
+        assert len(rises) == 3
+        assert all(r.measured > r.bound for r in rises)
+        assert all(r.passed for r in trend)
 
     def test_weak_convergence_small_ladder(self):
         cfg = ExperimentConfig.for_experiment(
             "weak-convergence", {"n_ladder": (10, 50), "samples": 50_000}
         )
-        report = run_experiment(cfg)
-        assert report.passed
-        measured = _measured(report, "ks-distance")
+        rows = run_experiment(cfg)
+        assert all(r.passed for r in rows)
+        measured = _measured(rows, "ks-distance")
         assert measured[1] < measured[0]
 
     def test_weak_convergence_requires_positive_start(self):
@@ -286,8 +304,8 @@ class TestDeterminism:
         )
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
-            report = run_experiment(cfg)
-            emit_report(report.rows, str(path), "csv")
+            rows = run_experiment(cfg)
+            emit_report(rows, str(path), "csv")
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_seed_changes_stochastic_output(self, tmp_path):
@@ -479,19 +497,6 @@ class TestConcurrentStreams:
             return _chain_draw(rng, m)
 
         sample_across_workers(draw, 4 * _MIN_THREADED_CHUNK - 1, seed=3)
-        assert idents == {threading.get_ident()}
-
-    def test_chain_steps_do_not_count_toward_threading(self, cpus):
-        # a chain endpoint is one uniform from the exact 32-step law, so a
-        # chunk below the threshold draws no more per call than any other
-        cpus(64)
-        idents = set()
-
-        def f(u):
-            idents.add(threading.get_ident())
-            return np.asarray(u, dtype=float)
-
-        chain_expectation_mc(10, 32, 1.0, f, 4 * _MIN_THREADED_CHUNK - 1, seed=3)
         assert idents == {threading.get_ident()}
 
     def test_cpu_count_fallback(self, monkeypatch):

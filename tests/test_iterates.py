@@ -1,5 +1,6 @@
 """Transition kernels, kernel iterates, chain sampling, and fixed-n limits."""
 
+import functools
 import math
 import threading
 
@@ -9,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse, stats
 from scipy.special import gammaln, pdtr, pdtrc
 
-import oplimits.iterates
 from oplimits import (
     CATALOG,
     CutoffTooSmallError,
@@ -17,7 +17,6 @@ from oplimits import (
     TestFunction,
     bernstein_kernel,
     build_sm_kernel,
-    chain_expectation_mc,
     chain_terminal_values,
     kelisky_rivlin_reference,
     kernel_iterate,
@@ -26,14 +25,13 @@ from oplimits import (
 from oplimits.harness import ExperimentConfig, _snap_panel, floor_nt
 from oplimits.iterates import (
     _ALIAS_BUDGET,
-    _MIN_THREADED_NNZ,
     TransitionKernel,
     _alias_bound,
     _chain_cdf,
     _fft_size_at_least,
     _row_window,
 )
-from oplimits.mc import _MIN_THREADED_CHUNK
+from oplimits.mc import _MIN_THREADED_CHUNK, estimate_from, sample_across_workers
 from oplimits.operators import _poisson_pmf
 
 
@@ -46,13 +44,17 @@ def small_kernel(n=5, x_max=2.0, tail_eps=SMALL_TAIL_EPS):
     return build_sm_kernel(n, K, tail_eps, checked_rows=int(n * x_max))
 
 
+def _missing_mass(kernel):
+    """Per row, the probability mass that truncation dropped."""
+    return np.maximum(0.0, 1.0 - np.asarray(kernel.matrix.sum(axis=1)).ravel())
+
+
 class TestKernelConstruction:
     def test_state_zero_is_absorbing(self):
         kernel = small_kernel()
         row = kernel.matrix[[0]].toarray().ravel()
         assert row[0] == 1.0
         assert np.all(row[1:] == 0.0)
-        assert kernel.defect[0] == 0.0
 
     def test_row_one_is_unit_poisson(self):
         kernel = small_kernel()
@@ -62,15 +64,16 @@ class TestKernelConstruction:
 
     def test_checked_rows_have_small_defect(self):
         kernel = small_kernel()
-        assert np.all(kernel.defect[: SMALL_CHECKED_ROWS + 1] <= SMALL_TAIL_EPS)
+        assert np.all(_missing_mass(kernel)[: SMALL_CHECKED_ROWS + 1] <= SMALL_TAIL_EPS)
 
     def test_mean_preserved_per_row(self):
         kernel = small_kernel()
         latt = kernel.lattice()
+        missing = _missing_mass(kernel)
         for i in range(SMALL_CHECKED_ROWS + 1):
             row = kernel.matrix[[i]].toarray().ravel()
             mean = float(row @ latt)
-            slack = kernel.defect[i] * (kernel.size - 1) / kernel.n + 1e-12
+            slack = missing[i] * (kernel.size - 1) / kernel.n + 1e-12
             assert abs(mean - i / kernel.n) <= slack
 
     def test_second_moment_update_per_row(self):
@@ -116,7 +119,6 @@ def _chunk_list_kernel(n, K, window):
     indptr = np.zeros(K + 2, dtype=np.int64)
     col_chunks = [np.array([0])]
     data_chunks = [np.array([1.0])]
-    defect = np.zeros(K + 1)
     indptr[1] = 1
     for i in range(1, K + 1):
         lo, hi = window(i, K)
@@ -124,13 +126,12 @@ def _chunk_list_kernel(n, K, window):
         row = _poisson_pmf(float(i), j)
         col_chunks.append(j)
         data_chunks.append(row)
-        defect[i] = max(0.0, 1.0 - float(row.sum()))
         indptr[i + 1] = indptr[i] + j.size
     matrix = sparse.csr_matrix(
         (np.concatenate(data_chunks), np.concatenate(col_chunks), indptr),
         shape=(K + 1, K + 1),
     )
-    return TransitionKernel(n=n, matrix=matrix, defect=defect)
+    return TransitionKernel(n=n, matrix=matrix)
 
 
 class TestInPlaceBuild:
@@ -144,7 +145,6 @@ class TestInPlaceBuild:
             got, want = getattr(kernel.matrix, name), getattr(oracle.matrix, name)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(kernel.defect, oracle.defect)
         assert kernel.matrix.shape == (K + 1, K + 1)
 
 
@@ -216,7 +216,6 @@ def _recording(kernel, idents, fail_off_thread=False):
     return TransitionKernel(
         n=kernel.n,
         matrix=_RecordingMatrix(kernel.matrix, idents, fail_off_thread),
-        defect=kernel.defect,
     )
 
 
@@ -232,19 +231,15 @@ def _serial_iterate(kernel, f, k):
 
 
 class TestThreadedIterate:
-    """f and the mass propagate on two threads only for large kernels."""
+    """f and the mass propagate on two threads, whatever the CPU count."""
 
-    @pytest.mark.parametrize("threshold", ["below", "at", "real"])
-    def test_values_do_not_depend_on_cpu_count(self, monkeypatch, cpus, threshold):
-        if threshold == "real":
+    @pytest.mark.parametrize("size", ["small", "real"])
+    def test_values_do_not_depend_on_cpu_count(self, cpus, size):
+        if size == "real":
             n = 20
             kernel = build_sm_kernel(n, lattice_cutoff(n, 10.0))
-            assert kernel.matrix.nnz >= _MIN_THREADED_NNZ
         else:
             kernel = small_kernel()
-            nnz = kernel.matrix.nnz
-            monkeypatch.setattr(oplimits.iterates, "_MIN_THREADED_NNZ",
-                                nnz + 1 if threshold == "below" else nnz)
         k = 2 * kernel.n
         values, budget = _serial_iterate(kernel, CATALOG["f1"], k)
         for count in (1, 2, 64):
@@ -253,37 +248,23 @@ class TestThreadedIterate:
             np.testing.assert_array_equal(lf.values, values)
             np.testing.assert_array_equal(lf.error_budget, budget)
 
-    @pytest.mark.parametrize("count, threshold, helpers", [
-        (1, "at", 0),
-        (2, "below", 0),
-        (64, "below", 0),
-        (2, "at", 1),
-        (64, "at", 1),
-    ])
-    def test_at_most_one_helper_thread(self, monkeypatch, cpus, count, threshold,
-                                       helpers):
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("count", [1, 2, 64])
+    def test_exactly_one_helper_thread(self, cpus, count, k):
         cpus(count)
-        kernel = small_kernel()
-        nnz = kernel.matrix.nnz
-        monkeypatch.setattr(oplimits.iterates, "_MIN_THREADED_NNZ",
-                            nnz + 1 if threshold == "below" else nnz)
         idents = set()
-        kernel_iterate(_recording(kernel, idents), CATALOG["f1"], 4)
+        kernel_iterate(_recording(small_kernel(), idents), CATALOG["f1"], k)
         assert threading.get_ident() in idents
-        assert len(idents) == 1 + helpers
+        assert len(idents) == 2
 
-    def test_non_finite_f_raises_and_starts_nothing(self, monkeypatch, cpus):
-        cpus(2)
-        monkeypatch.setattr(oplimits.iterates, "_MIN_THREADED_NNZ", 0)
+    def test_non_finite_f_raises_and_starts_nothing(self):
         before = threading.active_count()
         f = TestFunction("inf", lambda x: np.where(np.asarray(x) > 1.0, np.inf, 1.0))
         with pytest.raises(EvaluationError):
             kernel_iterate(small_kernel(), f, 3)
         assert threading.active_count() == before
 
-    def test_helper_failure_propagates_and_helper_is_joined(self, monkeypatch, cpus):
-        cpus(2)
-        monkeypatch.setattr(oplimits.iterates, "_MIN_THREADED_NNZ", 0)
+    def test_helper_failure_propagates_and_helper_is_joined(self):
         before = threading.active_count()
         kernel = _recording(small_kernel(), set(), fail_off_thread=True)
         with pytest.raises(RuntimeError, match="helper product failed"):
@@ -371,7 +352,10 @@ class TestBernsteinKernel:
         np.testing.assert_allclose(row, [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_zero_defect(self):
-        assert np.all(bernstein_kernel(5).defect == 0.0)
+        # nothing is truncated: interior rows store all n + 1 states
+        n = 5
+        stored = np.diff(bernstein_kernel(n).matrix.indptr)
+        np.testing.assert_array_equal(stored, [1] + [n + 1] * (n - 1) + [1])
 
 
 class TestKeliskyRivlin:
@@ -438,7 +422,7 @@ class TestChainSampling:
         n, k, i = 5, 5, 5
         rng = np.random.default_rng(13)
         draws = np.round(chain_terminal_values(n, k, i / n, 200_000, rng) * n).astype(int)
-        law = _kernel_law(n, k, i)
+        law = _kernel_law(k, i)
         # bins with at least 20 expected draws, the rest pooled into the last
         jmax = int(np.nonzero(law * draws.size >= 20)[0][-1])
         pmf = law[: jmax + 1].copy()
@@ -461,14 +445,29 @@ class TestChainSampling:
                 chain_terminal_values(5, 1, x, 4, rng)
 
 
-def _kernel_law(n, k, i):
-    """e_i^T P^k from a kernel deep enough to lose no more than round-off."""
+# The largest cutoff the tests ask _kernel_law for: i <= 100 and k <= 50.
+LAW_MAX_CUTOFF = 2614
+
+
+@functools.lru_cache(maxsize=None)
+def _deep_kernel():
+    """The SM kernel up to LAW_MAX_CUTOFF; row i is Poisson(i) whatever n is."""
+    return build_sm_kernel(1, LAW_MAX_CUTOFF).matrix
+
+
+def _kernel_law(k, i):
+    """e_i^T P^k from a kernel deep enough to lose no more than round-off.
+
+    Its leading (K+1) x (K+1) block of the cached deep kernel stores what a
+    fresh ``build_sm_kernel(n, K)`` would, as rows are clipped at K.
+    """
     K = int(i + 20 * math.sqrt(i * k) + 20 * k + 100)
-    kernel = build_sm_kernel(n, K)
+    assert K <= LAW_MAX_CUTOFF
+    matrix = _deep_kernel()[: K + 1, : K + 1]
     e = np.zeros(K + 1)
     e[i] = 1.0
     for _ in range(k):
-        e = kernel.matrix.T @ e
+        e = matrix.T @ e
     assert abs(1.0 - e.sum()) <= 1e-12
     return e
 
@@ -510,12 +509,19 @@ class TestChainLaw:
     def test_equals_kernel_power(self, n, k, data):
         i = data.draw(st.integers(1, 2 * n))
         p = _law(n, k, i / n)
-        e = _kernel_law(n, k, i)
+        e = _kernel_law(k, i)
         m = min(p.size, e.size)
         assert np.max(np.abs(p[:m] - e[:m])) <= 1e-13
         # round-off stays within M unit roundoffs in total variation
         tv = 0.5 * (np.abs(p[:m] - e[:m]).sum() + p[m:].sum() + e[m:].sum())
         assert tv <= p.size * np.finfo(float).eps + abs(1.0 - e.sum())
+
+    @pytest.mark.parametrize("K", [0, 1, 37, 500, LAW_MAX_CUTOFF])
+    def test_deep_kernel_blocks_equal_fresh_kernels(self, K):
+        block = _deep_kernel()[: K + 1, : K + 1]
+        fresh = build_sm_kernel(1, K).matrix
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(block, name), getattr(fresh, name))
 
     def test_alias_bound_bounds_the_tail(self):
         n, k, x = 50, 50, 1.0
@@ -540,38 +546,10 @@ class TestChainLaw:
     def test_law_is_read_only_and_shared_by_streams(self, cpus):
         cpus(4)
         _chain_cdf.cache_clear()
-        chain_expectation_mc(7, 3, 1.3, CATALOG["f1"], 4 * _MIN_THREADED_CHUNK, seed=5)
+        estimate_from(sample_across_workers(
+            lambda rng, m: CATALOG["f1"](chain_terminal_values(7, 3, 1.3, m, rng)),
+            4 * _MIN_THREADED_CHUNK, seed=5,
+        ))
         assert _chain_cdf.cache_info().misses == 1
         with pytest.raises(ValueError):
             _chain_cdf(7, 3, 1.3)[0] = 1.0
-
-
-class TestChainExpectation:
-    def test_constant_function(self):
-        est = chain_expectation_mc(5, 3, 1.0, CATALOG["e0"], 10_000, seed=3)
-        assert est.mean == 1.0
-        assert est.stderr == 0.0
-        assert est.samples == 10_000
-
-    def test_deterministic_given_seed_and_workers(self):
-        a = chain_expectation_mc(5, 5, 1.0, CATALOG["f1"], 50_000, seed=21)
-        b = chain_expectation_mc(5, 5, 1.0, CATALOG["f1"], 50_000, seed=21)
-        assert a == b
-
-    def test_agrees_with_kernel_iterate(self):
-        n, k, x = 5, 5, 1.0
-        kernel = small_kernel(n=n, x_max=2.0)
-        lf = kernel_iterate(kernel, CATALOG["f1"], k)
-        i = round(x * n)
-        est = chain_expectation_mc(n, k, x, CATALOG["f1"], 200_000, seed=17)
-        assert abs(est.mean - lf.values[i]) <= 3 * est.stderr + lf.error_budget[i]
-
-    def test_stderr_scales_with_sample_size(self):
-        small = chain_expectation_mc(5, 3, 1.0, CATALOG["f1"], 50_000, seed=9)
-        large = chain_expectation_mc(5, 3, 1.0, CATALOG["f1"], 200_000, seed=9)
-        ratio = 2.0 * large.stderr / small.stderr
-        assert 0.8 <= ratio <= 1.2
-
-    def test_sample_floor(self):
-        with pytest.raises(ValueError):
-            chain_expectation_mc(5, 3, 1.0, CATALOG["e0"], 1, seed=0)

@@ -297,7 +297,6 @@ class TestMoments:
     def test_worked_values(self):
         assert sm_moment(3, 1, 2.0) == 6.0
         assert sm_moment(3, 2, 2.0) == 42.0
-        assert sm_moment(1, 4, 1.0) == 15.0
 
     def test_brute_force_agreement_small_means(self):
         # the k^p weight amplifies the omitted tail, so the oracle needs a
@@ -305,20 +304,22 @@ class TestMoments:
         deep = TruncationPolicy(tail_eps=1e-30)
         for n, x in [(1, 0.5), (2, 1.0), (3, 2.0), (5, 2.4)]:
             k, w, _ = _poisson_weights(n * x, deep)
-            for p in (1, 2, 3, 4):
+            for p in (1, 2):
                 brute = float(w @ (k.astype(float) ** p))
                 assert sm_moment(n, p, x) == pytest.approx(brute, abs=1e-10)
 
     def test_invalid_order(self):
-        with pytest.raises(ValueError):
-            sm_moment(3, 5, 1.0)
+        for p in (0, 3):
+            with pytest.raises(ValueError):
+                sm_moment(3, p, 1.0)
 
     # Over lam in [1e-3, 5e4] the polynomials match the weighted sums within
-    # a relative 2.3e-10 at worst (lam ~ 0.0026, p = 4): there the omitted
-    # tail of 1e-15, weighted by k^4, is largest against a mean near lam.
+    # a relative 5.8e-11 at worst (4,000 log-spaced means; lam ~ 3.0e4,
+    # p = 2), the rounding of the pmf terms, whose mass misses 1 by about
+    # 1e-11 at such means.
     @PROPERTY_SETTINGS
-    @given(log_lam=poisson_log_means, p=st.integers(min_value=1, max_value=4))
-    @example(log_lam=math.log10(0.0026), p=4)
+    @given(log_lam=poisson_log_means, p=st.integers(min_value=1, max_value=2))
+    @example(log_lam=math.log10(30164.386), p=2)
     def test_polynomials_equal_weighted_sums(self, log_lam, p):
         lam = 10.0 ** log_lam
         k, w, _ = _poisson_weights(lam, TruncationPolicy(tail_eps=1e-15))
