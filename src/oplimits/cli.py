@@ -61,13 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _collect_overrides(args) -> dict:
+    """The config file's values, overridden by every flag that was given."""
     overrides = {}
     if args.config:
         overrides.update(load_config_file(args.config))
-    for key in ("n_ladder", "alpha", "t", "function_label", "samples",
-                "seed", "format"):
-        value = getattr(args, key)
-        if value is not None:
+    for key, value in vars(args).items():
+        if value is not None and key not in ("experiment", "config", "out"):
             overrides[key] = value
     return overrides
 

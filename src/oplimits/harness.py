@@ -9,18 +9,23 @@ and Monte Carlo stream count included) under the ``config`` key of their
 parameter echo; nothing else, such as the output path, enters a report, so
 its bytes depend only on the experiment's parameters.
 
-Trend checks (monotone decrease along a ladder) are encoded row-wise: the
-row for step i uses the measurement of step i-1 as its bound, shifted by the
-declared monotonicity slack.  Declared tolerances are configuration, not
-code; the defaults live in :class:`ExperimentConfig` and the per-experiment
-table below.
+Runners only measure; one report builder per run (:class:`_Report`) turns
+their measurements into rows and owns every verdict rule.  A trend row
+(monotone decrease along a ladder) records the previous value of its series
+as its bound and passes when it is at most that bound plus the declared
+monotonicity slack; a final row checks its series' last value against a
+tolerance; any other row passes when measured <= bound, or always when it
+has no bound, unless its runner states the verdict (the Voronovskaya fitted
+rate lies in its slope window).  Declared tolerances are configuration, not
+code; the defaults live in :class:`ExperimentConfig` and, where an
+experiment differs, in the table below.
 """
 
 import csv
 import json
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -52,43 +57,18 @@ from .iterates import (
 from .mc import ks_distance, resolve_workers, sample_across_workers
 from .operators import TruncationPolicy, sm_apply, sm_exponential_closed_form
 
-# Per-experiment overrides of the ExperimentConfig field defaults.
+# Per-experiment values that differ from the ExperimentConfig field defaults.
 _EXPERIMENT_DEFAULTS = {
-    "voronovskaya": {
-        "n_ladder": (4, 16, 64, 256, 1024),
-        "t": 0.0,
-        "function_label": "f1",
-        "slope_window": (-0.65, -0.35),
-        "residual_zero_tolerance": 1e-6,
-    },
-    "semigroup": {
-        "n_ladder": (8, 32, 128),
-        "t": 1.0,
-        "function_label": "f1",
-        "final_tolerance": 0.02,
-        "monotonicity_slack": 0.0,
-    },
+    "voronovskaya": {"n_ladder": (4, 16, 64, 256, 1024)},
+    "semigroup": {"n_ladder": (8, 32, 128), "t": 1.0},
     "kelisky-rivlin": {
         "n_ladder": (5,),
         "function_label": "e2",
-        "k_max": 200,
         "final_tolerance": 1e-8,
         "monotonicity_slack": 1e-12,
     },
-    "korovkin": {
-        "n_ladder": (1, 10, 100),
-        "lambdas": (1.0, 2.0, 3.0),
-        "agreement_tolerance": 1e-10,
-        "final_tolerance": 0.01,
-    },
-    "weak-convergence": {
-        "n_ladder": (10, 50, 250),
-        "t": 1.0,
-        "x": 1.0,
-        "ks_tolerance": 0.02,
-        "identity_tolerance": 1e-10,
-        "monotonicity_slack": 0.0,
-    },
+    "korovkin": {"n_ladder": (1, 10, 100), "final_tolerance": 0.01},
+    "weak-convergence": {"n_ladder": (10, 50, 250), "t": 1.0},
 }
 
 EXPERIMENTS = tuple(_EXPERIMENT_DEFAULTS)
@@ -294,28 +274,46 @@ class ReportRow:
         return json.dumps(self.params, sort_keys=True)
 
 
-def _row(echo, params, measured, bound=None, stderr=None, error_budget=None,
-         slack=0.0):
-    """Build a row; the verdict is measured <= bound + slack (or pass when
-    no bound applies)."""
-    passed = True if bound is None else bool(measured <= bound + slack)
-    return ReportRow(
-        experiment=echo["experiment"],
-        params={**params, "config": echo},
-        measured=float(measured),
-        bound=None if bound is None else float(bound),
-        stderr=None if stderr is None else float(stderr),
-        error_budget=None if error_budget is None else float(error_budget),
-        passed=passed,
-    )
+class _Report:
+    """The rows of one run, built by the verdict rules in the module docstring.
+
+    Every row's params carry the resolved config echo.  A series is a named
+    sequence of trend values, e.g. one per Korovkin rate; ``last`` holds the
+    latest value of each.
+    """
+
+    def __init__(self, config: ExperimentConfig):
+        self.echo = config.resolved()
+        self.slack = config.monotonicity_slack
+        self.rows = []
+        self.last = {}
+
+    def add(self, params, measured, bound=None, stderr=None, error_budget=None,
+            passed=None):
+        """Append a row; unless ``passed`` is given it passes when measured
+        <= bound, or always when there is no bound."""
+        if passed is None:
+            passed = bound is None or measured <= bound
+        self.rows.append(ReportRow(
+            self.echo["experiment"], {**params, "config": self.echo},
+            float(measured),
+            *(None if v is None else float(v) for v in (bound, stderr, error_budget)),
+            bool(passed),
+        ))
+
+    def trend(self, series, params, measured, **extra):
+        """A row bounded by the previous value of ``series`` plus the slack."""
+        prev = self.last.get(series)
+        self.add(params, measured, bound=prev,
+                 passed=prev is None or measured <= prev + self.slack, **extra)
+        self.last[series] = measured
+
+    def final(self, series, params, tolerance):
+        """A row checking the last value of ``series`` against ``tolerance``."""
+        self.add(params, self.last[series], bound=tolerance)
 
 
-def _prev(values):
-    """Bound of a trend row: the previous measurement on the ladder, if any."""
-    return values[-1] if values else None
-
-
-def run_voronovskaya(config: ExperimentConfig, echo: dict):
+def run_voronovskaya(config: ExperimentConfig, report: _Report):
     """Measured second-order residual norms against the explicit rate bound.
 
     Emits one row per ladder entry (measured residual vs bound when the
@@ -330,7 +328,6 @@ def run_voronovskaya(config: ExperimentConfig, echo: dict):
     lip = f.lip_d2
     use_bounds = lip is not None and lip > 0.0 and config.alpha > 1.5
 
-    rows = []
     residuals = []
     for n in config.n_ladder:
         resid = voronovskaya_residual(n, f, config.alpha, grid, policy)
@@ -349,15 +346,14 @@ def run_voronovskaya(config: ExperimentConfig, echo: dict):
             # report the residual without a verdict
             params["check"] = "residual-only"
             bound = None
-        rows.append(_row(echo, params, resid, bound=bound))
+        report.add(params, resid, bound=bound)
 
     positive = [(n, r) for n, r in zip(config.n_ladder, residuals) if r > 0.0]
     if use_bounds and len(positive) >= 3:
         slope = fit_rate([n for n, _ in positive], [r for _, r in positive])
         lo, hi = config.slope_window
-        row = _row(echo, {"check": "fitted-rate", "f": f.label, "window": [lo, hi]}, slope)
-        rows.append(replace(row, passed=bool(lo <= slope <= hi)))
-    return rows
+        report.add({"check": "fitted-rate", "f": f.label, "window": [lo, hi]},
+                   slope, passed=lo <= slope <= hi)
 
 
 def _snap_panel(panel, n):
@@ -366,7 +362,7 @@ def _snap_panel(panel, n):
     return np.array(idx), np.array(idx, dtype=float) / n
 
 
-def run_semigroup_convergence(config: ExperimentConfig, echo: dict):
+def run_semigroup_convergence(config: ExperimentConfig, report: _Report):
     """Iterate-vs-limit-semigroup discrepancy along an n ladder.
 
     For each n the kernel iterate with floor(n t) steps is compared against
@@ -381,8 +377,6 @@ def run_semigroup_convergence(config: ExperimentConfig, echo: dict):
     t = config.t
     lam = {"f1": 1.0, "f2": 2.0, "f3": 3.0}.get(config.function_label)
     panel_max = max(config.x_panel)
-    rows = []
-    discrepancies = []
 
     # Reported (not asserted) rate bound needs the weighted norm of the
     # generator image and a positive Lipschitz constant; skip otherwise.
@@ -423,21 +417,15 @@ def run_semigroup_convergence(config: ExperimentConfig, echo: dict):
         params = {"check": "iterate-vs-semigroup", "n": n, "k": k,
                   "f": f.label, "t": t, "alpha": config.alpha,
                   "rate_bound_heuristic": hb}
-        rows.append(_row(echo, params, disc, bound=_prev(discrepancies),
-                         stderr=stderr, error_budget=budget,
-                         slack=config.monotonicity_slack))
-        discrepancies.append(disc)
+        report.trend("discrepancy", params, disc, stderr=stderr,
+                     error_budget=budget)
 
-    rows.append(_row(
-        echo,
-        {"check": "final-discrepancy", "n": config.n_ladder[-1], "f": f.label,
-         "t": t, "alpha": config.alpha},
-        discrepancies[-1], bound=config.final_tolerance,
-    ))
-    return rows
+    report.final("discrepancy", {"check": "final-discrepancy", "n": config.n_ladder[-1],
+                                 "f": f.label, "t": t, "alpha": config.alpha},
+                 config.final_tolerance)
 
 
-def run_kelisky_rivlin(config: ExperimentConfig, echo: dict):
+def run_kelisky_rivlin(config: ExperimentConfig, report: _Report):
     """Fixed-n Bernstein iterates against their linear-interpolant limit.
 
     Iterates the exact binomial kernel k_max times and reports the sup
@@ -452,25 +440,15 @@ def run_kelisky_rivlin(config: ExperimentConfig, echo: dict):
     ref = np.array([kelisky_rivlin_reference(f, float(x)) for x in latt])
 
     v = np.asarray(f(latt), dtype=float)
-    rows = []
-    deviations = []
     for k in range(1, config.k_max + 1):
         v = kernel.matrix @ v
-        dev = float(np.max(np.abs(v - ref)))
-        rows.append(_row(
-            echo, {"check": "deviation", "n": n, "k": k, "f": f.label},
-            dev, bound=_prev(deviations), slack=config.monotonicity_slack,
-        ))
-        deviations.append(dev)
-    rows.append(_row(
-        echo,
-        {"check": "final-deviation", "n": n, "k": config.k_max, "f": f.label},
-        deviations[-1], bound=config.final_tolerance,
-    ))
-    return rows
+        report.trend("deviation", {"check": "deviation", "n": n, "k": k, "f": f.label},
+                     float(np.max(np.abs(v - ref))))
+    report.final("deviation", {"check": "final-deviation", "n": n, "k": config.k_max,
+                               "f": f.label}, config.final_tolerance)
 
 
-def run_korovkin(config: ExperimentConfig, echo: dict):
+def run_korovkin(config: ExperimentConfig, report: _Report):
     """Exponential test family: series-vs-closed-form agreement and norm decay.
 
     For each rate lambda and ladder entry n, checks that the truncated
@@ -482,40 +460,25 @@ def run_korovkin(config: ExperimentConfig, echo: dict):
     pts = config.grid().points
     policy = config.policy()
     w = weight_eval(config.alpha, pts)
-    rows = []
     for lam in config.lambdas:
         fn = lambda u, lam=lam: np.exp(-lam * np.asarray(u, dtype=float))  # noqa: E731
         exact_vals = np.exp(-lam * pts)
-        norm_errors = []
         for n in config.n_ladder:
             closed_vals = np.array([
                 sm_exponential_closed_form(n, lam, float(x)) for x in pts
             ])
             series = np.array([sm_apply(n, fn, float(x), policy).value for x in pts])
-            rows.append(_row(
-                echo, {"check": "series-vs-closed-form", "n": n, "lambda": lam},
-                float(np.max(np.abs(series - closed_vals))),
-                bound=config.agreement_tolerance,
-            ))
-            norm_err = float(np.max(w * np.abs(closed_vals - exact_vals)))
-            rows.append(_row(
-                echo,
-                {"check": "norm-error", "n": n, "lambda": lam,
-                 "alpha": config.alpha},
-                norm_err, bound=_prev(norm_errors),
-                slack=config.monotonicity_slack,
-            ))
-            norm_errors.append(norm_err)
-        rows.append(_row(
-            echo,
-            {"check": "final-norm-error", "n": config.n_ladder[-1], "lambda": lam,
-             "alpha": config.alpha},
-            norm_errors[-1], bound=config.final_tolerance,
-        ))
-    return rows
+            report.add({"check": "series-vs-closed-form", "n": n, "lambda": lam},
+                       float(np.max(np.abs(series - closed_vals))),
+                       bound=config.agreement_tolerance)
+            report.trend(lam, {"check": "norm-error", "n": n, "lambda": lam,
+                               "alpha": config.alpha},
+                         float(np.max(w * np.abs(closed_vals - exact_vals))))
+        report.final(lam, {"check": "final-norm-error", "n": config.n_ladder[-1],
+                           "lambda": lam, "alpha": config.alpha}, config.final_tolerance)
 
 
-def run_weak_convergence(config: ExperimentConfig, echo: dict):
+def run_weak_convergence(config: ExperimentConfig, report: _Report):
     """Chain endpoints against exact diffusion draws along an n ladder.
 
     For each n, draws ``samples`` endpoints of the floor(n t)-step chain from
@@ -527,9 +490,6 @@ def run_weak_convergence(config: ExperimentConfig, echo: dict):
     as well.
     """
     x, t = config.x, config.t
-    rows = []
-    ks_values = []
-    ext_diffs = []
     for pos, n in enumerate(config.n_ladder):
         k = floor_nt(n, t)
         chain = sample_across_workers(
@@ -543,25 +503,15 @@ def run_weak_convergence(config: ExperimentConfig, echo: dict):
         ks = ks_distance(chain, exact)
         ext = abs(float(np.mean(chain == 0.0)) - float(np.mean(exact == 0.0)))
         params = {"n": n, "k": k, "x": x, "t": t, "samples": config.samples}
-        rows.append(_row(echo, {"check": "ks-distance", **params}, ks,
-                         bound=_prev(ks_values), slack=config.monotonicity_slack))
-        rows.append(_row(echo, {"check": "extinction-gap", **params}, ext,
-                         bound=_prev(ext_diffs), slack=config.monotonicity_slack))
-        ks_values.append(ks)
-        ext_diffs.append(ext)
+        report.trend("ks", {"check": "ks-distance", **params}, ks)
+        report.trend("ext", {"check": "extinction-gap", **params}, ext)
         for y in _identity_points(n, x):
             mom = chain_scaling_moments(n, y)
-            err = max(abs(mom.mean_scaled), abs(mom.var_scaled - y))
-            rows.append(_row(
-                echo, {"check": "scaling-identities", "n": n, "y": y},
-                err, bound=config.identity_tolerance,
-            ))
-    rows.append(_row(
-        echo,
-        {"check": "final-ks", "n": config.n_ladder[-1], "x": x, "t": t},
-        ks_values[-1], bound=config.ks_tolerance,
-    ))
-    return rows
+            report.add({"check": "scaling-identities", "n": n, "y": y},
+                       max(abs(mom.mean_scaled), abs(mom.var_scaled - y)),
+                       bound=config.identity_tolerance)
+    report.final("ks", {"check": "final-ks", "n": config.n_ladder[-1], "x": x, "t": t},
+                 config.ks_tolerance)
 
 
 def _identity_points(n, x):
@@ -582,21 +532,32 @@ _RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig) -> tuple:
-    """Validate the config, build the echo, run, and return the rows.
+    """Validate the config, run its experiment, and return the rows.
 
-    A runner takes (config, echo) and returns its rows.
+    A runner takes (config, report): it measures and hands each measurement
+    to the run's :class:`_Report`, which builds the rows and their verdicts.
     """
     config.validate()
-    return tuple(_RUNNERS[config.experiment](config, config.resolved()))
+    report = _Report(config)
+    _RUNNERS[config.experiment](config, report)
+    return tuple(report.rows)
 
 
 CSV_HEADER = ("experiment", "param_json", "measured", "bound", "stderr",
               "error_budget", "pass")
 
 
-def _fmt(value) -> str:
-    """17-significant-digit decimal form (round-trips doubles exactly)."""
-    return format(float(value), ".17g")
+def _fmt(value):
+    """17-significant-digit decimal form (round-trips doubles exactly);
+    None stays None."""
+    return None if value is None else format(float(value), ".17g")
+
+
+def _cells(r: ReportRow) -> list:
+    """A row's cells in CSV_HEADER order; None marks an absent number."""
+    return [r.experiment, r.param_json(),
+            *map(_fmt, (r.measured, r.bound, r.stderr, r.error_budget)),
+            "true" if r.passed else "false"]
 
 
 def emit_report(rows, path: str, format: str = "csv") -> None:
@@ -620,35 +581,16 @@ def _emit_csv(rows, path):
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for r in rows:
-            writer.writerow([
-                r.experiment,
-                r.param_json(),
-                _fmt(r.measured),
-                "" if r.bound is None else _fmt(r.bound),
-                "" if r.stderr is None else _fmt(r.stderr),
-                "" if r.error_budget is None else _fmt(r.error_budget),
-                "true" if r.passed else "false",
-            ])
+            writer.writerow(["" if c is None else c for c in _cells(r)])
 
 
 def _emit_json(rows, path):
-    def opt(v):
-        return "null" if v is None else _fmt(v)
-
     lines = []
     for r in rows:
-        lines.append(
-            '  {"experiment": %s, "param_json": %s, "measured": %s, '
-            '"bound": %s, "stderr": %s, "error_budget": %s, "pass": %s}'
-            % (
-                json.dumps(r.experiment),
-                json.dumps(r.param_json()),
-                _fmt(r.measured),
-                opt(r.bound),
-                opt(r.stderr),
-                opt(r.error_budget),
-                "true" if r.passed else "false",
-            )
-        )
+        experiment, param_json, *rest = _cells(r)
+        cells = [json.dumps(experiment), json.dumps(param_json),
+                 *("null" if c is None else c for c in rest)]
+        lines.append("  {" + ", ".join(
+            f'"{key}": {cell}' for key, cell in zip(CSV_HEADER, cells)) + "}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("[\n" + ",\n".join(lines) + "\n]\n")

@@ -14,9 +14,9 @@ sum.  Rows are NOT renormalized: the iterate additionally propagates the
 constant-one function, so the exact leaked mass per starting state is
 known.  The resulting per-point error budget (sup |f| times leaked mass) is
 rigorous and, unlike a uniform bound over all rows, stays tight at the
-interior states the experiments evaluate.  The two propagations run side by
-side on two threads; each is the same sequence of sparse products on
-either, so the results do not depend on the CPU count.
+interior states the experiments evaluate.  For k >= 1 the two propagations
+run side by side on two threads; each is the same sequence of sparse
+products on either, so the results do not depend on the CPU count.
 
 Chain sampling does not step the chain.  After its first Poisson(n x) step
 the Poisson chain is a critical Galton-Watson process with Poisson(1)
@@ -198,9 +198,10 @@ def kernel_iterate(kernel: TransitionKernel, f, k: int) -> LatticeFunction:
     Alongside the function values the constant-one function is propagated;
     its shortfall from 1 is the exact per-state leaked mass, which prices
     the truncation error budget.  ``f`` is evaluated once, on the calling
-    thread.  One helper thread runs all k products of the values while the
-    calling thread runs those of the mass; the values are bit-identical to
-    running both on one thread.
+    thread.  For k >= 1 one helper thread runs all k products of the values
+    while the calling thread runs those of the mass; the values are
+    bit-identical to running both on one thread.  At k = 0 nothing has
+    leaked, so f on the lattice returns with a zero budget and no thread.
     """
     if k < 0:
         raise ValueError("iteration count k must be nonnegative")
@@ -211,6 +212,8 @@ def kernel_iterate(kernel: TransitionKernel, f, k: int) -> LatticeFunction:
     if not np.all(np.isfinite(v)):
         bad = float(latt[~np.isfinite(v)][0])
         raise EvaluationError(f"non-finite lattice value at {bad}", x=bad)
+    if k == 0:
+        return LatticeFunction(values=v, error_budget=np.zeros(kernel.size))
     f_sup = float(np.max(np.abs(v)))
     matrix = kernel.matrix
     mass = np.ones(kernel.size)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oplimits import ConfigError
-from oplimits.cli import main
+from oplimits.cli import _collect_overrides, build_parser, main
 from oplimits.harness import (
     ExperimentConfig,
     ReportRow,
@@ -164,6 +164,29 @@ class TestEmitReport:
             assert (c["stderr"] == "" and j["stderr"] is None) or float(c["stderr"]) == j["stderr"]
             assert (c["pass"] == "true") == j["pass"]
 
+    def test_json_bytes(self, tmp_path):
+        # absent cells are null, the two string cells are JSON strings (the
+        # param echo escaped inside its own), numbers carry 17 digits
+        rows = [
+            self._row(params={"label": 'a "quoted" \\ tab\t'}, bound=None,
+                      error_budget=None, passed=False),
+            self._row(measured=2.0, stderr=0.125),
+        ]
+        path = tmp_path / "r.json"
+        emit_report(rows, str(path), "json")
+        assert path.read_bytes() == (
+            b'[\n'
+            b'  {"experiment": "demo", '
+            b'"param_json": "{\\"label\\": \\"a \\\\\\"quoted\\\\\\" '
+            b'\\\\\\\\ tab\\\\t\\"}", '
+            b'"measured": 0.33333333333333331, "bound": null, "stderr": null, '
+            b'"error_budget": null, "pass": false},\n'
+            b'  {"experiment": "demo", "param_json": "{\\"n\\": 3}", '
+            b'"measured": 2, "bound": 0.5, "stderr": 0.125, '
+            b'"error_budget": 1.0000000000000001e-09, "pass": true}\n'
+            b']\n'
+        )
+
     def test_bad_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report([], str(tmp_path / "r.xml"), "xml")
@@ -297,6 +320,57 @@ class TestRunners:
         np.testing.assert_allclose(xs, [0.0, 0.25, 1.0])
 
 
+# Per runner: a small config, the check of each trend series' rows, and the
+# final check that reads the last value of each series.
+_TREND_RUNNERS = {
+    "semigroup": ({"n_ladder": (4, 8, 16)}, ("iterate-vs-semigroup",),
+                  {"final-discrepancy": "iterate-vs-semigroup"}),
+    "kelisky-rivlin": ({"k_max": 6}, ("deviation",),
+                       {"final-deviation": "deviation"}),
+    "korovkin": ({"n_ladder": (1, 4, 16), "grid_points": 8, "dense_head": 0},
+                 ("norm-error",), {"final-norm-error": "norm-error"}),
+    "weak-convergence": ({"n_ladder": (5, 10, 20), "samples": 2_000},
+                         ("ks-distance", "extinction-gap"),
+                         {"final-ks": "ks-distance"}),
+}
+
+
+def _series_key(row, check):
+    """Korovkin keeps one series per rate; the other runners one per check."""
+    return check, row.params.get("lambda")
+
+
+class TestTrendRule:
+    @pytest.mark.parametrize("slack", [1e-3, -1.0], ids=["loose", "strict"])
+    @pytest.mark.parametrize("experiment", sorted(_TREND_RUNNERS))
+    def test_trend_and_final_rows(self, experiment, slack):
+        # a slack of -1 asks each value to drop by more than it can, so the
+        # later trend rows must fail; a runner ignoring the slack passes them
+        overrides, trend_checks, finals = _TREND_RUNNERS[experiment]
+        cfg = ExperimentConfig.for_experiment(
+            experiment, {**overrides, "monotonicity_slack": slack})
+        series = {}
+        decided_by_slack = False
+        for row in run_experiment(cfg):
+            check = row.params["check"]
+            if check in trend_checks:
+                values = series.setdefault(_series_key(row, check), [])
+                if values:
+                    assert row.bound == values[-1]
+                    assert row.passed == (row.measured <= row.bound + slack)
+                    decided_by_slack |= (row.measured <= row.bound) != row.passed
+                else:
+                    assert row.bound is None and row.passed
+                values.append(row.measured)
+            elif check in finals:
+                assert row.measured == series[_series_key(row, finals[check])][-1]
+        assert set(series) == {(check, lam) for check in trend_checks
+                               for lam in (cfg.lambdas if experiment == "korovkin"
+                                           else (None,))}
+        assert all(len(values) > 1 for values in series.values())
+        assert decided_by_slack == (slack < 0)
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
         cfg = ExperimentConfig.for_experiment(
@@ -393,6 +467,18 @@ class TestCLI:
         err = capsys.readouterr().err
         assert f"config error: OPLIMITS_WORKERS must be a positive integer, got {value!r}" in err
         assert not out.exists()
+
+    def test_every_given_flag_is_an_override(self):
+        args = build_parser().parse_args([
+            "semigroup", "--n-ladder", "4,8", "--alpha", "2.5", "--t", "0.5",
+            "--f", "e1", "--samples", "10", "--seed", "3", "--format", "json",
+            "--out", "r.json",
+        ])
+        assert _collect_overrides(args) == {
+            "n_ladder": (4, 8), "alpha": 2.5, "t": 0.5, "function_label": "e1",
+            "samples": 10, "seed": 3, "format": "json",
+        }
+        assert _collect_overrides(build_parser().parse_args(["semigroup"])) == {}
 
     def test_config_file_plus_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

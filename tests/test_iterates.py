@@ -279,6 +279,16 @@ class TestKernelIterate:
         np.testing.assert_allclose(lf.values, np.exp(-kernel.lattice()), rtol=1e-15)
         assert np.all(lf.error_budget == 0.0)
 
+    def test_zero_steps_start_no_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("k = 0 runs no product and needs no thread")
+
+        monkeypatch.setattr("oplimits.iterates.ThreadPoolExecutor", no_pool)
+        kernel = small_kernel()
+        lf = kernel_iterate(kernel, CATALOG["f1"], 0)
+        np.testing.assert_array_equal(lf.values, np.exp(-kernel.lattice()))
+        np.testing.assert_array_equal(lf.error_budget, np.zeros(kernel.size))
+
     def test_one_step_constants(self):
         kernel = small_kernel()
         lf = kernel_iterate(kernel, CATALOG["e0"], 1)
