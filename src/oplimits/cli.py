@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 One binary, one subcommand per experiment.  A JSON config file provides the
-base settings; individual flags override it.  ``--out`` is not a config
-key: the report path never enters the report.  Exit status: 0 when every
-report row passes, 1 when any row fails, 2 on configuration or runtime
-errors.
+base settings; individual flags override it.  ``--out`` and ``--format``
+are not config keys: where and how the report is written never enters it.
+Exit status: 0 when every report row passes, 1 when any row fails, 2 on
+configuration or runtime errors.
 """
 
 import argparse
@@ -54,9 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="master random seed")
         p.add_argument("--out", default=None,
-                       help="report path (default <experiment>.csv/.json)")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="report format")
+                       help="report path (default <experiment>.<format>)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="report format (default csv)")
     return parser
 
 
@@ -66,7 +66,7 @@ def _collect_overrides(args) -> dict:
     if args.config:
         overrides.update(load_config_file(args.config))
     for key, value in vars(args).items():
-        if value is not None and key not in ("experiment", "config", "out"):
+        if value is not None and key not in ("experiment", "config", "out", "format"):
             overrides[key] = value
     return overrides
 
@@ -78,8 +78,8 @@ def main(argv=None) -> int:
             args.experiment, _collect_overrides(args)
         )
         rows = run_experiment(config)
-        out = args.out or f"{config.experiment}.{config.format}"
-        emit_report(rows, out, config.format)
+        out = args.out or f"{config.experiment}.{args.format}"
+        emit_report(rows, out, args.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

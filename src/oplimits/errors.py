@@ -6,14 +6,7 @@ here mark failure modes that callers may want to catch specifically.
 
 
 class EvaluationError(ArithmeticError):
-    """A function produced a non-finite value during evaluation.
-
-    Carries the offending point in ``x`` when known.
-    """
-
-    def __init__(self, message, x=None):
-        super().__init__(message)
-        self.x = x
+    """A function produced a non-finite value during evaluation."""
 
 
 class TruncationFailureError(RuntimeError):
@@ -21,15 +14,7 @@ class TruncationFailureError(RuntimeError):
 
 
 class CutoffTooSmallError(RuntimeError):
-    """A transition-kernel cutoff leaves too much mass outside some row.
-
-    Carries the worst offending row index and its defect.
-    """
-
-    def __init__(self, message, row=None, defect=None):
-        super().__init__(message)
-        self.row = row
-        self.defect = defect
+    """A transition-kernel cutoff leaves too much mass outside some row."""
 
 
 class UnsupportedMethodError(ValueError):

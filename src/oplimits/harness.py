@@ -4,10 +4,11 @@ Each experiment produces a flat list of report rows; a row records what was
 measured, the bound it was compared against (when one applies), the Monte
 Carlo standard error (when stochastic), the truncation error budget, and the
 resulting pass/fail flag, so every verdict is recomputable from the emitted
-fields alone.  Rows embed the fully resolved configuration (defaults, seed,
-and Monte Carlo stream count included) under the ``config`` key of their
-parameter echo; nothing else, such as the output path, enters a report, so
-its bytes depend only on the experiment's parameters.
+fields alone.  Rows embed the fully resolved configuration (defaults and
+seed included) under the ``config`` key of their parameter echo; nothing
+else, such as the output path, the report format or the Monte Carlo stream
+layout, enters a report, so its bytes depend only on the experiment's
+parameters.
 
 Runners only measure; one report builder per run (:class:`_Report`) turns
 their measurements into rows and owns every verdict rule.  A trend row
@@ -54,7 +55,7 @@ from .iterates import (
     kernel_iterate,
     lattice_cutoff,
 )
-from .mc import ks_distance, resolve_workers, sample_across_workers
+from .mc import ks_distance, sample_across_workers
 from .operators import TruncationPolicy, sm_apply, sm_exponential_closed_form
 
 # Per-experiment values that differ from the ExperimentConfig field defaults.
@@ -100,7 +101,6 @@ class ExperimentConfig:
     ks_tolerance: float = 0.02
     identity_tolerance: float = 1e-10
     monotonicity_slack: float = 0.0
-    format: str = "csv"
 
     @classmethod
     def for_experiment(cls, experiment: str, overrides: Optional[dict] = None):
@@ -185,8 +185,6 @@ class ExperimentConfig:
         window = self.slope_window
         if len(window) != 2 or not window[0] < window[1]:
             raise ConfigError("slope_window must be two numbers lo < hi")
-        if self.format not in ("csv", "json"):
-            raise ConfigError("format must be 'csv' or 'json'")
 
     def resolved(self) -> dict:
         """The full config echo embedded in every report row."""
@@ -194,7 +192,6 @@ class ExperimentConfig:
         for key, val in out.items():
             if isinstance(val, tuple):
                 out[key] = list(val)
-        out["workers"] = resolve_workers()
         return out
 
     def policy(self) -> TruncationPolicy:
@@ -584,12 +581,20 @@ def _emit_csv(rows, path):
             writer.writerow(["" if c is None else c for c in _cells(r)])
 
 
+def _json_cell(cell):
+    """A number or pass cell as JSON: null when absent, a JSON string of the
+    CSV text when not finite (JSON has no inf or nan), else the text."""
+    if cell is None:
+        return "null"
+    return json.dumps(cell) if cell in ("inf", "-inf", "nan") else cell
+
+
 def _emit_json(rows, path):
     lines = []
     for r in rows:
         experiment, param_json, *rest = _cells(r)
         cells = [json.dumps(experiment), json.dumps(param_json),
-                 *("null" if c is None else c for c in rest)]
+                 *map(_json_cell, rest)]
         lines.append("  {" + ", ".join(
             f'"{key}": {cell}' for key, cell in zip(CSV_HEADER, cells)) + "}")
     with open(path, "w", encoding="utf-8") as fh:

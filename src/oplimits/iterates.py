@@ -143,9 +143,7 @@ def build_sm_kernel(
         if defect[worst] > tail_eps:
             raise CutoffTooSmallError(
                 f"row {worst} loses mass {defect[worst]:.3e} > tail_eps={tail_eps:.3e}; "
-                f"increase the cutoff K={K}",
-                row=worst,
-                defect=float(defect[worst]),
+                f"increase the cutoff K={K}"
             )
     return TransitionKernel(n=n, matrix=matrix)
 
@@ -211,7 +209,7 @@ def kernel_iterate(kernel: TransitionKernel, f, k: int) -> LatticeFunction:
         raise ValueError("f must evaluate elementwise on the lattice")
     if not np.all(np.isfinite(v)):
         bad = float(latt[~np.isfinite(v)][0])
-        raise EvaluationError(f"non-finite lattice value at {bad}", x=bad)
+        raise EvaluationError(f"non-finite lattice value at {bad}")
     if k == 0:
         return LatticeFunction(values=v, error_budget=np.zeros(kernel.size))
     f_sup = float(np.max(np.abs(v)))

@@ -1,12 +1,13 @@
 """Reproducible Monte Carlo plumbing.
 
-Samples are partitioned deterministically across a fixed number of streams;
-stream w draws from an independent generator spawned from the master seed.
-The stream count is decided here alone: ``OPLIMITS_WORKERS`` when set, else
-4, never the host's CPU count.  Streams whose RNG calls draw many values
-each run concurrently on up to min(streams, usable CPUs) threads, and
-their chunks are merged in stream order, so identical (seed, samples)
-yields bit-identical results on any machine, whatever its CPU count.
+Samples are partitioned deterministically across a fixed number of streams
+(``STREAMS``, never the host's CPU count); stream w draws from an
+independent generator spawned from the master seed.  Streams whose RNG
+calls draw many values each run concurrently on up to min(streams, usable
+CPUs) threads, and their chunks are merged in stream order, so identical
+(seed, samples) yields bit-identical results on any machine, whatever its
+CPU count.  The stream layout is not an experiment parameter and does not
+enter report rows.
 """
 
 import os
@@ -14,12 +15,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
-
-WORKERS_ENV_VAR = "OPLIMITS_WORKERS"
-
-# Stream count when OPLIMITS_WORKERS is unset.
-_DEFAULT_STREAMS = 4
+# Monte Carlo stream count of every sample_across_workers call.
+STREAMS = 4
 
 # Fewest values a stream must draw per RNG call to get a thread of its own
 # (its chunk times the ``steps`` of sample_across_workers).  numpy's
@@ -52,20 +49,9 @@ class MonteCarloEstimate(NamedTuple):
 
 
 def resolve_workers(workers=None) -> int:
-    """Stream count: explicit argument, else OPLIMITS_WORKERS, else 4."""
+    """Stream count: the explicit argument, else ``STREAMS``."""
     if workers is None:
-        env = os.environ.get(WORKERS_ENV_VAR)
-        if not env:
-            return _DEFAULT_STREAMS
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ConfigError(
-                f"{WORKERS_ENV_VAR} must be a positive integer, got {env!r}"
-            )
-        return workers
+        return STREAMS
     workers = int(workers)
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")

@@ -71,7 +71,7 @@ def _average(k, w, f, n) -> float:
     vals = np.asarray(f(k / n), dtype=float)
     if not np.all(np.isfinite(vals)):
         bad = k[~np.isfinite(vals)][0] / n
-        raise EvaluationError(f"non-finite series term at lattice point {bad}", x=bad)
+        raise EvaluationError(f"non-finite series term at lattice point {bad}")
     return float(w @ vals)
 
 

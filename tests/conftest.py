@@ -1,15 +1,8 @@
-"""Shared test setup.
-
-Monte Carlo results depend on (seed, samples, stream count).  The stream
-count defaults to 4 on every machine; pinning OPLIMITS_WORKERS to that value
-keeps the suite independent of an override set in the caller's environment.
-"""
+"""Shared test setup."""
 
 import os
 
 import pytest
-
-os.environ["OPLIMITS_WORKERS"] = "4"
 
 
 @pytest.fixture

@@ -77,8 +77,7 @@ class TestConfig:
     def test_resolved_echo_contains_everything(self):
         cfg = ExperimentConfig.for_experiment("semigroup")
         echo = cfg.resolved()
-        assert echo["workers"] == 4
-        assert "output_path" not in echo
+        assert not {"output_path", "format", "workers"} & set(echo)
         assert echo["seed"] == 42
         assert echo["n_ladder"] == [8, 32, 128]
         assert "final_tolerance" in echo
@@ -102,7 +101,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("alpha", True), ("t", float("inf")), ("x", "1"), ("k_max", 10.0),
-        ("function_label", 3), ("lambdas", [1, 2, None]), ("format", None),
+        ("function_label", 3), ("lambdas", [1, 2, None]),
         ("seed", -1), ("x_max", 0.0), ("grid_points", 1), ("dense_head", -1),
     ])
     def test_wrong_typed_or_out_of_range_value_names_its_key(self, key, value):
@@ -186,6 +185,22 @@ class TestEmitReport:
             b'"error_budget": 1.0000000000000001e-09, "pass": true}\n'
             b']\n'
         )
+
+    def test_non_finite_json_cells_read_back_as_the_csv_text(self, tmp_path):
+        # JSON has no inf or nan, so such a cell is a string of the CSV text
+        rows = [self._row(measured=math.inf, bound=-math.inf, stderr=math.nan)]
+        cpath, jpath = tmp_path / "r.csv", tmp_path / "r.json"
+        emit_report(rows, str(cpath), "csv")
+        emit_report(rows, str(jpath), "json")
+        with open(cpath, newline="") as fh:
+            (from_csv,) = csv.DictReader(fh)
+        with open(jpath, encoding="utf-8") as fh:
+            (from_json,) = json.load(fh)
+        assert (from_json["measured"], from_json["bound"], from_json["stderr"]) == (
+            "inf", "-inf", "nan")
+        for key in ("measured", "bound", "stderr"):
+            assert from_json[key] == from_csv[key]
+        assert float(from_csv["error_budget"]) == from_json["error_budget"]
 
     def test_bad_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -431,12 +446,15 @@ class TestCLI:
         assert "config error: n_ladder" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_output_path_in_config_file_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value", [("output_path", "r.csv"), ("format", "json")],
+                             ids=["output_path", "format"])
+    def test_output_path_in_config_file_rejected(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"output_path": str(tmp_path / "r.csv")}))
-        out = str(tmp_path / "x.csv")
-        assert main(["kelisky-rivlin", "--config", str(cfg_path), "--out", out]) == 2
-        assert "unknown config key 'output_path'" in capsys.readouterr().err
+        cfg_path.write_text(json.dumps({key: value}))
+        out = tmp_path / "x.csv"
+        assert main(["kelisky-rivlin", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"config error: unknown config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_bytes_do_not_depend_on_out_path(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "sub" / "b.csv"]
@@ -458,16 +476,6 @@ class TestCLI:
         assert f"config error: {key} must be" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
-    def test_malformed_stream_count_names_the_variable(self, tmp_path, capsys,
-                                                       monkeypatch, value):
-        monkeypatch.setenv("OPLIMITS_WORKERS", value)
-        out = tmp_path / "x.csv"
-        assert main(["kelisky-rivlin", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"config error: OPLIMITS_WORKERS must be a positive integer, got {value!r}" in err
-        assert not out.exists()
-
     def test_every_given_flag_is_an_override(self):
         args = build_parser().parse_args([
             "semigroup", "--n-ladder", "4,8", "--alpha", "2.5", "--t", "0.5",
@@ -476,7 +484,7 @@ class TestCLI:
         ])
         assert _collect_overrides(args) == {
             "n_ladder": (4, 8), "alpha": 2.5, "t": 0.5, "function_label": "e1",
-            "samples": 10, "seed": 3, "format": "json",
+            "samples": 10, "seed": 3,
         }
         assert _collect_overrides(build_parser().parse_args(["semigroup"])) == {}
 
@@ -492,17 +500,11 @@ class TestCLI:
         echo = json.loads(rows[0]["param_json"])["config"]
         assert echo["samples"] == 2000  # flag override wins
         assert echo["seed"] == 3
-        assert echo["workers"] == 4
+        assert not {"format", "workers"} & set(echo)
 
 
 class TestWorkerResolution:
-    def test_env_variable_wins_over_cpu_count(self, monkeypatch):
-        monkeypatch.setenv("OPLIMITS_WORKERS", "7")
-        assert resolve_workers() == 7
-        assert resolve_workers(2) == 2  # explicit argument wins over env
-
     def test_default_does_not_depend_on_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("OPLIMITS_WORKERS", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 64)
         assert resolve_workers() == 4
 
@@ -515,12 +517,6 @@ class TestWorkerResolution:
         assert chunk_sizes(10, 4) == [3, 3, 2, 2]
         assert chunk_sizes(3, 4) == [1, 1, 1, 0]
         assert sum(chunk_sizes(1_000_001, 7)) == 1_000_001
-
-    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
-    def test_malformed_env_variable_is_named(self, monkeypatch, value):
-        monkeypatch.setenv("OPLIMITS_WORKERS", value)
-        with pytest.raises(ConfigError, match="OPLIMITS_WORKERS"):
-            resolve_workers()
 
 
 def _stream(rng):
@@ -543,7 +539,7 @@ class TestConcurrentStreams:
     ])
     def test_values_do_not_depend_on_cpu_count(self, monkeypatch, cpus, streams,
                                                switch_interval):
-        monkeypatch.setenv("OPLIMITS_WORKERS", str(streams))
+        monkeypatch.setattr("oplimits.mc.STREAMS", streams)
         samples = streams * _MIN_THREADED_CHUNK + 3
         draws = []
         interval = sys.getswitchinterval()

@@ -87,10 +87,11 @@ class TestKernelConstruction:
             assert m2 == pytest.approx(y ** 2 + y / n, abs=1e-10)
 
     def test_cutoff_too_small_reports_worst_row(self):
-        with pytest.raises(CutoffTooSmallError) as err:
+        # at n = 1 row r is the Poisson(r) law, so row 5 loses the most
+        # mass past K = 5: P(Poisson(5) > 5) = 0.38404
+        with pytest.raises(CutoffTooSmallError,
+                           match=r"^row 5 loses mass 3\.840e-01 > tail_eps=1\.000e-12;"):
             build_sm_kernel(1, 5, 1e-12, checked_rows=5)
-        assert err.value.row is not None
-        assert err.value.defect > 1e-12
 
     def test_unchecked_construction_allowed(self):
         kernel = build_sm_kernel(1, 5, 1e-12)
