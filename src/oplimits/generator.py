@@ -17,20 +17,23 @@ from .funcspace import Grid, weight_eval
 from .operators import TruncationPolicy, DEFAULT_POLICY, sm_apply
 
 
-def generator_apply(f, x: float) -> float:
+def generator_apply(f, x):
     """Evaluate (x/2) f''(x), with the degenerate boundary value 0 at x = 0.
 
+    ``x`` is a point or an array of points; an array gives an array.
     ``f`` must carry its analytic second derivative ``d2_fn``, as every
-    catalog function does.
+    catalog function does; it is not evaluated at x = 0.
     """
-    if x < 0:
+    xa = np.asarray(x, dtype=float)
+    if np.any(xa < 0):
         raise ValueError("x must be nonnegative")
     d2 = getattr(f, "d2_fn", None)
     if d2 is None:
         raise ValueError("generator_apply needs f with an analytic d2_fn")
-    if x == 0.0:
-        return 0.0
-    return 0.5 * x * float(d2(x))
+    out = np.zeros(xa.shape)
+    inside = xa > 0.0
+    out[inside] = 0.5 * xa[inside] * np.asarray(d2(xa[inside]), dtype=float)
+    return float(out) if np.isscalar(x) else out
 
 
 def m_alpha(alpha: float) -> float:
@@ -72,13 +75,10 @@ def voronovskaya_residual(
     """
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    worst = 0.0
-    for x in grid.points:
-        x = float(x)
-        pn = sm_apply(n, f, x, policy).value
-        residual = n * (pn - float(f(x))) - generator_apply(f, x)
-        worst = max(worst, weight_eval(alpha, x) * abs(residual))
-    return worst
+    xs = grid.points
+    pn = np.array([sm_apply(n, f, float(x), policy).value for x in xs])
+    residual = n * (pn - np.asarray(f(xs), dtype=float)) - generator_apply(f, xs)
+    return float(np.max(weight_eval(alpha, xs) * np.abs(residual)))
 
 
 def voronovskaya_bound(n: int, alpha: float, lip_d2: float) -> float:

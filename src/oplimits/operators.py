@@ -14,12 +14,21 @@ are computed in log space, which stays stable for Poisson means up to at
 least 5e4; all three laws read log k! from one table of ``gammaln`` values
 that grows on demand.
 
+A Poisson window spends exp only where it can return a nonzero double (a
+Chernoff bound marks the prefix that underflows to 0.0), and the tail sums
+that locate the cut run from the top of the window down to the mode.  Both
+savings return the same bits as evaluating and summing the whole window.
+The last Poisson window is memoised with read-only arrays, so applying
+several functions at one mean builds it once.
+
 Also provides the exact Poisson moment polynomials, which the chain's
 scaling identities in the weak-convergence experiment read, and the closed
 form of the Szasz-Mirakyan operator on exponentials, the Korovkin
 experiment's oracle for the truncated series.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -58,21 +67,31 @@ class SeriesValue(NamedTuple):
 
 
 def _validate(n, x):
-    """Check n is a positive integer and x >= 0; return n as an int."""
+    """Check n is a positive integer and x is finite and >= 0; return n as an int."""
     if n < 1 or int(n) != n:
         raise ValueError(f"operator index n must be a positive integer, got {n}")
     if x < 0:
         raise ValueError("x must be nonnegative")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     return int(n)
 
 
 def _average(k, w, f, n) -> float:
-    """The lattice average sum_k w_k f(k/n), rejecting non-finite terms."""
+    """The lattice average sum_k w_k f(k/n), rejecting non-finite terms.
+
+    Any non-finite term makes the dot product non-finite (a zero weight
+    times inf is nan), so the terms are scanned for the culprit only when
+    the dot product is not finite.  ``np.vdot`` runs the same BLAS dot as
+    ``w @ vals`` but raises no floating-point warning for that nan.
+    """
     vals = np.asarray(f(k / n), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = k[~np.isfinite(vals)][0] / n
-        raise EvaluationError(f"non-finite series term at lattice point {bad}")
-    return float(w @ vals)
+    total = float(np.vdot(w, vals))
+    if not math.isfinite(total):
+        bad = k[~np.isfinite(vals)]
+        if bad.size:
+            raise EvaluationError(f"non-finite series term at lattice point {bad[0] / n}")
+    return total
 
 
 # log k! at k = 0, 1, ...: each entry is gammaln(k + 1.0) itself, so a lookup
@@ -81,22 +100,52 @@ def _average(k, w, f, n) -> float:
 _log_factorials = np.empty(0)
 
 
-def _log_factorial(k):
-    """log k! at a nonnegative integer or integer array k, from the growing table."""
+def _log_factorial_table(size):
+    """The log k! table, grown (by doubling) to at least ``size`` entries."""
     global _log_factorials
     table = _log_factorials
-    try:
-        return table[k]
-    except IndexError:
-        size = max(int(np.max(k)) + 1, 2 * table.size)
+    if table.size < size:
+        size = max(size, 2 * table.size)
         table = np.concatenate([table, gammaln(np.arange(table.size, size) + 1.0)])
         _log_factorials = table
-        return table[k]
+    return table
+
+
+def _log_factorial(k):
+    """log k! at a nonnegative integer or integer array k, from the growing table."""
+    try:
+        return _log_factorials[k]
+    except IndexError:
+        return _log_factorial_table(int(np.max(k)) + 1)[k]
 
 
 def _poisson_pmf(lam, k):
     """Poisson(lam) pmf at the nonnegative integers k, evaluated in log space."""
     return np.exp(-lam + k * np.log(lam) - _log_factorial(k))
+
+
+# exp(t) is exactly 0.0 for every double t below -745.1333; a log pmf bounded by
+# -746 leaves a margin far above the exponent's rounding error (about 1e-10
+# at lam = 1e5, where its terms reach 1e6)
+_UNDERFLOW_LOG = 746.0
+
+
+def _poisson_window(lam, hi):
+    """Poisson(lam) pmf on 0..hi, bit for bit :func:`_poisson_pmf` there.
+
+    For k <= lam the Chernoff bound gives log p_k <= -(lam - k)^2 / (2 lam),
+    so below k0 = floor(lam - sqrt(2 * 746 * lam)) every term underflows to
+    0.0.  Those entries are written as zeros and exp is evaluated only on
+    k0..hi.  When lam <= 1492, k0 is 0 and exp writes the whole window.
+    """
+    k0 = max(0, int(lam - math.sqrt(2.0 * _UNDERFLOW_LOG * lam)))
+    p = np.empty(hi + 1)
+    p[:k0] = 0.0
+    log_p = np.arange(k0, hi + 1) * np.log(lam)
+    log_p += -lam
+    log_p -= _log_factorial_table(hi + 1)[k0:hi + 1]
+    np.exp(log_p, out=p[k0:])
+    return p
 
 
 def _binomial_pmf(n, p, k):
@@ -110,8 +159,8 @@ def _binomial_pmf(n, p, k):
     )
 
 
-def _cut_at_tail(hi, pmf, ratio_beyond, policy, label, mean):
-    """Evaluate ``pmf`` on 0..hi and cut at the smallest K with tail <= tail_eps.
+def _cut_at_tail(hi, mode, pmf, ratio_beyond, policy, label, mean):
+    """Evaluate ``pmf(hi)`` on 0..hi and cut at the smallest K with tail <= tail_eps.
 
     ``ratio_beyond(hi)`` bounds the pmf ratio p_{j+1}/p_j for every j past
     hi; the geometric remainder it implies is folded into every tail value,
@@ -119,6 +168,13 @@ def _cut_at_tail(hi, pmf, ratio_beyond, policy, label, mean):
     doubles until a certified cut exists inside it.  Returns the support
     0..K, the pmf on it, and the certified tail mass beyond K.  ``label``
     and ``mean`` name the law in the error raised past ``max_terms``.
+
+    The tail past j is the sequential sum p_hi + p_{hi-1} + ... + p_{j+1}
+    plus the remainder, so a cumulative sum over the top of the window,
+    from hi down to ``mode``, gives the same bits as one over the whole
+    window; it is widened to the whole window only if the cut lies below
+    ``mode``.  The tail is nonincreasing in j, so the cut is located by
+    binary search.
     """
     while True:
         if hi + 1 > policy.max_terms:
@@ -126,20 +182,25 @@ def _cut_at_tail(hi, pmf, ratio_beyond, policy, label, mean):
                 f"series window for {label} {mean} needs more than "
                 f"max_terms={policy.max_terms} terms"
             )
-        k = np.arange(hi + 1)
-        p = pmf(k)
+        p = pmf(hi)
         ratio = ratio_beyond(hi)
         if ratio < 1.0:
             remainder = p[-1] * ratio / (1.0 - ratio)
-            # tail[j] = sum of pmf over j+1..hi, plus the beyond-window remainder
-            tail = np.concatenate([np.cumsum(p[::-1])[::-1][1:], [0.0]]) + remainder
-            cut = np.nonzero(tail <= policy.tail_eps)[0]
-            if cut.size:
-                K = int(cut[0])
-                return k[: K + 1], p[: K + 1], float(tail[K])
+            for lo in (min(mode, hi - 1), 0):
+                # tail[m] is the tail past j = hi - 1 - m, for j = hi - 1 down to lo
+                tail = np.cumsum(p[hi:lo:-1]) + remainder
+                within = int(np.searchsorted(tail, policy.tail_eps, side="right"))
+                if within < tail.size:
+                    break
+            # the tail past hi itself is the remainder alone
+            omitted = tail[within - 1] if within else remainder
+            if omitted <= policy.tail_eps:
+                K = hi - within
+                return np.arange(K + 1), p[: K + 1], float(omitted)
         hi *= 2
 
 
+@functools.lru_cache(maxsize=1)
 def _poisson_weights(lam: float, policy: TruncationPolicy):
     """Poisson(lam) pmf on 0..K plus the certified tail mass beyond K.
 
@@ -147,18 +208,30 @@ def _poisson_weights(lam: float, policy: TruncationPolicy):
     tail is an exact reversed summation over a mode-centered window (20
     standard deviations plus a buffer) augmented with a certified geometric
     remainder for the mass beyond the window; the window grows if the
-    tolerance is not certifiably reached inside it.
+    tolerance is not certifiably reached inside it.  The weights carry the
+    bits of ``_poisson_pmf`` on the whole window: only terms that underflow
+    to 0.0 skip exp, and only tail sums that cannot reach the cut are
+    skipped.
+
+    The last window is memoised, so callers that apply several functions
+    at one mean (the Korovkin experiment's rates) build it once; its
+    arrays are read-only.
     """
     if lam == 0.0:
-        return np.arange(1), np.array([1.0]), 0.0
-    return _cut_at_tail(
-        int(lam + 20.0 * np.sqrt(lam) + 60.0),
-        lambda k: _poisson_pmf(lam, k),
-        lambda hi: lam / (hi + 1.0),
-        policy,
-        "mean",
-        lam,
-    )
+        k, w, omitted = np.arange(1), np.array([1.0]), 0.0
+    else:
+        k, w, omitted = _cut_at_tail(
+            int(lam + 20.0 * np.sqrt(lam) + 60.0),
+            int(lam),
+            lambda hi: _poisson_window(lam, hi),
+            lambda hi: lam / (hi + 1.0),
+            policy,
+            "mean",
+            lam,
+        )
+    k.flags.writeable = False
+    w.flags.writeable = False
+    return k, w, omitted
 
 
 def truncation_index(n: int, x: float, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
@@ -209,15 +282,21 @@ def _negative_binomial_weights(n: int, x: float, policy: TruncationPolicy):
     mean = n * x
     sd = np.sqrt(n * x * (1.0 + x))
     geometric = (1.0 + x) * max(0.0, np.log(1.0 / policy.tail_eps))
-    return _cut_at_tail(
-        int(mean + 20.0 * sd + geometric + 60.0),
-        lambda k: np.exp(
+
+    def pmf(hi):
+        k = np.arange(hi + 1)
+        return np.exp(
             _log_factorial(n - 1 + k)
             - _log_factorial(k)
             - _log_factorial(n - 1)
             + k * np.log(x)
             - (n + k) * np.log1p(x)
-        ),
+        )
+
+    return _cut_at_tail(
+        int(mean + 20.0 * sd + geometric + 60.0),
+        int((n - 1) * x),
+        pmf,
         lambda hi: (n + hi) / (hi + 1.0) * x / (1.0 + x),
         policy,
         "Baskakov mean",

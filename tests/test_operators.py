@@ -229,6 +229,17 @@ class TestSzaszMirakyan:
             sm_apply(3, CATALOG["e0"], -0.5)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda x: sm_apply(3, CATALOG["e0"], x),
+    lambda x: baskakov_apply(3, CATALOG["e0"], x),
+    lambda x: truncation_index(3, x),
+], ids=["sm_apply", "baskakov_apply", "truncation_index"])
+def test_non_finite_x_is_rejected(call, x):
+    with pytest.raises(ValueError, match="x must be finite"):
+        call(x)
+
+
 class TestBernstein:
     def test_identity_exact(self):
         for n in (1, 5, 40):
