@@ -57,10 +57,10 @@ def feller_exact_terminal(
     x: float, t: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Vectorized exact draws of the square-root diffusion at time t from x."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
+    if not x >= 0:
+        raise ValueError(f"x must be nonnegative, got {x}")
     out = np.zeros(size)
     if x == 0.0:
         return out
@@ -138,12 +138,12 @@ def feller_semigroup_closed_form(lam: float, x: float, t: float) -> float:
     Equals ``exp(-lam x / (1 + lam t / 2))``; serves as the oracle against
     which the exact sampler and the chain iterates are checked.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not lam > 0:
+        raise ValueError(f"lam must be positive, got {lam}")
+    if not x >= 0:
+        raise ValueError(f"x must be nonnegative, got {x}")
+    if not t >= 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
     return float(np.exp(-lam * x / (1.0 + lam * t / 2.0)))
 
 

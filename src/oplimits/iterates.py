@@ -6,6 +6,9 @@ law from state i/n is Poisson(i)/n, which does not depend on n; state 0 is
 absorbing.  For the binomial (Bernstein) chain on [0, 1] the law from i/n is
 Binomial(n, i/n)/n, with 0 and 1 absorbing.
 
+The kernels' rows come from the series' own pmf routines and their
+arguments pass the series' own checks, both in :mod:`oplimits.operators`.
+
 Exact computation truncates the state space at a cutoff K and applies the
 row-stochastic kernel repeatedly as a sparse matrix-vector product.  Each
 Poisson row keeps a two-sided window whose Bernstein tail bounds certify at
@@ -40,8 +43,10 @@ from .operators import (
     DEFAULT_POLICY,
     TruncationPolicy,
     _binomial_pmf,
+    _check_index,
     _poisson_pmf,
-    _poisson_weights,
+    _validate,
+    truncation_index,
 )
 
 # Log of the per-side mass budget 2^-64 of a kernel row, below the 2^-53
@@ -80,11 +85,10 @@ def lattice_cutoff(
     the mass the iteration spreads upward; the resulting leak is validated
     exactly, per starting point, by :func:`kernel_iterate`.
     """
-    if x_max < 0:
-        raise ValueError("x_max must be nonnegative")
+    _validate(n, x_max, "x_max")
     policy = TruncationPolicy(tail_eps=tail_eps, max_terms=10 ** 8)
-    k, _, _ = _poisson_weights(_CUTOFF_SAFETY * n * x_max, policy)
-    return max(int(k[-1]), 1)
+    # Poisson(1 * mean) keeps the mean's bits, where n * (2.5 x_max) could not
+    return max(truncation_index(1, _CUTOFF_SAFETY * n * x_max, policy), 1)
 
 
 def _row_window(i: np.ndarray, K: int):
@@ -115,10 +119,8 @@ def build_sm_kernel(
     ``tail_eps`` of mass (one minus the stored row sum), otherwise
     :class:`CutoffTooSmallError` reports the worst offender.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if K < 0:
-        raise ValueError("K must be nonnegative")
+    n = _check_index(n)
+    K = _check_index(K, "K", least=0)
     i = np.arange(K + 1)
     lo, hi = _row_window(i, K)
     lo[0] = hi[0] = 0  # state 0 is absorbing
@@ -128,11 +130,12 @@ def build_sm_kernel(
     defect = np.zeros(K + 1)
     data[0] = 1.0
     indices[0] = 0
+    # the row loop reads its bounds as Python ints, which index faster
+    starts, lo, hi = indptr.tolist(), lo.tolist(), hi.tolist()
     for r in range(1, K + 1):
-        j = np.arange(lo[r], hi[r] + 1)
-        row = _poisson_pmf(float(r), j)
-        data[indptr[r]:indptr[r + 1]] = row
-        indices[indptr[r]:indptr[r + 1]] = j
+        start, stop = starts[r], starts[r + 1]
+        row = _poisson_pmf(float(r), lo[r], hi[r], out=data[start:stop])
+        indices[start:stop] = np.arange(lo[r], hi[r] + 1)
         defect[r] = max(0.0, 1.0 - float(row.sum()))
     matrix = sparse.csr_matrix(
         (data, indices, indptr), shape=(K + 1, K + 1), copy=False
@@ -154,16 +157,10 @@ def bernstein_kernel(n: int) -> TransitionKernel:
     Row i is Binomial(n, i/n); rows 0 and n are point masses (absorbing
     endpoints) and no row is truncated.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rows = np.empty((n + 1, n + 1))
-    j = np.arange(n + 1)
-    rows[0] = 0.0
-    rows[0, 0] = 1.0
-    rows[n] = 0.0
-    rows[n, n] = 1.0
-    for i in range(1, n):
-        rows[i] = _binomial_pmf(n, i / n, j)
+    n = _check_index(n)
+    rows = np.zeros((n + 1, n + 1))
+    rows[0, 0] = rows[n, n] = 1.0
+    rows[1:n] = _binomial_pmf(n, np.arange(1, n)[:, None] / n, np.arange(n + 1))
     return TransitionKernel(n=n, matrix=sparse.csr_matrix(rows))
 
 
@@ -201,8 +198,7 @@ def kernel_iterate(kernel: TransitionKernel, f, k: int) -> LatticeFunction:
     bit-identical to running both on one thread.  At k = 0 nothing has
     leaked, so f on the lattice returns with a zero budget and no thread.
     """
-    if k < 0:
-        raise ValueError("iteration count k must be nonnegative")
+    k = _check_index(k, "k", least=0)
     latt = kernel.lattice()
     v = np.asarray(f(latt), dtype=float)
     if v.shape != latt.shape:
@@ -316,14 +312,8 @@ def chain_terminal_values(
     per (n, k, x) and cached, so concurrent streams share it; its cost
     grows as k M, with M about n x + 12 sqrt(n x k) or more.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
+    n = _validate(n, x)
+    k = _check_index(k, "k", least=0)
     if k == 0 or x == 0:
         return np.full(size, float(x))
     with _LAW_LOCK:

@@ -7,19 +7,24 @@ distribution parameterized by the evaluation point x:
 * Bernstein: Binomial(n, x) weights, domain [0, 1];
 * Baskakov: negative-binomial weights, domain [0, inf), experimental.
 
+The transition kernels of :mod:`oplimits.iterates` take their rows and
+their index checks from here, so series and kernels cannot drift apart.
+
 Infinite series are truncated at an index whose omitted probability mass is
 below a policy tolerance; every truncated evaluation reports that omitted
 mass alongside the value so downstream error budgets stay explicit.  Weights
 are computed in log space, which stays stable for Poisson means up to at
 least 5e4; all three laws read log k! from one table of ``gammaln`` values
-that grows on demand.
+(``_log_factorial_table``) that grows on demand.
 
-A Poisson window spends exp only where it can return a nonzero double (a
-Chernoff bound marks the prefix that underflows to 0.0), and the tail sums
-that locate the cut run from the top of the window down to the mode.  Both
-savings return the same bits as evaluating and summing the whole window.
-The last Poisson window is memoised with read-only arrays, so applying
-several functions at one mean builds it once.
+One routine, ``_poisson_pmf``, evaluates the Poisson law on a range of
+integers, for a series window and for a kernel row alike.  It spends exp
+only where it can return a nonzero double (a Chernoff bound marks the
+prefix that underflows to 0.0).  The tail sums that locate a window's cut
+run from the top of the window down to the mode.  Both savings return the
+same bits as evaluating and summing the whole window.  The last Poisson
+window is memoised with read-only arrays, so applying several functions at
+one mean builds it once.
 
 Also provides the exact Poisson moment polynomials, which the chain's
 scaling identities in the weak-convergence experiment read, and the closed
@@ -66,15 +71,22 @@ class SeriesValue(NamedTuple):
     omitted_mass: float
 
 
-def _validate(n, x):
+def _check_index(value, name="n", least=1) -> int:
+    """``value`` as an int if it is an integer >= ``least``, else a ValueError naming it.
+
+    NaN and the infinities fail the range test before they can reach ``int``.
+    """
+    if not (least <= value < math.inf and int(value) == value):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
+    return int(value)
+
+
+def _validate(n, x, x_name="x"):
     """Check n is a positive integer and x is finite and >= 0; return n as an int."""
-    if n < 1 or int(n) != n:
-        raise ValueError(f"operator index n must be a positive integer, got {n}")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
-    return int(n)
+    n = _check_index(n)
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"{x_name} must be finite and nonnegative, got {x}")
+    return n
 
 
 def _average(k, w, f, n) -> float:
@@ -111,49 +123,40 @@ def _log_factorial_table(size):
     return table
 
 
-def _log_factorial(k):
-    """log k! at a nonnegative integer or integer array k, from the growing table."""
-    try:
-        return _log_factorials[k]
-    except IndexError:
-        return _log_factorial_table(int(np.max(k)) + 1)[k]
-
-
-def _poisson_pmf(lam, k):
-    """Poisson(lam) pmf at the nonnegative integers k, evaluated in log space."""
-    return np.exp(-lam + k * np.log(lam) - _log_factorial(k))
-
-
 # exp(t) is exactly 0.0 for every double t below -745.1333; a log pmf bounded by
 # -746 leaves a margin far above the exponent's rounding error (about 1e-10
 # at lam = 1e5, where its terms reach 1e6)
 _UNDERFLOW_LOG = 746.0
 
 
-def _poisson_window(lam, hi):
-    """Poisson(lam) pmf on 0..hi, bit for bit :func:`_poisson_pmf` there.
+def _poisson_pmf(lam, lo, hi, out=None):
+    """Poisson(lam) pmf on lo..hi, exp(-lam + k log lam - log k!), into ``out`` if given.
 
     For k <= lam the Chernoff bound gives log p_k <= -(lam - k)^2 / (2 lam),
     so below k0 = floor(lam - sqrt(2 * 746 * lam)) every term underflows to
-    0.0.  Those entries are written as zeros and exp is evaluated only on
-    k0..hi.  When lam <= 1492, k0 is 0 and exp writes the whole window.
+    0.0.  Those entries are written as zeros and exp is evaluated only from
+    k0 (or lo, if higher) to hi, which returns the same bits as evaluating
+    every term.  When lam <= 1492, k0 is 0.  The series windows and the
+    kernel rows both come from here.
     """
-    k0 = max(0, int(lam - math.sqrt(2.0 * _UNDERFLOW_LOG * lam)))
-    p = np.empty(hi + 1)
-    p[:k0] = 0.0
+    if out is None:
+        out = np.empty(hi - lo + 1)
+    k0 = max(lo, int(lam - math.sqrt(2.0 * _UNDERFLOW_LOG * lam)))
+    out[:k0 - lo] = 0.0
     log_p = np.arange(k0, hi + 1) * np.log(lam)
     log_p += -lam
     log_p -= _log_factorial_table(hi + 1)[k0:hi + 1]
-    np.exp(log_p, out=p[k0:])
-    return p
+    np.exp(log_p, out=out[k0 - lo:])
+    return out
 
 
 def _binomial_pmf(n, p, k):
-    """Binomial(n, p) pmf at the integers k, evaluated in log space."""
+    """Binomial(n, p) pmf at the integers k in log space; a column p gives one row per p."""
+    log_factorial = _log_factorial_table(n + 1)
     return np.exp(
-        _log_factorial(n)
-        - _log_factorial(k)
-        - _log_factorial(n - k)
+        log_factorial[n]
+        - log_factorial[k]
+        - log_factorial[n - k]
         + k * np.log(p)
         + (n - k) * np.log1p(-p)
     )
@@ -208,10 +211,9 @@ def _poisson_weights(lam: float, policy: TruncationPolicy):
     tail is an exact reversed summation over a mode-centered window (20
     standard deviations plus a buffer) augmented with a certified geometric
     remainder for the mass beyond the window; the window grows if the
-    tolerance is not certifiably reached inside it.  The weights carry the
-    bits of ``_poisson_pmf`` on the whole window: only terms that underflow
-    to 0.0 skip exp, and only tail sums that cannot reach the cut are
-    skipped.
+    tolerance is not certifiably reached inside it.  The weights are
+    :func:`_poisson_pmf` on 0..hi, cut at K; only tail sums that cannot
+    reach the cut are skipped.
 
     The last window is memoised, so callers that apply several functions
     at one mean (the Korovkin experiment's rates) build it once; its
@@ -223,7 +225,7 @@ def _poisson_weights(lam: float, policy: TruncationPolicy):
         k, w, omitted = _cut_at_tail(
             int(lam + 20.0 * np.sqrt(lam) + 60.0),
             int(lam),
-            lambda hi: _poisson_window(lam, hi),
+            lambda hi: _poisson_pmf(lam, 0, hi),
             lambda hi: lam / (hi + 1.0),
             policy,
             "mean",
@@ -285,10 +287,11 @@ def _negative_binomial_weights(n: int, x: float, policy: TruncationPolicy):
 
     def pmf(hi):
         k = np.arange(hi + 1)
+        log_factorial = _log_factorial_table(n + hi)
         return np.exp(
-            _log_factorial(n - 1 + k)
-            - _log_factorial(k)
-            - _log_factorial(n - 1)
+            log_factorial[n - 1 + k]
+            - log_factorial[k]
+            - log_factorial[n - 1]
             + k * np.log(x)
             - (n + k) * np.log1p(x)
         )
@@ -323,8 +326,8 @@ def sm_exponential_closed_form(n: int, lam: float, x: float) -> float:
     tends to lam, recovering the exponential itself.
     """
     n = _validate(n, x)
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not lam > 0:
+        raise ValueError(f"lam must be positive, got {lam}")
     # -expm1 keeps 1 - exp(-lam/n) accurate when lam/n is tiny
     return float(np.exp(-n * x * (-np.expm1(-lam / n))))
 

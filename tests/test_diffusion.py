@@ -17,6 +17,7 @@ from oplimits import (
     feller_semigroup_closed_form,
     ks_distance,
     semigroup_mc,
+    sm_exponential_closed_form,
     wf_euler_terminal,
 )
 from oplimits.diffusion import _euler_steps
@@ -66,6 +67,22 @@ class TestExactSampler:
             feller_exact_terminal(1.0, 0.0, 1, rng)
         with pytest.raises(ValueError):
             feller_exact_terminal(-1.0, 1.0, 1, rng)
+
+
+# A NaN parameter must fail the oracle's own check, not come back as nan or
+# fail inside numpy.
+@pytest.mark.parametrize("name, call", [
+    ("lam", lambda: sm_exponential_closed_form(4, math.nan, 1.0)),
+    ("x", lambda: sm_exponential_closed_form(4, 1.0, math.nan)),
+    ("lam", lambda: feller_semigroup_closed_form(math.nan, 1.0, 1.0)),
+    ("x", lambda: feller_semigroup_closed_form(1.0, math.nan, 1.0)),
+    ("t", lambda: feller_semigroup_closed_form(1.0, 1.0, math.nan)),
+    ("x", lambda: feller_exact_terminal(math.nan, 1.0, 4, np.random.default_rng(0))),
+    ("t", lambda: feller_exact_terminal(1.0, math.nan, 4, np.random.default_rng(0))),
+], ids=["sm-lam", "sm-x", "feller-lam", "feller-x", "feller-t", "exact-x", "exact-t"])
+def test_nan_oracle_parameter_is_rejected(name, call):
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
+        call()
 
 
 class TestFellerEuler:

@@ -32,7 +32,7 @@ from oplimits.iterates import (
     _row_window,
 )
 from oplimits.mc import _MIN_THREADED_CHUNK, estimate_from, sample_across_workers
-from oplimits.operators import _poisson_pmf
+from oplimits.operators import _binomial_pmf
 
 
 SMALL_TAIL_EPS = 1e-12
@@ -116,7 +116,10 @@ def _certified_window(i, K):
 
 
 def _chunk_list_kernel(n, K, window):
-    """The SM kernel built row by row from chunk lists, as an oracle."""
+    """The SM kernel built row by row from chunk lists, as an oracle.
+
+    Row i is exp(-i + j log i - log j!) with log j! from ``gammaln`` itself.
+    """
     indptr = np.zeros(K + 2, dtype=np.int64)
     col_chunks = [np.array([0])]
     data_chunks = [np.array([1.0])]
@@ -124,7 +127,8 @@ def _chunk_list_kernel(n, K, window):
     for i in range(1, K + 1):
         lo, hi = window(i, K)
         j = np.arange(lo, hi + 1)
-        row = _poisson_pmf(float(i), j)
+        lam = float(i)
+        row = np.exp(-lam + j * np.log(lam) - gammaln(j + 1.0))
         col_chunks.append(j)
         data_chunks.append(row)
         indptr[i + 1] = indptr[i] + j.size
@@ -367,6 +371,18 @@ class TestBernsteinKernel:
         n = 5
         stored = np.diff(bernstein_kernel(n).matrix.indptr)
         np.testing.assert_array_equal(stored, [1] + [n + 1] * (n - 1) + [1])
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 57, 1000])
+    def test_rows_equal_per_row_binomial_pmf(self, n):
+        # the kernel fills its interior rows in one broadcast call; each must
+        # carry the bits of the scalar-p call for that row
+        rows = bernstein_kernel(n).matrix.toarray()
+        j = np.arange(n + 1)
+        oracle = np.zeros((n + 1, n + 1))
+        oracle[0, 0] = oracle[n, n] = 1.0
+        for i in range(1, n):
+            oracle[i] = _binomial_pmf(n, i / n, j)
+        np.testing.assert_array_equal(rows, oracle)
 
 
 class TestKeliskyRivlin:

@@ -20,6 +20,11 @@ from oplimits import (
     TruncationFailureError,
     baskakov_apply,
     bernstein_apply,
+    bernstein_kernel,
+    build_sm_kernel,
+    chain_terminal_values,
+    kernel_iterate,
+    lattice_cutoff,
     make_geometric_grid,
     sm_apply,
     sm_exponential_closed_form,
@@ -30,6 +35,7 @@ from oplimits import (
 from oplimits.operators import (
     DEFAULT_POLICY,
     _binomial_pmf,
+    _log_factorial_table,
     _negative_binomial_weights,
     _poisson_pmf,
     _poisson_weights,
@@ -40,7 +46,7 @@ SAMPLED_NX = [(1, 0.3), (1, 2.0), (3, 0.7), (5, 5.0), (10, 1.0),
 
 
 class TestPoissonPmf:
-    """The pmf reads log k! from a table that grows on demand."""
+    """The pmf on lo..hi reads log k! from a table that grows on demand."""
 
     @staticmethod
     def _direct(lam, k):
@@ -48,28 +54,41 @@ class TestPoissonPmf:
 
     def test_bits_equal_direct_evaluation_across_growth(self, monkeypatch):
         monkeypatch.setattr(oplimits.operators, "_log_factorials", np.empty(0))
+        # (lam, lo, hi); at lam = 1e4 and 51200 the range starts inside the
+        # prefix that underflows to 0.0, at 51200 also above it
         cases = [
-            (3.0, np.arange(10)),
-            (0.5, np.arange(0)),
-            (250.0, np.arange(40, 600)),
-            (17.0, np.array([7, 2000, 3])),
-            (1e4, np.arange(20000)),
-            (51200.0, np.arange(45000, 58000)),
-            (2.0, np.arange(5)),
+            (3.0, 0, 9),
+            (0.5, 0, -1),
+            (250.0, 40, 599),
+            (17.0, 1990, 2000),
+            (1e4, 0, 19999),
+            (1e4, 5000, 12000),
+            (51200.0, 45000, 57999),
+            (51200.0, 0, 51200),
+            (2.0, 0, 4),
         ]
         sizes = []
-        for lam, k in cases:
-            got = _poisson_pmf(lam, k)
+        for lam, lo, hi in cases:
+            k = np.arange(lo, hi + 1)
+            got = _poisson_pmf(lam, lo, hi)
             assert got.shape == k.shape
             np.testing.assert_array_equal(got, self._direct(lam, k))
             sizes.append(oplimits.operators._log_factorials.size)
         assert sizes == sorted(sizes)
         assert sizes[0] < sizes[-1] == 58000
 
+    @pytest.mark.parametrize("lam, lo, hi", [(7.0, 0, 30), (5000.0, 3000, 7000)])
+    def test_writes_into_the_given_slice(self, lam, lo, hi):
+        buffer = np.full(hi - lo + 3, -1.0)
+        row = buffer[1:-1]
+        assert _poisson_pmf(lam, lo, hi, out=row) is row
+        np.testing.assert_array_equal(row, self._direct(lam, np.arange(lo, hi + 1)))
+        assert buffer[0] == buffer[-1] == -1.0
+
     def test_table_entries_are_gammaln_values(self, monkeypatch):
         monkeypatch.setattr(oplimits.operators, "_log_factorials", np.empty(0))
-        _poisson_pmf(1.0, np.arange(100))
-        _poisson_pmf(1.0, np.arange(101))  # grows by doubling
+        _poisson_pmf(1.0, 0, 99)
+        _poisson_pmf(1.0, 0, 100)  # grows by doubling
         table = oplimits.operators._log_factorials
         assert table.size == 200
         np.testing.assert_array_equal(table, gammaln(np.arange(200) + 1.0))
@@ -124,7 +143,7 @@ class TestLatticeLawsFromTable:
 
     def test_scalar_index_grows_the_table(self, monkeypatch):
         monkeypatch.setattr(oplimits.operators, "_log_factorials", np.empty(0))
-        assert oplimits.operators._log_factorial(7) == gammaln(8.0)
+        assert _log_factorial_table(8)[7] == gammaln(8.0)
         assert oplimits.operators._log_factorials.size == 8
 
 
@@ -238,6 +257,45 @@ class TestSzaszMirakyan:
 def test_non_finite_x_is_rejected(call, x):
     with pytest.raises(ValueError, match="x must be finite"):
         call(x)
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+# Each call passes one index or point that is not a finite integer (or not
+# finite), and the ValueError must name that argument.
+@pytest.mark.parametrize("name, call", [
+    ("n", lambda: sm_apply(math.inf, CATALOG["e0"], 1.0)),
+    ("n", lambda: sm_apply(math.nan, CATALOG["e0"], 1.0)),
+    ("n", lambda: bernstein_apply(math.inf, CATALOG["e0"], 0.5)),
+    ("n", lambda: baskakov_apply(math.nan, CATALOG["e0"], 1.0)),
+    ("x_max", lambda: lattice_cutoff(8, math.inf)),
+    ("x_max", lambda: lattice_cutoff(8, math.nan)),
+    ("n", lambda: lattice_cutoff(math.inf, 1.0)),
+    ("n", lambda: chain_terminal_values(math.inf, 2, 1.0, 4, _rng())),
+    ("k", lambda: chain_terminal_values(5, 2.5, 1.0, 4, _rng())),
+    ("k", lambda: chain_terminal_values(5, math.inf, 1.0, 4, _rng())),
+    ("k", lambda: kernel_iterate(build_sm_kernel(2, 4), CATALOG["e0"], 2.5)),
+    ("k", lambda: kernel_iterate(build_sm_kernel(2, 4), CATALOG["e0"], math.nan)),
+    ("K", lambda: build_sm_kernel(8, 2.5)),
+    ("K", lambda: build_sm_kernel(8, math.inf)),
+    ("n", lambda: build_sm_kernel(math.inf, 10)),
+    ("n", lambda: build_sm_kernel(2.5, 10)),
+    ("n", lambda: bernstein_kernel(math.inf)),
+    ("n", lambda: bernstein_kernel(2.5)),
+], ids=[
+    "sm_apply-n-inf", "sm_apply-n-nan", "bernstein_apply-n-inf", "baskakov_apply-n-nan",
+    "lattice_cutoff-x_max-inf", "lattice_cutoff-x_max-nan", "lattice_cutoff-n-inf",
+    "chain-n-inf", "chain-k-fraction", "chain-k-inf",
+    "kernel_iterate-k-fraction", "kernel_iterate-k-nan",
+    "build_sm_kernel-K-fraction", "build_sm_kernel-K-inf",
+    "build_sm_kernel-n-inf", "build_sm_kernel-n-fraction",
+    "bernstein_kernel-n-inf", "bernstein_kernel-n-fraction",
+])
+def test_bad_index_is_rejected_by_name(name, call):
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
+        call()
 
 
 class TestBernstein:
