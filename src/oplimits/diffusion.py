@@ -27,6 +27,7 @@ when it decides whether its streams run on threads, and its estimates do
 not depend on that decision.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,7 +40,19 @@ from .mc import (
     estimate_from,
     sample_across_workers,
 )
-from .operators import sm_moment
+from .operators import _check_index, sm_moment
+
+
+def _check_positive(value, name):
+    """Raise a ValueError naming ``value`` unless it is finite and > 0 (NaN fails)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _check_nonnegative(value, name):
+    """Raise a ValueError naming ``value`` unless it is finite and >= 0 (NaN fails)."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -49,18 +62,15 @@ class EulerConfig:
     dt: float = 1e-3
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        _check_positive(self.dt, "dt")
 
 
 def feller_exact_terminal(
     x: float, t: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Vectorized exact draws of the square-root diffusion at time t from x."""
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if not x >= 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+    _check_positive(t, "t")
+    _check_nonnegative(x, "x")
     out = np.zeros(size)
     if x == 0.0:
         return out
@@ -75,8 +85,10 @@ def _euler_steps(T: float, dt: float):
     """Step count and final step length of an Euler path to the horizon T.
 
     Full steps of length dt; when they fall short of T, one more step,
-    shortened to land exactly on T.
+    shortened to land exactly on T.  Both must be finite and positive.
     """
+    _check_positive(T, "T")
+    _check_positive(dt, "dt")
     nfull = int(T / dt)
     rem = T - nfull * dt
     if rem > 1e-15 * max(1.0, T):
@@ -108,10 +120,7 @@ def feller_euler_terminal(
     x: float, T: float, dt: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Clamped Euler endpoints for dY = sqrt(Y) dW (vectorized over paths)."""
-    if T <= 0:
-        raise ValueError("T must be positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    _check_nonnegative(x, "x")
     y = np.full(size, float(x))
     for h, z in _euler_increments(T, dt, size, rng):
         y = np.maximum(0.0, y + np.sqrt(y * h) * z)
@@ -122,8 +131,6 @@ def wf_euler_terminal(
     x: float, T: float, dt: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Clamped Euler endpoints for dX = sqrt(X(1-X)) dW on [0, 1]."""
-    if T <= 0:
-        raise ValueError("T must be positive")
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"starting point must lie in [0, 1], got {x}")
     v = np.full(size, float(x))
@@ -181,8 +188,7 @@ def semigroup_mc(
         )
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _check_nonnegative(t, "t")
     if t == 0.0:
         return MonteCarloEstimate(mean=float(f(x)), stderr=0.0, samples=samples)
 
@@ -214,8 +220,8 @@ def chain_scaling_moments(n: int, y: float) -> ScaledMoments:
     moment polynomials; the results are (0, y), the drift and diffusion
     coefficients the weak-convergence criterion requires.
     """
-    if y < 0:
-        raise ValueError("y must be nonnegative")
+    n = _check_index(n)
+    _check_nonnegative(y, "y")
     i = round(y * n)
     if abs(y * n - i) > 1e-9:
         raise ValueError(f"{y} is not a lattice point i/{n}")

@@ -150,7 +150,9 @@ def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be nonempty")
-    z = np.concatenate([a, b])
+    # both CDFs are right-continuous steps that jump only at sample values,
+    # so the sup is taken at the distinct pooled values
+    z = np.unique(np.concatenate([a, b]))
     ca = np.searchsorted(a, z, side="right") / a.size
     cb = np.searchsorted(b, z, side="right") / b.size
     return float(np.max(np.abs(ca - cb)))

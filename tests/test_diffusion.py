@@ -85,6 +85,30 @@ def test_nan_oracle_parameter_is_rejected(name, call):
         call()
 
 
+# A NaN or infinite argument must fail a check that names it, not overflow,
+# fail converting NaN to an int, or come back as zeros or NaNs.
+@pytest.mark.parametrize("name, call", [
+    ("x", lambda: feller_exact_terminal(math.inf, 1.0, 4, np.random.default_rng(0))),
+    ("t", lambda: feller_exact_terminal(1.0, math.inf, 4, np.random.default_rng(0))),
+    ("x", lambda: feller_euler_terminal(math.nan, 1.0, 1e-3, 4, np.random.default_rng(0))),
+    ("x", lambda: feller_euler_terminal(math.inf, 1.0, 1e-3, 4, np.random.default_rng(0))),
+    ("T", lambda: feller_euler_terminal(1.0, math.nan, 1e-3, 4, np.random.default_rng(0))),
+    ("T", lambda: feller_euler_terminal(1.0, math.inf, 1e-3, 4, np.random.default_rng(0))),
+    ("dt", lambda: feller_euler_terminal(1.0, 1.0, math.nan, 4, np.random.default_rng(0))),
+    ("T", lambda: wf_euler_terminal(0.5, math.nan, 1e-3, 4, np.random.default_rng(0))),
+    ("dt", lambda: wf_euler_terminal(0.5, 1.0, math.nan, 4, np.random.default_rng(0))),
+    ("dt", lambda: EulerConfig(dt=math.nan)),
+    ("t", lambda: semigroup_mc("feller", math.nan, 1.0, np.exp, 4, seed=0)),
+    ("y", lambda: chain_scaling_moments(4, math.nan)),
+    ("y", lambda: chain_scaling_moments(4, math.inf)),
+], ids=["exact-x-inf", "exact-t-inf", "euler-x-nan", "euler-x-inf", "euler-T-nan",
+        "euler-T-inf", "euler-dt-nan", "wf-T-nan", "wf-dt-nan", "config-dt-nan",
+        "mc-t-nan", "moments-y-nan", "moments-y-inf"])
+def test_non_finite_diffusion_argument_is_rejected(name, call):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite and "):
+        call()
+
+
 class TestFellerEuler:
     def test_zero_start_stays_zero(self):
         rng = np.random.default_rng(1)
@@ -366,6 +390,16 @@ class TestKSDistance:
         ours = ks_distance(a, b)
         ref = stats.ks_2samp(a, b).statistic
         assert ours == pytest.approx(ref, abs=1e-12)
+
+    def test_bits_equal_the_search_at_every_pooled_point(self):
+        # lattice-valued samples with many ties, as chain endpoints are
+        rng = np.random.default_rng(31)
+        a = rng.poisson(3.0, size=5_000) / 4.0
+        b = rng.poisson(3.2, size=4_000) / 4.0
+        z = np.concatenate([a, b])
+        full = np.abs(np.searchsorted(np.sort(a), z, side="right") / a.size
+                      - np.searchsorted(np.sort(b), z, side="right") / b.size)
+        assert ks_distance(a, b) == float(np.max(full))
 
     def test_atom_at_zero_is_counted(self):
         # right-continuous CDF comparison must see the shared atom at 0

@@ -298,7 +298,7 @@ class TestRunners:
         # n = 10, within the declared slack of 1e-5
         delta = {1: 1e-3, 10: 1e-3 + 1e-6}
         monkeypatch.setattr("oplimits.harness.sm_exponential_closed_form",
-                            lambda n, lam, x: math.exp(-lam * x) + delta[n])
+                            lambda n, lam, x: np.exp(-lam * x) + delta[n])
         cfg = ExperimentConfig.for_experiment(
             "korovkin", {"n_ladder": (1, 10), "monotonicity_slack": 1e-5,
                          "grid_points": 8, "dense_head": 0},

@@ -36,6 +36,7 @@ from oplimits.operators import (
     DEFAULT_POLICY,
     _binomial_pmf,
     _log_factorial_table,
+    _log_factorials,
     _negative_binomial_weights,
     _poisson_pmf,
     _poisson_weights,
@@ -53,7 +54,7 @@ class TestPoissonPmf:
         return np.exp(-lam + k * np.log(lam) - gammaln(k + 1.0))
 
     def test_bits_equal_direct_evaluation_across_growth(self, monkeypatch):
-        monkeypatch.setattr(oplimits.operators, "_log_factorials", np.empty(0))
+        monkeypatch.setattr(oplimits.operators, "_log_factorial_cache", np.empty(0))
         # (lam, lo, hi); at lam = 1e4 and 51200 the range starts inside the
         # prefix that underflows to 0.0, at 51200 also above it
         cases = [
@@ -73,7 +74,7 @@ class TestPoissonPmf:
             got = _poisson_pmf(lam, lo, hi)
             assert got.shape == k.shape
             np.testing.assert_array_equal(got, self._direct(lam, k))
-            sizes.append(oplimits.operators._log_factorials.size)
+            sizes.append(oplimits.operators._log_factorial_cache.size)
         assert sizes == sorted(sizes)
         assert sizes[0] < sizes[-1] == 58000
 
@@ -86,10 +87,10 @@ class TestPoissonPmf:
         assert buffer[0] == buffer[-1] == -1.0
 
     def test_table_entries_are_gammaln_values(self, monkeypatch):
-        monkeypatch.setattr(oplimits.operators, "_log_factorials", np.empty(0))
+        monkeypatch.setattr(oplimits.operators, "_log_factorial_cache", np.empty(0))
         _poisson_pmf(1.0, 0, 99)
         _poisson_pmf(1.0, 0, 100)  # grows by doubling
-        table = oplimits.operators._log_factorials
+        table = oplimits.operators._log_factorial_cache
         assert table.size == 200
         np.testing.assert_array_equal(table, gammaln(np.arange(200) + 1.0))
 
@@ -97,11 +98,44 @@ class TestPoissonPmf:
         src = os.path.dirname(os.path.dirname(oplimits.__file__))
         out = subprocess.run(
             [sys.executable, "-c",
-             "import oplimits, oplimits.operators as o; print(o._log_factorials.size)"],
+             "import oplimits, oplimits.operators as o; print(o._log_factorial_cache.size)"],
             env={**os.environ, "PYTHONPATH": src},
             capture_output=True, text=True, check=True,
         )
         assert out.stdout.strip() == "0"
+
+
+class TestLogFactorials:
+    """The libm port of Cephes lgam returns gammaln's doubles on every branch."""
+
+    def test_first_two_to_the_twenty_equal_gammaln(self):
+        k = np.arange(2 ** 20)
+        np.testing.assert_array_equal(_log_factorials(0, 2 ** 20), gammaln(k + 1.0))
+
+    # x = k + 1 crosses 1000 (polynomial to three-term correction) and 1e8
+    # (correction to none) inside these windows; 2^31 is past the int32 range
+    @pytest.mark.parametrize("centre", [10 ** 3, 10 ** 8, 2 ** 31])
+    def test_windows_across_branch_points_equal_gammaln(self, centre):
+        lo = centre - 500
+        np.testing.assert_array_equal(_log_factorials(lo, lo + 1000),
+                                      gammaln(np.arange(lo, lo + 1000) + 1.0))
+
+    def test_windows_starting_inside_the_exact_range(self):
+        for lo, hi in [(0, 0), (3, 5), (11, 14), (12, 13), (13, 40)]:
+            got = _log_factorials(lo, hi)
+            assert got.shape == (hi - lo,)
+            np.testing.assert_array_equal(got, gammaln(np.arange(lo, hi) + 1.0))
+
+    def test_cli_import_leaves_scipy_special_unloaded(self):
+        src = os.path.dirname(os.path.dirname(oplimits.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, oplimits.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -142,9 +176,9 @@ class TestLatticeLawsFromTable:
         np.testing.assert_array_equal(w, direct)
 
     def test_scalar_index_grows_the_table(self, monkeypatch):
-        monkeypatch.setattr(oplimits.operators, "_log_factorials", np.empty(0))
+        monkeypatch.setattr(oplimits.operators, "_log_factorial_cache", np.empty(0))
         assert _log_factorial_table(8)[7] == gammaln(8.0)
-        assert oplimits.operators._log_factorials.size == 8
+        assert oplimits.operators._log_factorial_cache.size == 8
 
 
 def _one(u):
@@ -223,6 +257,19 @@ class TestSzaszMirakyan:
                 series = sm_apply(n, f, x).value
                 closed = sm_exponential_closed_form(n, lam, x)
                 assert abs(series - closed) <= DEFAULT_POLICY.tail_eps + 1e-14
+
+    def test_closed_form_on_an_array_equals_scalar_calls(self):
+        x = np.array([0.0, 0.25, 1.0, 7.5, 300.0])
+        got = sm_exponential_closed_form(50, 2.0, x)
+        assert isinstance(got, np.ndarray) and got.shape == x.shape
+        expected = [sm_exponential_closed_form(50, 2.0, float(v)) for v in x]
+        assert all(type(v) is float for v in expected)
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_closed_form_rejects_any_bad_point(self, bad):
+        with pytest.raises(ValueError, match=r"^x must be finite and nonnegative"):
+            sm_exponential_closed_form(5, 1.0, np.array([0.5, bad, 1.0]))
 
     def test_at_origin(self):
         out = sm_apply(7, CATALOG["f2"], 0.0)
