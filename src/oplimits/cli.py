@@ -8,6 +8,9 @@ configuration or runtime errors.
 """
 
 import argparse
+# argparse's gettext imports locale at its first message; importing it
+# here moves that cost from the run to start-up
+import locale  # noqa: F401
 import sys
 
 from .errors import ConfigError

@@ -186,8 +186,7 @@ def semigroup_mc(
         raise UnsupportedMethodError(
             "exact transition sampling is only implemented for the square-root diffusion"
         )
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
+    samples = _check_index(samples, "samples", least=2)
     _check_nonnegative(t, "t")
     if t == 0.0:
         return MonteCarloEstimate(mean=float(f(x)), stderr=0.0, samples=samples)

@@ -110,7 +110,9 @@ def make_geometric_grid(x_max: float, m: int, dense_head: int = 0) -> Grid:
         parts.append(head[head <= x_max])
     j = np.arange(1, m, dtype=float)
     parts.append(x_max ** (j / (m - 1)))
-    return Grid(np.unique(np.concatenate(parts)))
+    points = np.sort(np.concatenate(parts))
+    # the sorted distinct values, as np.unique would give without loading numpy.ma
+    return Grid(points[np.concatenate([[True], points[1:] != points[:-1]])])
 
 
 def _const_one(x):

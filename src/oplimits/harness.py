@@ -437,8 +437,9 @@ def run_kelisky_rivlin(config: ExperimentConfig, report: _Report):
     ref = np.array([kelisky_rivlin_reference(f, float(x)) for x in latt])
 
     v = np.asarray(f(latt), dtype=float)
+    w = np.empty_like(v)
     for k in range(1, config.k_max + 1):
-        v = kernel.matrix @ v
+        v, w = kernel.step(v, out=w), v
         report.trend("deviation", {"check": "deviation", "n": n, "k": k, "f": f.label},
                      float(np.max(np.abs(v - ref))))
     report.final("deviation", {"check": "final-deviation", "n": n, "k": config.k_max,

@@ -204,6 +204,11 @@ class TestSemigroupMC:
         b = semigroup_mc("feller", 1.0, 1.0, CATALOG["f1"], 50_000, seed=7)
         assert a == b
 
+    @pytest.mark.parametrize("samples", [math.nan, 2.5, 1])
+    def test_samples_must_be_an_integer_of_at_least_two(self, samples):
+        with pytest.raises(ValueError, match=r"^samples must be an integer >= 2"):
+            semigroup_mc("feller", 1.0, 1.0, CATALOG["f1"], samples, seed=0)
+
     def test_closed_form_edges(self):
         assert feller_semigroup_closed_form(2.0, 1.5, 0.0) == pytest.approx(math.exp(-3.0))
         assert feller_semigroup_closed_form(3.0, 0.0, 2.0) == 1.0
@@ -406,6 +411,15 @@ class TestKSDistance:
         a = np.concatenate([np.zeros(500), np.ones(500)])
         b = np.concatenate([np.zeros(300), np.ones(700)])
         assert ks_distance(a, b) == pytest.approx(0.2, abs=1e-12)
+
+    @pytest.mark.parametrize("a, b, name", [
+        ([math.nan, 1.0], [1.0, 2.0], "a"),
+        ([1.0, 2.0], [3.0, math.nan, math.inf], "b"),
+        ([math.nan, math.nan], [math.nan], "a"),
+    ], ids=["nan-in-a", "nan-in-b", "all-nan"])
+    def test_nan_is_rejected_naming_its_sample(self, a, b, name):
+        with pytest.raises(ValueError, match=rf"^sample {name} contains NaN"):
+            ks_distance(a, b)
 
     def test_euler_config_validation(self):
         with pytest.raises(ValueError):

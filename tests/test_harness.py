@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -11,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import oplimits.cli
 from oplimits import ConfigError
 from oplimits.cli import _collect_overrides, build_parser, main
 from oplimits.harness import (
@@ -475,6 +477,29 @@ class TestCLI:
         assert main(["weak-convergence", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert f"config error: {key} must be" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_default_experiments_import_nothing_and_load_no_scipy(self, tmp_path):
+        # every module a default run needs loads with oplimits.cli, so
+        # set-up, not the run, pays for it; scipy is needed by none of them
+        script = (
+            "import contextlib, io, sys\n"
+            "import oplimits.cli\n"
+            "before = set(sys.modules)\n"
+            "for e in ('voronovskaya', 'semigroup', 'kelisky-rivlin', 'korovkin',\n"
+            "          'weak-convergence'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        status = oplimits.cli.main([e, '--out', sys.argv[1] + '/' + e + '.csv'])\n"
+            "    assert status <= 1, (e, status)\n"
+            "    gained = sorted(set(sys.modules) - before)\n"
+            "    assert not gained, (e, gained)\n"
+            "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not scipy, scipy\n"
+        )
+        src = os.path.dirname(os.path.dirname(oplimits.cli.__file__))
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
 
     def test_every_given_flag_is_an_override(self):
         args = build_parser().parse_args([

@@ -25,7 +25,6 @@ from oplimits import (
 from oplimits.harness import ExperimentConfig, _snap_panel, floor_nt
 from oplimits.iterates import (
     _ALIAS_BUDGET,
-    TransitionKernel,
     _alias_bound,
     _chain_cdf,
     _fft_size_at_least,
@@ -115,8 +114,8 @@ def _certified_window(i, K):
     return max(0, lo), min(K, hi)
 
 
-def _chunk_list_kernel(n, K, window):
-    """The SM kernel built row by row from chunk lists, as an oracle.
+def _chunk_list_kernel(K, window):
+    """The SM kernel's CSR matrix built row by row from chunk lists, as an oracle.
 
     Row i is exp(-i + j log i - log j!) with log j! from ``gammaln`` itself.
     """
@@ -132,11 +131,10 @@ def _chunk_list_kernel(n, K, window):
         col_chunks.append(j)
         data_chunks.append(row)
         indptr[i + 1] = indptr[i] + j.size
-    matrix = sparse.csr_matrix(
+    return sparse.csr_matrix(
         (np.concatenate(data_chunks), np.concatenate(col_chunks), indptr),
         shape=(K + 1, K + 1),
     )
-    return TransitionKernel(n=n, matrix=matrix)
 
 
 class TestInPlaceBuild:
@@ -145,9 +143,9 @@ class TestInPlaceBuild:
     def test_matches_chunk_list_construction(self, n, cutoff):
         K = {"zero": 0, "one": 1, "lattice": lattice_cutoff(n, 10.0)}[cutoff]
         kernel = build_sm_kernel(n, K)
-        oracle = _chunk_list_kernel(n, K, _certified_window)
+        oracle = _chunk_list_kernel(K, _certified_window)
         for name in ("data", "indices", "indptr"):
-            got, want = getattr(kernel.matrix, name), getattr(oracle.matrix, name)
+            got, want = getattr(kernel.matrix, name), getattr(oracle, name)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
         assert kernel.matrix.shape == (K + 1, K + 1)
@@ -173,7 +171,7 @@ class TestCertifiedWindows:
         K = lattice_cutoff(n, 10.0)
         kernel = build_sm_kernel(n, K)
         assert kernel.matrix.nnz <= 2_700_000
-        assert _chunk_list_kernel(n, K, _fixed_window).matrix.nnz > 3_900_000
+        assert _chunk_list_kernel(K, _fixed_window).nnz > 3_900_000
         # every stored window is certified, including those clipped at K
         m = kernel.matrix
         lo, hi = m.indices[m.indptr[:-1]], m.indices[m.indptr[1:] - 1]
@@ -188,93 +186,64 @@ class TestCertifiedWindows:
         config = ExperimentConfig.for_experiment("semigroup")
         K = lattice_cutoff(n, max(config.x_panel), config.tail_eps)
         k = floor_nt(n, config.t)
-        fixed = _chunk_list_kernel(n, K, _fixed_window)
+        fixed = _chunk_list_kernel(K, _fixed_window)
         kernel = build_sm_kernel(n, K, config.tail_eps)
         idx, _ = _snap_panel(config.x_panel, n)
         for f in CATALOG.values():
-            want = kernel_iterate(fixed, f, k)
-            got = kernel_iterate(kernel, f, k)
-            np.testing.assert_array_equal(got.values[idx], want.values[idx])
-            np.testing.assert_array_equal(got.error_budget[idx], want.error_budget[idx])
-            np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-30)
-            np.testing.assert_allclose(got.error_budget, want.error_budget,
-                                       rtol=0, atol=1e-30)
+            want = _serial_iterate(fixed, n, f, k)
+            got = _serial_iterate(kernel.matrix, n, f, k)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g[idx], w[idx])
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-30)
 
 
-class _RecordingMatrix(sparse.csr_matrix):
-    """A CSR matrix noting which threads multiply with it."""
-
-    def __init__(self, matrix, idents, fail_off_thread=False):
-        super().__init__(matrix)
-        self.idents = idents
-        self.fail_off_thread = fail_off_thread
-
-    def __matmul__(self, other):
-        ident = threading.get_ident()
-        self.idents.add(ident)
-        if self.fail_off_thread and ident != threading.main_thread().ident:
-            raise RuntimeError("helper product failed")
-        return super().__matmul__(other)
-
-
-def _recording(kernel, idents, fail_off_thread=False):
-    return TransitionKernel(
-        n=kernel.n,
-        matrix=_RecordingMatrix(kernel.matrix, idents, fail_off_thread),
-    )
-
-
-def _serial_iterate(kernel, f, k):
-    """One product of f and one of the mass per step, on the calling thread."""
-    v = np.asarray(f(kernel.lattice()), dtype=float)
+def _serial_iterate(matrix, n, f, k):
+    """Values and budget of k sequential CSR products of f and of the mass."""
+    v = np.asarray(f(np.arange(matrix.shape[0]) / n), dtype=float)
     f_sup = float(np.max(np.abs(v)))
-    mass = np.ones(kernel.size)
+    mass = np.ones(matrix.shape[0])
     for _ in range(k):
-        v = kernel.matrix @ v
-        mass = kernel.matrix @ mass
+        v = matrix @ v
+        mass = matrix @ mass
     return v, f_sup * np.clip(1.0 - mass, 0.0, None)
 
 
-class TestThreadedIterate:
-    """f and the mass propagate on two threads, whatever the CPU count."""
+class TestBlockIterate:
+    """Block products agree with sequential CSR sums to within round-off."""
 
-    @pytest.mark.parametrize("size", ["small", "real"])
-    def test_values_do_not_depend_on_cpu_count(self, cpus, size):
-        if size == "real":
-            n = 20
-            kernel = build_sm_kernel(n, lattice_cutoff(n, 10.0))
-        else:
-            kernel = small_kernel()
-        k = 2 * kernel.n
-        values, budget = _serial_iterate(kernel, CATALOG["f1"], k)
-        for count in (1, 2, 64):
-            cpus(count)
-            lf = kernel_iterate(kernel, CATALOG["f1"], k)
-            np.testing.assert_array_equal(lf.values, values)
-            np.testing.assert_array_equal(lf.error_budget, budget)
+    @pytest.mark.parametrize("n", [8, 32, 128])
+    def test_matches_the_sequential_oracle(self, n):
+        # each step, both sums of a row's at most m terms are within
+        # m 2^-53 sup|v| of the exact one, and the substochastic kernel
+        # carries earlier errors forward without growth
+        config = ExperimentConfig.for_experiment("semigroup")
+        K = lattice_cutoff(n, max(config.x_panel), config.tail_eps)
+        k = floor_nt(n, config.t)
+        kernel = build_sm_kernel(n, K, config.tail_eps)
+        m = max(block.shape[1] for _, _, block in kernel.blocks)
+        fs = list(CATALOG.values())
+        # the oracle steps every function and the mass as columns of one
+        # CSR product, whose sums run sequentially over each row's entries
+        columns = np.column_stack([f(kernel.lattice()) for f in fs]
+                                  + [np.ones(kernel.size)]).astype(float)
+        f_sups = np.max(np.abs(columns[:, :-1]), axis=0)
+        for _ in range(k):
+            columns = kernel.matrix @ columns
+        leak = np.clip(1.0 - columns[:, -1], 0.0, None)
+        for f, values, f_sup in zip(fs, columns.T, f_sups):
+            lf = kernel_iterate(kernel, f, k)
+            bound = 2 * k * m * 2.0 ** -53 * f_sup
+            assert np.max(np.abs(lf.values - values)) <= bound, f.label
+            assert np.max(np.abs(lf.error_budget - f_sup * leak)) <= bound, f.label
 
-    @pytest.mark.parametrize("k", [1, 4])
-    @pytest.mark.parametrize("count", [1, 2, 64])
-    def test_exactly_one_helper_thread(self, cpus, count, k):
-        cpus(count)
-        idents = set()
-        kernel_iterate(_recording(small_kernel(), idents), CATALOG["f1"], k)
-        assert threading.get_ident() in idents
-        assert len(idents) == 2
+    def test_starts_no_thread(self, monkeypatch):
+        def no_start(thread):
+            raise AssertionError("kernel_iterate started a thread")
 
-    def test_non_finite_f_raises_and_starts_nothing(self):
-        before = threading.active_count()
-        f = TestFunction("inf", lambda x: np.where(np.asarray(x) > 1.0, np.inf, 1.0))
-        with pytest.raises(EvaluationError):
-            kernel_iterate(small_kernel(), f, 3)
-        assert threading.active_count() == before
-
-    def test_helper_failure_propagates_and_helper_is_joined(self):
-        before = threading.active_count()
-        kernel = _recording(small_kernel(), set(), fail_off_thread=True)
-        with pytest.raises(RuntimeError, match="helper product failed"):
-            kernel_iterate(kernel, CATALOG["f1"], 3)
-        assert threading.active_count() == before
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        kernel = small_kernel()
+        for k in (0, 1, 4):
+            kernel_iterate(kernel, CATALOG["f1"], k)
 
 
 class TestKernelIterate:
@@ -284,15 +253,10 @@ class TestKernelIterate:
         np.testing.assert_allclose(lf.values, np.exp(-kernel.lattice()), rtol=1e-15)
         assert np.all(lf.error_budget == 0.0)
 
-    def test_zero_steps_start_no_thread(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("k = 0 runs no product and needs no thread")
-
-        monkeypatch.setattr("oplimits.iterates.ThreadPoolExecutor", no_pool)
-        kernel = small_kernel()
-        lf = kernel_iterate(kernel, CATALOG["f1"], 0)
-        np.testing.assert_array_equal(lf.values, np.exp(-kernel.lattice()))
-        np.testing.assert_array_equal(lf.error_budget, np.zeros(kernel.size))
+    def test_non_finite_f_raises(self):
+        f = TestFunction("inf", lambda x: np.where(np.asarray(x) > 1.0, np.inf, 1.0))
+        with pytest.raises(EvaluationError):
+            kernel_iterate(small_kernel(), f, 3)
 
     def test_one_step_constants(self):
         kernel = small_kernel()
