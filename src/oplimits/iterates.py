@@ -41,17 +41,15 @@ from numpy.fft import irfft
 from .errors import CutoffTooSmallError, EvaluationError
 from .operators import (
     DEFAULT_POLICY,
+    _WINDOW_LOG_BUDGET,
     TruncationPolicy,
     _binomial_pmf,
     _check_index,
+    _lower_end,
     _poisson_pmf,
     _validate,
     truncation_index,
 )
-
-# Log of the per-side mass budget 2^-64 of a kernel row, below the 2^-53
-# resolution of a row sum, so dropping that mass moves no stored value.
-_ROW_LOG_BUDGET = 64.0 * math.log(2.0)
 
 # lattice_cutoff's headroom factor on the largest starting mean.
 _CUTOFF_SAFETY = 2.5
@@ -135,13 +133,14 @@ def lattice_cutoff(
 def _row_window(i: np.ndarray, K: int):
     """Columns lo..hi of Poisson(i) rows, each side missing at most 2^-64.
 
-    For X ~ Poisson(i) and a >= 0, P(X <= i - a) <= exp(-a^2 / (2 i)) and
-    P(X >= i + a) <= exp(-a^2 / (2 (i + a/3))) (Bernstein).  With L the log
-    of the budget, a = sqrt(2 i L) prices the lower side and
-    a = L/3 + sqrt(L^2/9 + 2 i L) the upper one; hi is then clipped to K.
+    The lower end is the series windows' Chernoff point
+    (:func:`~oplimits.operators._lower_end`), unrounded.  For X ~ Poisson(i)
+    and a >= 0, P(X >= i + a) <= exp(-a^2 / (2 (i + a/3))) (Bernstein), so
+    with L the log of the budget a = L/3 + sqrt(L^2/9 + 2 i L) prices the
+    upper side; hi is then clipped to K.
     """
-    L = _ROW_LOG_BUDGET
-    lo = np.maximum(0, np.floor(i - np.sqrt(2.0 * L * i)).astype(np.int64))
+    L = _WINDOW_LOG_BUDGET
+    lo = _lower_end(i, L)
     hi = np.ceil(i + L / 3.0 + np.sqrt(L * L / 9.0 + 2.0 * L * i)).astype(np.int64)
     return lo, np.minimum(K, hi)
 

@@ -12,21 +12,27 @@ their index checks from here, so series and kernels cannot drift apart.
 
 Infinite series are truncated at an index whose omitted probability mass is
 below a policy tolerance; every truncated evaluation reports that omitted
-mass alongside the value so downstream error budgets stay explicit.  Weights
-are computed in log space, which stays stable for Poisson means up to at
-least 5e4; all three laws read log k! from one table (``_log_factorial_table``)
-that grows on demand.  Its entries are Cephes ``lgam(k + 1)`` evaluated with
-libm logarithms (``_log_factorials``), the same doubles as SciPy's log-gamma
-(also Cephes ``lgam``) without loading it.
+mass alongside the value so downstream error budgets stay explicit.  A
+Szasz-Mirakyan window also starts at a certified lower end lo, below which
+lies at most min(2^-64, tolerance) of the Poisson mass (lo = 0 for means
+below about 770).  Its omitted mass is the upper tail plus that bound, and
+f is evaluated only on lo..K.  Weights are computed in log space, which
+stays stable for Poisson means up to at least 5e4; all three laws read
+log k! from one table (``_log_factorial_table``) that grows on demand.  Its
+entries are Cephes ``lgam(k + 1)`` evaluated with libm logarithms
+(``_log_factorials``), the same doubles as SciPy's log-gamma (also Cephes
+``lgam``) without loading it.
 
 One routine, ``_poisson_pmf``, evaluates the Poisson law on a range of
-integers, for a series window and for a block of kernel rows alike.  It
-spends exp only where it can return a nonzero double (a Chernoff bound
-marks the prefix that underflows to 0.0).  The tail sums that locate a
-window's cut run from the top of the window down to the mode.  Both
-savings return the same bits as evaluating and summing the whole window.
-The last Poisson window is memoised with read-only arrays, so applying
-several functions at one mean builds it once.
+integers, for a series window and for a block of kernel rows alike.  One
+Chernoff point (``_lower_end``) marks where a window or a kernel row may
+start and the prefix whose exp underflows to 0.0.  The tail sums that
+locate a window's cut run from the top of the window down to the mode.
+The cut K, its upper tail and every weight from lo to K carry the same
+bits as evaluating and summing the whole window from k = 0.  Averages of
+more than 8,192 terms are summed in fixed pieces, so they do not depend on
+the BLAS thread count.  The last Poisson window is memoised with read-only
+weights, so applying several functions at one mean builds it once.
 
 Also provides the exact Poisson moment polynomials, which the chain's
 scaling identities in the weak-convergence experiment read, and the closed
@@ -48,8 +54,10 @@ from .errors import EvaluationError, TruncationFailureError
 class TruncationPolicy:
     """Controls where infinite lattice series are cut off.
 
-    ``tail_eps`` bounds the omitted probability mass; ``max_terms`` caps the
-    number of series terms regardless of the tolerance.
+    ``tail_eps`` bounds the omitted probability mass above the cut; a
+    Szasz-Mirakyan window omits at most min(2^-64, tail_eps) more below its
+    lower end.  ``max_terms`` caps the top index of a series window plus
+    one, regardless of the tolerance.
     """
 
     tail_eps: float = 1e-12
@@ -67,12 +75,12 @@ DEFAULT_POLICY = TruncationPolicy()
 
 # glibc's malloc maps fresh pages for a block at or above its mmap threshold
 # (128 KiB at start) and unmaps them on free; freeing such a block raises the
-# threshold to its size.  Series windows grow to about 55k terms (440 KB),
-# so until something larger is freed each new window's arrays pay first-touch
-# page faults.  Freeing one 4 MiB array at import lets every temporary of a
-# default run be reused from the heap: the default voronovskaya run took
-# 1.1k page faults instead of 9.6k, and 0.15-0.17 s instead of 0.19-0.21 s
-# (2 vCPUs).  Other allocators are unaffected.
+# threshold to its size.  Until something larger is freed, every large
+# temporary pays first-touch page faults.  Freeing one 4 MiB array at import
+# lets them be reused from the heap: with scipy loaded, the default semigroup
+# and weak-convergence runs took 6.3k and 2.3k page faults instead of 10.6k
+# and 6.3k, and voronovskaya, korovkin and kelisky-rivlin together 0.5k
+# instead of 1.0k (2 vCPUs).  Other allocators are unaffected.
 np.empty(1 << 19)
 
 
@@ -101,16 +109,28 @@ def _validate(n, x, x_name="x"):
     return n
 
 
-def _average(k, w, f, n) -> float:
-    """The lattice average sum_k w_k f(k/n), rejecting non-finite terms.
+# OpenBLAS splits a dot product of more than 10,000 terms across its threads,
+# so its summation order, and its last bits, would follow the thread count.
+# Longer averages are summed in pieces of this many terms, added in order.
+_DOT_PIECE = 8192
 
+
+def _average(lo, w, f, n) -> float:
+    """The lattice average sum_k w_k f(k/n) from k = lo on, rejecting non-finite terms.
+
+    ``w`` holds the weights from k = lo on, and f is evaluated only there.
     Any non-finite term makes the dot product non-finite (a zero weight
     times inf is nan), so the terms are scanned for the culprit only when
     the dot product is not finite.  ``np.vdot`` runs the same BLAS dot as
-    ``w @ vals`` but raises no floating-point warning for that nan.
+    ``w @ vals`` but raises no floating-point warning for that nan.  A sum
+    of more than ``_DOT_PIECE`` terms adds the dot products of its pieces in
+    order, so it does not depend on the BLAS thread count.
     """
+    k = np.arange(lo, lo + w.size)
     vals = np.asarray(f(k / n), dtype=float)
-    total = float(np.vdot(w, vals))
+    total = float(np.vdot(w[:_DOT_PIECE], vals[:_DOT_PIECE]))
+    for i in range(_DOT_PIECE, w.size, _DOT_PIECE):
+        total += float(np.vdot(w[i:i + _DOT_PIECE], vals[i:i + _DOT_PIECE]))
     if not math.isfinite(total):
         bad = k[~np.isfinite(vals)]
         if bad.size:
@@ -192,26 +212,49 @@ def _log_factorial_table(size):
 # at lam = 1e5, where its terms reach 1e6)
 _UNDERFLOW_LOG = 746.0
 
+# Log of 2^-64, the Poisson mass a series window may leave below its lower
+# end and a kernel row on either side.  It is below the 2^-53 resolution of
+# a sum of weights, so dropping it moves no sum.
+_WINDOW_LOG_BUDGET = 64.0 * math.log(2.0)
+
+# Series windows start at a multiple of this.  Every mean below about 770
+# then keeps its window from k = 0, and so its sums, among them those behind
+# the default Voronovskaya run's largest f1 residuals (x = 0.37, mean 379 at
+# n = 1024).  Unrounded lower ends moved that run's fitted rate by 1.07e-9.
+_LOWER_END_STEP = 512
+
+
+def _lower_end(lam, log_budget):
+    """floor(lam - sqrt(2 L lam)), at least 0: Poisson(lam) has mass <= exp(-L) below it.
+
+    For k <= lam the Chernoff bound gives P(X <= k) <= exp(-(lam - k)^2 / (2 lam)),
+    and the mass below the returned index lies at or below a point at least
+    sqrt(2 L lam) under lam.  ``lam`` is a mean, giving an int, or an array
+    of means, giving an int64 array; both evaluate the same doubles.
+    """
+    if isinstance(lam, np.ndarray):
+        return np.maximum(0, np.floor(lam - np.sqrt(2.0 * log_budget * lam)).astype(np.int64))
+    return max(0, math.floor(lam - math.sqrt(2.0 * log_budget * lam)))
+
 
 def _poisson_pmf(lam, lo, hi, out=None):
     """Poisson(lam) pmf on lo..hi, exp(-lam + k log lam - log k!), into ``out`` if given.
 
     ``lam`` is a mean, or a column of ascending means that gives one row
-    per mean on the same range, as a block of kernel rows needs.  For
-    k <= lam the Chernoff bound gives log p_k <= -(lam - k)^2 / (2 lam),
-    so below k0 = floor(lam - sqrt(2 * 746 * lam)) every term underflows to
-    0.0.  Those entries are written as zeros and exp is evaluated only from
-    k0 (or lo, if higher) to hi, which returns the same bits as evaluating
-    every term.  When lam <= 1492, k0 is 0.  k0 does not decrease as lam
-    grows, so the first mean's k0 serves every row.  Each entry is the same
-    double whichever range or block it is evaluated in.  The series windows
-    and the kernel rows both come from here.
+    per mean on the same range, as a block of kernel rows needs.  Below
+    k0 = ``_lower_end(lam, 746)`` = floor(lam - sqrt(2 * 746 * lam)) every
+    term underflows to 0.0.  Those entries are written as zeros and exp is
+    evaluated only from k0 (or lo, if higher) to hi, which returns the same
+    bits as evaluating every term.  When lam <= 1492, k0 is 0.  k0 does not
+    decrease as lam grows, so the first mean's k0 serves every row.  Each
+    entry is the same double whichever range or block it is evaluated in.
+    The series windows and the kernel rows both come from here.
     """
     rows = isinstance(lam, np.ndarray)
     first = float(lam[0, 0]) if rows else lam
     if out is None:
         out = np.empty((lam.shape[0], hi - lo + 1) if rows else hi - lo + 1)
-    k0 = max(lo, int(first - math.sqrt(2.0 * _UNDERFLOW_LOG * first)))
+    k0 = max(lo, _lower_end(first, _UNDERFLOW_LOG))
     if k0 > lo:
         out[..., :k0 - lo] = 0.0
     log_p = np.arange(k0, hi + 1) * np.log(lam)
@@ -233,22 +276,28 @@ def _binomial_pmf(n, p, k):
     )
 
 
-def _cut_at_tail(hi, mode, pmf, ratio_beyond, policy, label, mean):
-    """Evaluate ``pmf(hi)`` on 0..hi and cut at the smallest K with tail <= tail_eps.
+def _cut_at_tail(lo, hi, mode, pmf, ratio_beyond, policy, label, mean):
+    """Evaluate ``pmf(lo, hi)`` on lo..hi and cut at the smallest K with tail <= tail_eps.
 
     ``ratio_beyond(hi)`` bounds the pmf ratio p_{j+1}/p_j for every j past
     hi; the geometric remainder it implies is folded into every tail value,
     so the cut is rigorous even though the window is finite.  The window
-    doubles until a certified cut exists inside it.  Returns the support
-    0..K, the pmf on it, and the certified tail mass beyond K.  ``label``
-    and ``mean`` name the law in the error raised past ``max_terms``.
+    doubles until a certified cut exists inside it.  Returns the window's
+    lower end, the pmf on it up to K, and the certified upper tail mass
+    beyond K.  The mass below ``lo`` is the caller's to certify; this tail
+    does not include it.  ``label`` and ``mean`` name the law in the error
+    raised past ``max_terms``.
 
     The tail past j is the sequential sum p_hi + p_{hi-1} + ... + p_{j+1}
     plus the remainder, so a cumulative sum over the top of the window,
     from hi down to ``mode``, gives the same bits as one over the whole
-    window; it is widened to the whole window only if the cut lies below
-    ``mode``.  The tail is nonincreasing in j, so the cut is located by
-    binary search.
+    window, and as one that started at k = 0; it is widened to the whole
+    window only if the cut lies below ``mode``.  The tail is nonincreasing
+    in j, so the cut is located by binary search.  If even the tail past
+    lo - 1, the whole window plus the remainder, meets ``tail_eps``, then so
+    does every tail past j < lo: adding terms of at most 2^-64 to a sum
+    that close to 1 leaves its bits alone.  The cut is then K = 0, and the
+    window is k = 0 alone.
     """
     while True:
         if hi + 1 > policy.max_terms:
@@ -256,74 +305,93 @@ def _cut_at_tail(hi, mode, pmf, ratio_beyond, policy, label, mean):
                 f"series window for {label} {mean} needs more than "
                 f"max_terms={policy.max_terms} terms"
             )
-        p = pmf(hi)
+        p = pmf(lo, hi)
         ratio = ratio_beyond(hi)
         if ratio < 1.0:
             remainder = p[-1] * ratio / (1.0 - ratio)
-            for lo in (min(mode, hi - 1), 0):
-                # tail[m] is the tail past j = hi - 1 - m, for j = hi - 1 down to lo
-                tail = np.cumsum(p[hi:lo:-1]) + remainder
-                within = int(np.searchsorted(tail, policy.tail_eps, side="right"))
+            top = p[::-1]
+            for last in (min(mode, hi - 1), max(lo - 1, 0)):
+                # tail[m] is the tail past j = hi - 1 - m, for j = hi - 1 down to last
+                tail = top[:hi - last].cumsum()
+                tail += remainder
+                within = int(tail.searchsorted(policy.tail_eps, side="right"))
                 if within < tail.size:
                     break
             # the tail past hi itself is the remainder alone
             omitted = tail[within - 1] if within else remainder
             if omitted <= policy.tail_eps:
                 K = hi - within
-                return np.arange(K + 1), p[: K + 1], float(omitted)
+                if K < lo:
+                    return 0, pmf(0, 0), float(omitted)
+                return lo, p[:K - lo + 1], float(omitted)
         hi *= 2
 
 
 @functools.lru_cache(maxsize=1)
 def _poisson_weights(lam: float, policy: TruncationPolicy):
-    """Poisson(lam) pmf on 0..K plus the certified tail mass beyond K.
+    """Poisson(lam) pmf on lo..K, the tail mass beyond K and a bound on the mass below lo.
+
+    Returns ``(lo, w, tail, below)``: w is the pmf on lo..K, tail the
+    certified mass beyond K, and below a certified bound on the mass below
+    lo.  The omitted mass is tail + below.
 
     K is the smallest cutoff whose upper-tail mass is <= ``tail_eps``.  The
     tail is an exact reversed summation over a mode-centered window (20
     standard deviations plus a buffer) augmented with a certified geometric
     remainder for the mass beyond the window; the window grows if the
     tolerance is not certifiably reached inside it.  The weights are
-    :func:`_poisson_pmf` on 0..hi, cut at K; only tail sums that cannot
-    reach the cut are skipped.
+    :func:`_poisson_pmf` on lo..hi, cut at K; only tail sums that cannot
+    reach the cut are skipped.  K, the tail and every weight from lo to K
+    carry the bits of a window evaluated and summed from k = 0.
+
+    lo is the Chernoff point of :func:`_lower_end` for a budget of
+    min(2^-64, tail_eps), rounded down to a multiple of ``_LOWER_END_STEP``;
+    it is 0 for means below about 770.  below is the Chernoff bound
+    exp(-(lam - lo + 1)^2 / (2 lam)) on P(X <= lo - 1), and 0.0 when lo = 0.
 
     The last window is memoised, so callers that apply several functions
     at one mean (the Korovkin experiment's rates) build it once; its
-    arrays are read-only.
+    weights are read-only.
     """
     if lam == 0.0:
-        k, w, omitted = np.arange(1), np.array([1.0]), 0.0
+        lo, w, tail = 0, np.array([1.0]), 0.0
     else:
-        k, w, omitted = _cut_at_tail(
-            int(lam + 20.0 * np.sqrt(lam) + 60.0),
+        log_budget = max(_WINDOW_LOG_BUDGET, -math.log(policy.tail_eps))
+        lo, w, tail = _cut_at_tail(
+            _lower_end(lam, log_budget) // _LOWER_END_STEP * _LOWER_END_STEP,
+            int(lam + 20.0 * math.sqrt(lam) + 60.0),
             int(lam),
-            lambda hi: _poisson_pmf(lam, 0, hi),
+            lambda lo, hi: _poisson_pmf(lam, lo, hi),
             lambda hi: lam / (hi + 1.0),
             policy,
             "mean",
             lam,
         )
-    k.flags.writeable = False
+    below = math.exp(-(lam - lo + 1) ** 2 / (2.0 * lam)) if lo else 0.0
     w.flags.writeable = False
-    return k, w, omitted
+    return lo, w, tail, below
 
 
 def truncation_index(n: int, x: float, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
     """Smallest K with Poisson(n x) mass beyond K at most ``tail_eps``."""
     n = _validate(n, x)
-    k, _, _ = _poisson_weights(n * x, policy)
-    return int(k[-1])
+    lo, w, _, _ = _poisson_weights(n * x, policy)
+    return lo + w.size - 1
 
 
 def sm_apply(n: int, f, x: float, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
     """Apply the Szasz-Mirakyan operator of index n to f at x.
 
-    Evaluates ``sum_k exp(-nx) (nx)^k / k! * f(k/n)`` over k = 0..K with K
-    chosen by :func:`truncation_index`.  Returns the truncated value and the
-    omitted Poisson mass.
+    Evaluates ``sum_k exp(-nx) (nx)^k / k! * f(k/n)`` over k = lo..K: K is
+    chosen by :func:`truncation_index`, and below lo lies at most
+    min(2^-64, tail_eps) of the Poisson(nx) mass (lo = 0 when nx is below
+    about 770).  f is evaluated only on lo..K.  Returns the truncated value
+    and the omitted Poisson mass: the tail beyond K plus the certified
+    bound on the mass below lo.
     """
     n = _validate(n, x)
-    k, w, omitted = _poisson_weights(n * x, policy)
-    return SeriesValue(_average(k, w, f, n), omitted)
+    lo, w, tail, below = _poisson_weights(n * x, policy)
+    return SeriesValue(_average(lo, w, f, n), tail + below)
 
 
 def bernstein_apply(n: int, f, x: float) -> float:
@@ -339,25 +407,24 @@ def bernstein_apply(n: int, f, x: float) -> float:
         return float(f(0.0))
     if x == 1.0:
         return float(f(1.0))
-    k = np.arange(n + 1)
-    return _average(k, _binomial_pmf(n, x, k), f, n)
+    return _average(0, _binomial_pmf(n, x, np.arange(n + 1)), f, n)
 
 
 def _negative_binomial_weights(n: int, x: float, policy: TruncationPolicy):
-    """Negative-binomial weights C(n+k-1,k) x^k / (1+x)^(n+k) on 0..K.
+    """Negative-binomial weights C(n+k-1,k) x^k / (1+x)^(n+k) on 0..K, as ``(0, w, tail)``.
 
     The initial window adds a geometric allowance on top of the usual
     deviation-based width: the tail decays only like (x/(1+x))^k, so for
     small n and large x it needs about (1+x) log(1/eps) extra terms.
     """
     if x == 0.0:
-        return np.arange(1), np.array([1.0]), 0.0
+        return 0, np.array([1.0]), 0.0
     mean = n * x
     sd = np.sqrt(n * x * (1.0 + x))
     geometric = (1.0 + x) * max(0.0, np.log(1.0 / policy.tail_eps))
 
-    def pmf(hi):
-        k = np.arange(hi + 1)
+    def pmf(lo, hi):
+        k = np.arange(lo, hi + 1)
         log_factorial = _log_factorial_table(n + hi)
         return np.exp(
             log_factorial[n - 1 + k]
@@ -368,6 +435,7 @@ def _negative_binomial_weights(n: int, x: float, policy: TruncationPolicy):
         )
 
     return _cut_at_tail(
+        0,
         int(mean + 20.0 * sd + geometric + 60.0),
         int((n - 1) * x),
         pmf,
@@ -386,8 +454,8 @@ def baskakov_apply(n: int, f, x: float, policy: TruncationPolicy = DEFAULT_POLIC
     assertions elsewhere in the package rely on it.
     """
     n = _validate(n, x)
-    k, w, omitted = _negative_binomial_weights(n, x, policy)
-    return SeriesValue(_average(k, w, f, n), omitted)
+    lo, w, omitted = _negative_binomial_weights(n, x, policy)
+    return SeriesValue(_average(lo, w, f, n), omitted)
 
 
 def sm_exponential_closed_form(n: int, lam: float, x):

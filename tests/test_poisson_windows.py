@@ -2,21 +2,31 @@
 
 The references below evaluate every pmf term on 0..hi and take the tail
 from a reversed cumulative sum over the whole window, as the windows were
-first written.  The windows in use skip only terms that underflow to 0.0
-and tail sums that cannot reach the cut, so K, the weights and the omitted
-tail must come back bit for bit.
+first written.  The windows in use start at a certified lower end lo and
+skip tail sums that cannot reach the cut, so K, the upper tail and every
+weight in lo..K must come back bit for bit, and the mass below lo must lie
+within its reported bound.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.special import gammaln
+from scipy.special import gammaln, pdtr
 
-from oplimits import EvaluationError, TruncationPolicy, bernstein_apply, sm_apply
+import oplimits
+import oplimits.operators
+from oplimits import CATALOG, EvaluationError, TruncationPolicy, bernstein_apply, sm_apply
+from oplimits.harness import ExperimentConfig, run_experiment
 from oplimits.operators import (
+    _DOT_PIECE,
+    _UNDERFLOW_LOG,
     DEFAULT_POLICY,
+    _lower_end,
     _negative_binomial_weights,
     _poisson_weights,
 )
@@ -64,17 +74,27 @@ def _full_negative_binomial_weights(n, x, policy):
 
 
 def _assert_same_window(got, want):
-    (k, w, omitted), (k_ref, w_ref, omitted_ref) = got, want
-    np.testing.assert_array_equal(k, k_ref)
-    np.testing.assert_array_equal(w, w_ref)
-    assert omitted.hex() == omitted_ref.hex()
+    """K, the upper tail and the weights from lo on equal the reference's bits.
+
+    ``got`` is a window ``(lo, w, tail)``, or ``(lo, w, tail, below)`` with
+    the bound ``below`` on the mass the window leaves under lo, which must
+    hold for the reference's own weights there.
+    """
+    (lo, w, tail), (k_ref, w_ref, tail_ref) = got[:3], want
+    assert 0 <= lo and lo + w.size - 1 == k_ref[-1]
+    np.testing.assert_array_equal(w, w_ref[lo:])
+    assert tail.hex() == tail_ref.hex()
+    below = got[3] if len(got) == 4 else 0.0
+    assert w_ref[:lo].sum() <= below
 
 
 WINDOW_SETTINGS = settings(max_examples=80, deadline=None)
 tail_eps_values = st.sampled_from([1e-6, 1e-12, 1e-15])
-# the underflow prefix starts at lam = 2 * 746 = 1492
+# windows start above k = 0 from lam = 774.064 on (lo = 512), and the
+# underflow prefix starts at lam = 2 * 746 = 1492
 poisson_means = st.one_of(
     st.floats(min_value=-12.0, max_value=5.0).map(lambda e: 10.0 ** e),
+    st.floats(min_value=700.0, max_value=850.0),
     st.floats(min_value=1400.0, max_value=1600.0),
 )
 
@@ -87,6 +107,9 @@ class TestBitsOfTheFullWindow:
     @example(lam=1493.0, tail_eps=1e-12)
     @example(lam=1491.9, tail_eps=1e-6)
     @example(lam=5e-324, tail_eps=1e-12)
+    @example(lam=774.06, tail_eps=1e-12)
+    @example(lam=774.07, tail_eps=1e-12)
+    @example(lam=4e5, tail_eps=1e-12)
     def test_poisson(self, lam, tail_eps):
         policy = TruncationPolicy(tail_eps=tail_eps)
         _assert_same_window(_poisson_weights(lam, policy),
@@ -103,8 +126,11 @@ class TestBitsOfTheFullWindow:
                             _full_negative_binomial_weights(n, x, policy))
 
     # a loose tolerance puts the cut below the mode, where the tail sum must
-    # widen to the whole window; 1e-300 makes the window double
-    @pytest.mark.parametrize("tail_eps", [0.5, 0.9, 0.999999, 1e-300])
+    # widen to the whole window; 1e-300 makes the window double.  The
+    # Poisson(3000) window (lo = 2048) sums to 1 - 6.2e-13 with its
+    # remainder, so at 1 - 5e-13 every tail meets the tolerance and the cut
+    # falls below lo, to K = 0
+    @pytest.mark.parametrize("tail_eps", [0.5, 0.9, 0.999999, 1 - 5e-13, 1e-300])
     @pytest.mark.parametrize("lam", [0.3, 7.0, 250.0, 3000.0])
     def test_poisson_cut_anywhere_in_the_window(self, lam, tail_eps):
         policy = TruncationPolicy(tail_eps=tail_eps)
@@ -129,36 +155,93 @@ class TestBitsOfTheFullWindow:
         assert _poisson_weights(lam, policy)[2] == omitted
 
 
+class TestMassBelowTheWindow:
+    # pdtr(k, lam) is the Poisson(lam) mass at or below k
+    @WINDOW_SETTINGS
+    @given(lam=poisson_means, tail_eps=st.sampled_from([1e-6, 1e-12, 1e-15, 1e-30, 1e-300]))
+    @example(lam=774.07, tail_eps=1e-12)
+    @example(lam=4e5, tail_eps=1e-300)
+    def test_bound_is_certified_and_within_budget(self, lam, tail_eps):
+        policy = TruncationPolicy(tail_eps=tail_eps)
+        lo, _, tail, below = _poisson_weights(lam, policy)
+        true_below = pdtr(lo - 1, lam) if lo else 0.0
+        assert true_below <= below <= min(2.0 ** -64, tail_eps)
+        assert lo % 512 == 0
+        if lo == 0:
+            assert below == 0.0
+        # the series reports both tails
+        assert sm_apply(1, CATALOG["e0"], lam, policy).omitted_mass == tail + below
+
+    @pytest.mark.parametrize("lam, lo", [(774.06, 0), (774.07, 512), (5000.0, 4096),
+                                         (51200.0, 48640)])
+    def test_lower_end_is_a_rounded_chernoff_point(self, lam, lo):
+        assert _poisson_weights(lam, DEFAULT_POLICY)[0] == lo
+        assert lo <= _lower_end(lam, 64.0 * math.log(2.0)) < lo + 512
+
+
 class TestMemoisedWindow:
     @pytest.mark.parametrize("lam", [0.0, 3.0, 5000.0])
     def test_weights_are_shared_and_read_only(self, lam):
-        k, w, omitted = _poisson_weights(lam, DEFAULT_POLICY)
+        _, w, _, _ = _poisson_weights(lam, DEFAULT_POLICY)
         assert _poisson_weights(lam, DEFAULT_POLICY)[1] is w
-        for arr in (k, w):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 1
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 1
 
     def test_another_policy_gets_its_own_window(self):
-        _, w, _ = _poisson_weights(40.0, DEFAULT_POLICY)
-        _, loose, _ = _poisson_weights(40.0, TruncationPolicy(tail_eps=1e-3))
+        _, w, _, _ = _poisson_weights(40.0, DEFAULT_POLICY)
+        _, loose, _, _ = _poisson_weights(40.0, TruncationPolicy(tail_eps=1e-3))
         assert loose.size < w.size
 
 
 class TestLatticeAverage:
-    # at n = 1, x = 5000 the window's exp starts at k0 = 2268; the weight at
-    # k = 10 is an exact 0.0 that exp never produced
+    # at n = 1, x = 5000 the window starts at lo = 4096, above the prefix
+    # that underflows to 0.0 (k < 2268): f is never evaluated there, so a
+    # non-finite value at k = 10 cannot reach the sum
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-    def test_non_finite_term_in_the_underflow_prefix_is_named(self, bad):
-        _, w, _ = _poisson_weights(5000.0, DEFAULT_POLICY)
-        assert w[10] == 0.0
+    def test_f_is_not_evaluated_below_the_window(self, bad):
+        assert _poisson_weights(5000.0, DEFAULT_POLICY)[0] == 4096
+        seen = []
 
         def f(u):
             u = np.asarray(u, dtype=float)
-            return np.where(u == 10.0, bad, 1.0)
+            seen.append(u.min())
+            return np.where(u < 4096.0, bad, 1.0)
 
-        with pytest.raises(EvaluationError, match=r"lattice point 10\.0$"):
+        out = sm_apply(1, f, 5000.0)
+        assert min(seen) == 4096.0
+        assert out.value == pytest.approx(1.0, abs=1e-11)
+
+    # the weight at lo = 4096 is about 1e-27: a non-finite term there is
+    # still found and named
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_term_inside_the_window_is_named(self, bad):
+        lo, w, _, _ = _poisson_weights(5000.0, DEFAULT_POLICY)
+        assert lo == 4096 and 0.0 < w[0] < 2.0 ** -64
+
+        def f(u):
+            u = np.asarray(u, dtype=float)
+            return np.where(u == 4096.0, bad, 1.0)
+
+        with pytest.raises(EvaluationError, match=r"lattice point 4096\.0$"):
             sm_apply(1, f, 5000.0)
+
+    def test_long_sums_do_not_depend_on_the_blas_thread_count(self):
+        # the Poisson(4e5) window has about 10.7k terms, which OpenBLAS
+        # would split across its threads in one dot product
+        assert _poisson_weights(4e5, DEFAULT_POLICY)[1].size > _DOT_PIECE
+        src = os.path.dirname(os.path.dirname(oplimits.__file__))
+        code = ("from oplimits import CATALOG, sm_apply; "
+                "print(sm_apply(1, CATALOG['e2'], 4e5).value.hex())")
+        values = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, check=True,
+            ).stdout.strip()
+            for threads in ("1", "2")
+        ]
+        assert values[0] == values[1]
 
     def test_finite_terms_whose_sum_overflows_give_inf(self):
         # the Binomial(4, 0.1) weights sum to 1 + 2^-52, so the average of
@@ -167,3 +250,26 @@ class TestLatticeAverage:
             return np.full_like(np.asarray(u, dtype=float), np.finfo(float).max)
 
         assert bernstein_apply(4, biggest, 0.1) == math.inf
+
+
+def test_default_voronovskaya_run_sums_only_the_windows(monkeypatch):
+    """The default run averages 1.28M terms and evaluates 2.19M pmf exps.
+
+    Windows from k = 0 averaged 5.66M terms and evaluated 3.40M exps.
+    """
+    counts = {"terms": 0, "exps": 0}
+    average, pmf = oplimits.operators._average, oplimits.operators._poisson_pmf
+
+    def counted_average(lo, w, f, n):
+        counts["terms"] += w.size
+        return average(lo, w, f, n)
+
+    def counted_pmf(lam, lo, hi, out=None):
+        counts["exps"] += hi + 1 - max(lo, _lower_end(lam, _UNDERFLOW_LOG))
+        return pmf(lam, lo, hi, out)
+
+    monkeypatch.setattr(oplimits.operators, "_average", counted_average)
+    monkeypatch.setattr(oplimits.operators, "_poisson_pmf", counted_pmf)
+    run_experiment(ExperimentConfig.for_experiment("voronovskaya"))
+    assert counts["terms"] <= 1_300_000
+    assert counts["exps"] <= 2_200_000
