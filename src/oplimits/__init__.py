@@ -28,6 +28,7 @@ from .operators import (
     baskakov_apply,
     bernstein_apply,
     sm_apply,
+    sm_apply_grid,
     sm_exponential_closed_form,
     sm_moment,
     truncation_index,

@@ -6,7 +6,9 @@ the degenerate elliptic operator A f(x) = (x/2) f''(x) on [0, inf).
 This module evaluates the generator, the explicit weighted-norm constant
 controlling the rate, the measured residual ``w_alpha |n(P_n f - f) - A f|``
 and its theoretical bound, the assembled iterate-to-semigroup rate bound,
-and log-log rate fitting.
+and log-log rate fitting.  The residual applies P_n on its whole grid with
+one :func:`~oplimits.operators.sm_apply_grid` call per n, which gives each
+point the bits of a scalar ``sm_apply`` call.
 """
 
 from typing import Sequence
@@ -14,7 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .funcspace import Grid, weight_eval
-from .operators import TruncationPolicy, DEFAULT_POLICY, sm_apply
+# sm_apply is no longer called here, but perfbench/tests/test_tracer.py checks
+# that the tracer replaces this module's binding of it
+from .operators import TruncationPolicy, DEFAULT_POLICY, sm_apply, sm_apply_grid  # noqa: F401
 
 
 def generator_apply(f, x):
@@ -76,7 +80,7 @@ def voronovskaya_residual(
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     xs = grid.points
-    pn = np.array([sm_apply(n, f, float(x), policy).value for x in xs])
+    pn, _ = sm_apply_grid(n, f, xs, policy)
     residual = n * (pn - np.asarray(f(xs), dtype=float)) - generator_apply(f, xs)
     return float(np.max(weight_eval(alpha, xs) * np.abs(residual)))
 

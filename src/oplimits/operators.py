@@ -1,4 +1,4 @@
-"""Single applications of three positive linear lattice operators.
+"""Applications of three positive linear lattice operators.
 
 The operators average a function over a lattice {k/n} against a probability
 distribution parameterized by the evaluation point x:
@@ -13,26 +13,33 @@ their index checks from here, so series and kernels cannot drift apart.
 Infinite series are truncated at an index whose omitted probability mass is
 below a policy tolerance; every truncated evaluation reports that omitted
 mass alongside the value so downstream error budgets stay explicit.  A
-Szasz-Mirakyan window also starts at a certified lower end lo, below which
-lies at most min(2^-64, tolerance) of the Poisson mass (lo = 0 for means
-below about 770).  Its omitted mass is the upper tail plus that bound, and
-f is evaluated only on lo..K.  Weights are computed in log space, which
-stays stable for Poisson means up to at least 5e4; all three laws read
-log k! from one table (``_log_factorial_table``) that grows on demand.  Its
-entries are Cephes ``lgam(k + 1)`` evaluated with libm logarithms
-(``_log_factorials``), the same doubles as SciPy's log-gamma (also Cephes
-``lgam``) without loading it.
+Szasz-Mirakyan or Baskakov window also starts at a certified lower end lo,
+below which lies at most min(2^-64, tolerance) of the mass (for the
+Poisson windows lo = 0 for means below about 770).  Its omitted mass is
+the upper tail plus that bound, and f is evaluated only on lo..K.  Weights
+are computed in log space, which stays stable for Poisson means up to at
+least 5e4; all three laws read log k! from one table
+(``_log_factorial_table``) that grows on demand.  Its entries are Cephes
+``lgam(k + 1)`` evaluated with libm logarithms (``_log_factorials``), the
+same doubles as SciPy's log-gamma (also Cephes ``lgam``) without loading it.
 
-One routine, ``_poisson_pmf``, evaluates the Poisson law on a range of
-integers, for a series window and for a block of kernel rows alike.  One
-Chernoff point (``_lower_end``) marks where a window or a kernel row may
-start and the prefix whose exp underflows to 0.0.  The tail sums that
-locate a window's cut run from the top of the window down to the mode.
-The cut K, its upper tail and every weight from lo to K carry the same
-bits as evaluating and summing the whole window from k = 0.  Averages of
-more than 8,192 terms are summed in fixed pieces, so they do not depend on
-the BLAS thread count.  The last Poisson window is memoised with read-only
-weights, so applying several functions at one mean builds it once.
+One routine, ``_poisson_pmf``, evaluates the Poisson law on ranges of
+integers, for a series window, for a block of kernel rows and for the
+concatenated windows of many means alike.  One Chernoff point
+(``_lower_end``) marks where a Poisson window or a kernel row may start.
+The tail sums that locate a window's cut run from the top of the window
+down to the mode.  The cut K, its upper tail and every weight from lo to K
+carry the same bits as evaluating and summing the whole window from k = 0.
+Averages of more than 8,192 terms are summed in fixed pieces, so they do
+not depend on the BLAS thread count.  The last Poisson window is memoised
+with read-only weights, so applying several functions at one mean builds
+it once.
+
+Two routines apply the Szasz-Mirakyan operator: ``sm_apply`` at one point,
+and ``sm_apply_grid`` at every point of a grid, which builds the windows of
+consecutive points together and evaluates f once per chunk of them.  They
+share the window start, the pmf, the cut and the dot product, so the grid
+routine returns, point for point, the bits of ``sm_apply``.
 
 Also provides the exact Poisson moment polynomials, which the chain's
 scaling identities in the weak-convergence experiment read, and the closed
@@ -115,27 +122,33 @@ def _validate(n, x, x_name="x"):
 _DOT_PIECE = 8192
 
 
-def _average(lo, w, f, n) -> float:
-    """The lattice average sum_k w_k f(k/n) from k = lo on, rejecting non-finite terms.
+def _dot(lo, w, vals, n) -> float:
+    """sum_k w_k vals_k for the lattice points k = lo, lo + 1, ..., rejecting non-finite terms.
 
-    ``w`` holds the weights from k = lo on, and f is evaluated only there.
-    Any non-finite term makes the dot product non-finite (a zero weight
-    times inf is nan), so the terms are scanned for the culprit only when
-    the dot product is not finite.  ``np.vdot`` runs the same BLAS dot as
-    ``w @ vals`` but raises no floating-point warning for that nan.  A sum
-    of more than ``_DOT_PIECE`` terms adds the dot products of its pieces in
-    order, so it does not depend on the BLAS thread count.
+    ``vals`` holds f(k/n) at those points.  Any non-finite term makes the
+    dot product non-finite (a zero weight times inf is nan), so the terms
+    are scanned for the culprit only when the dot product is not finite.
+    ``np.vdot`` runs the same BLAS dot as ``w @ vals`` but raises no
+    floating-point warning for that nan.  A sum of more than ``_DOT_PIECE``
+    terms adds the dot products of its pieces in order, so it does not
+    depend on the BLAS thread count.
     """
-    k = np.arange(lo, lo + w.size)
-    vals = np.asarray(f(k / n), dtype=float)
-    total = float(np.vdot(w[:_DOT_PIECE], vals[:_DOT_PIECE]))
-    for i in range(_DOT_PIECE, w.size, _DOT_PIECE):
-        total += float(np.vdot(w[i:i + _DOT_PIECE], vals[i:i + _DOT_PIECE]))
+    if w.size <= _DOT_PIECE:
+        total = float(np.vdot(w, vals))
+    else:
+        total = float(np.vdot(w[:_DOT_PIECE], vals[:_DOT_PIECE]))
+        for i in range(_DOT_PIECE, w.size, _DOT_PIECE):
+            total += float(np.vdot(w[i:i + _DOT_PIECE], vals[i:i + _DOT_PIECE]))
     if not math.isfinite(total):
-        bad = k[~np.isfinite(vals)]
+        bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
-            raise EvaluationError(f"non-finite series term at lattice point {bad[0] / n}")
+            raise EvaluationError(f"non-finite series term at lattice point {(lo + bad[0]) / n}")
     return total
+
+
+def _average(lo, w, f, n) -> float:
+    """The lattice average sum_k w_k f(k/n) from k = lo on; f is evaluated only there."""
+    return _dot(lo, w, np.asarray(f(np.arange(lo, lo + w.size) / n), dtype=float), n)
 
 
 # Cephes lgam's constants: log sqrt(2 pi) and the coefficients, highest
@@ -207,11 +220,6 @@ def _log_factorial_table(size):
     return table
 
 
-# exp(t) is exactly 0.0 for every double t below -745.1333; a log pmf bounded by
-# -746 leaves a margin far above the exponent's rounding error (about 1e-10
-# at lam = 1e5, where its terms reach 1e6)
-_UNDERFLOW_LOG = 746.0
-
 # Log of 2^-64, the Poisson mass a series window may leave below its lower
 # end and a kernel row on either side.  It is below the 2^-53 resolution of
 # a sum of weights, so dropping it moves no sum.
@@ -237,31 +245,49 @@ def _lower_end(lam, log_budget):
     return max(0, math.floor(lam - math.sqrt(2.0 * log_budget * lam)))
 
 
-def _poisson_pmf(lam, lo, hi, out=None):
-    """Poisson(lam) pmf on lo..hi, exp(-lam + k log lam - log k!), into ``out`` if given.
+# Mean window length from which the segment form of _poisson_pmf evaluates
+# its windows one at a time
+_LONG_WINDOW = 1024
 
-    ``lam`` is a mean, or a column of ascending means that gives one row
-    per mean on the same range, as a block of kernel rows needs.  Below
-    k0 = ``_lower_end(lam, 746)`` = floor(lam - sqrt(2 * 746 * lam)) every
-    term underflows to 0.0.  Those entries are written as zeros and exp is
-    evaluated only from k0 (or lo, if higher) to hi, which returns the same
-    bits as evaluating every term.  When lam <= 1492, k0 is 0.  k0 does not
-    decrease as lam grows, so the first mean's k0 serves every row.  Each
-    entry is the same double whichever range or block it is evaluated in.
-    The series windows and the kernel rows both come from here.
+
+def _poisson_pmf(lam, lo, hi, out=None):
+    """Poisson pmf exp(-lam + k log lam - log k!) on integer ranges, into ``out`` if given.
+
+    One evaluation serves three forms, so each entry is the same double
+    whichever form, range or block it is evaluated in:
+
+    * a mean ``lam`` on lo..hi, a series window;
+    * a column of means on lo..hi, one row per mean, a block of kernel rows;
+    * arrays of means, of lo and of hi, one entry per window: the pmf of
+      each mean on its own lo..hi, the windows concatenated, a chunk of
+      series windows over a grid.
+
+    Every term is evaluated; those that underflow come out as 0.0.
     """
-    rows = isinstance(lam, np.ndarray)
-    first = float(lam[0, 0]) if rows else lam
-    if out is None:
-        out = np.empty((lam.shape[0], hi - lo + 1) if rows else hi - lo + 1)
-    k0 = max(lo, _lower_end(first, _UNDERFLOW_LOG))
-    if k0 > lo:
-        out[..., :k0 - lo] = 0.0
-    log_p = np.arange(k0, hi + 1) * np.log(lam)
+    if isinstance(lo, np.ndarray):
+        sizes = hi - lo + 1
+        ends = np.cumsum(sizes)
+        if ends[-1] >= _LONG_WINDOW * sizes.size:
+            # long windows are cheaper one at a time, slicing the log k! table
+            if out is None:
+                out = np.empty(ends[-1])
+            for lam_t, lo_t, hi_t, end in zip(lam.tolist(), lo.tolist(), hi.tolist(),
+                                              ends.tolist()):
+                _poisson_pmf(lam_t, lo_t, hi_t, out=out[end - (hi_t - lo_t + 1):end])
+            return out
+        # the steps below, each repeated term built just before its use so
+        # that at most one chunk-sized temporary lives beside k
+        k = np.repeat(lo - (ends - sizes), sizes)
+        k += np.arange(k.size)
+        log_p = np.multiply(k, np.repeat(np.log(lam), sizes), out=out)
+        log_p += np.repeat(-lam, sizes)
+        log_p -= _log_factorial_table(int(hi.max()) + 1)[k]
+        return np.exp(log_p, out=log_p)
+    k = np.arange(lo, hi + 1)
+    log_p = np.multiply(k, np.log(lam), out=out)
     log_p += -lam
-    log_p -= _log_factorial_table(hi + 1)[k0:hi + 1]
-    np.exp(log_p, out=out[..., k0 - lo:])
-    return out
+    log_p -= _log_factorial_table(hi + 1)[lo:hi + 1]
+    return np.exp(log_p, out=log_p)
 
 
 def _binomial_pmf(n, p, k):
@@ -327,27 +353,43 @@ def _cut_at_tail(lo, hi, mode, pmf, ratio_beyond, policy, label, mean):
         hi *= 2
 
 
+def _poisson_start(lam, policy):
+    """The first window lo..hi and the mode of Poisson(lam), as ``(lo, hi, mode)``.
+
+    lo is the Chernoff point of :func:`_lower_end` for a budget of
+    min(2^-64, tail_eps), rounded down to a multiple of ``_LOWER_END_STEP``;
+    it is 0 for means below about 770.  hi lies 20 standard deviations plus
+    a buffer above the mean.  ``lam`` is a mean, giving ints, or an array of
+    means, giving int64 arrays of the same values.
+    """
+    log_budget = max(_WINDOW_LOG_BUDGET, -math.log(policy.tail_eps))
+    lo = _lower_end(lam, log_budget) // _LOWER_END_STEP * _LOWER_END_STEP
+    if isinstance(lam, np.ndarray):
+        return lo, (lam + 20.0 * np.sqrt(lam) + 60.0).astype(np.int64), lam.astype(np.int64)
+    return lo, int(lam + 20.0 * math.sqrt(lam) + 60.0), int(lam)
+
+
+def _below(lam, lo):
+    """The Chernoff bound exp(-(lam - lo + 1)^2 / (2 lam)) on P(X <= lo - 1), 0.0 if lo = 0."""
+    return math.exp(-(lam - lo + 1) ** 2 / (2.0 * lam)) if lo else 0.0
+
+
 @functools.lru_cache(maxsize=1)
 def _poisson_weights(lam: float, policy: TruncationPolicy):
     """Poisson(lam) pmf on lo..K, the tail mass beyond K and a bound on the mass below lo.
 
     Returns ``(lo, w, tail, below)``: w is the pmf on lo..K, tail the
-    certified mass beyond K, and below a certified bound on the mass below
-    lo.  The omitted mass is tail + below.
+    certified mass beyond K, and below the bound of :func:`_below` on the
+    mass below lo.  The omitted mass is tail + below.
 
     K is the smallest cutoff whose upper-tail mass is <= ``tail_eps``.  The
-    tail is an exact reversed summation over a mode-centered window (20
-    standard deviations plus a buffer) augmented with a certified geometric
-    remainder for the mass beyond the window; the window grows if the
-    tolerance is not certifiably reached inside it.  The weights are
-    :func:`_poisson_pmf` on lo..hi, cut at K; only tail sums that cannot
-    reach the cut are skipped.  K, the tail and every weight from lo to K
-    carry the bits of a window evaluated and summed from k = 0.
-
-    lo is the Chernoff point of :func:`_lower_end` for a budget of
-    min(2^-64, tail_eps), rounded down to a multiple of ``_LOWER_END_STEP``;
-    it is 0 for means below about 770.  below is the Chernoff bound
-    exp(-(lam - lo + 1)^2 / (2 lam)) on P(X <= lo - 1), and 0.0 when lo = 0.
+    tail is an exact reversed summation over the window of
+    :func:`_poisson_start` augmented with a certified geometric remainder
+    for the mass beyond the window; the window grows if the tolerance is
+    not certifiably reached inside it.  The weights are :func:`_poisson_pmf`
+    on lo..hi, cut at K; only tail sums that cannot reach the cut are
+    skipped.  K, the tail and every weight from lo to K carry the bits of a
+    window evaluated and summed from k = 0.
 
     The last window is memoised, so callers that apply several functions
     at one mean (the Korovkin experiment's rates) build it once; its
@@ -356,20 +398,16 @@ def _poisson_weights(lam: float, policy: TruncationPolicy):
     if lam == 0.0:
         lo, w, tail = 0, np.array([1.0]), 0.0
     else:
-        log_budget = max(_WINDOW_LOG_BUDGET, -math.log(policy.tail_eps))
         lo, w, tail = _cut_at_tail(
-            _lower_end(lam, log_budget) // _LOWER_END_STEP * _LOWER_END_STEP,
-            int(lam + 20.0 * math.sqrt(lam) + 60.0),
-            int(lam),
+            *_poisson_start(lam, policy),
             lambda lo, hi: _poisson_pmf(lam, lo, hi),
             lambda hi: lam / (hi + 1.0),
             policy,
             "mean",
             lam,
         )
-    below = math.exp(-(lam - lo + 1) ** 2 / (2.0 * lam)) if lo else 0.0
     w.flags.writeable = False
-    return lo, w, tail, below
+    return lo, w, tail, _below(lam, lo)
 
 
 def truncation_index(n: int, x: float, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
@@ -394,6 +432,118 @@ def sm_apply(n: int, f, x: float, policy: TruncationPolicy = DEFAULT_POLICY) -> 
     return SeriesValue(_average(lo, w, f, n), tail + below)
 
 
+# sm_apply_grid evaluates the pmf of consecutive windows in chunks of at
+# most this many terms (a longer window is a chunk of its own)
+_GRID_CHUNK = 1 << 14
+
+
+def _poisson_windows(lam, lo, hi, mode, policy, buffer):
+    """The windows ``(lo, w, tail, below)`` of consecutive means, as sm_apply builds them.
+
+    ``lam``, ``lo``, ``hi`` and ``mode`` are arrays from :func:`_poisson_start`
+    of positive means whose windows lo..hi fit within ``max_terms``.  One
+    :func:`_poisson_pmf` call evaluates the windows, concatenated, into
+    ``buffer`` if they fit there.  The first pass of :func:`_cut_at_tail`,
+    the tail sums from hi down to the mode, then runs for all of them at
+    once, one sequential cumulative sum per window as there.  A window
+    whose cut that pass does not certify (the cut lies at or below the mode
+    or below lo, or the window must double) comes from
+    :func:`_poisson_weights` itself.  Returns the windows up to the first
+    that raises TruncationFailureError, and that error or None.
+    """
+    sizes = hi - lo + 1
+    ends = np.cumsum(sizes) - 1
+    p = _poisson_pmf(lam, lo, hi, out=buffer[:ends[-1] + 1] if ends[-1] < buffer.size else None)
+    tops = hi - mode
+    # tail[r, m] is the tail past j = hi_r - 1 - m, for m below window r's
+    # top; past it the row adds zeros
+    tail = np.zeros((lam.size, int(tops.max())))
+    for row, end, top in zip(tail, ends.tolist(), tops.tolist()):
+        row[:top] = p[end - top + 1:end + 1][::-1]
+    np.cumsum(tail, axis=1, out=tail)
+    ratio = lam / (hi + 1.0)
+    remainder = p[ends] * ratio / (1.0 - ratio)
+    tail += remainder[:, None]
+    over = tail > policy.tail_eps
+    within = over.argmax(axis=1)
+    rows = np.arange(lam.size)
+    omitted = np.where(within > 0, tail[rows, within - 1], remainder)
+    K = hi - within
+    cut = ((ratio < 1.0) & (within < tops) & over[rows, within]
+           & (omitted <= policy.tail_eps) & (K >= lo))
+    windows = []
+    for lam_t, lo_t, start, K_t, omitted_t, cut_t in zip(
+            lam.tolist(), lo.tolist(), (ends + 1 - sizes).tolist(), K.tolist(),
+            omitted.tolist(), cut.tolist()):
+        if cut_t:
+            windows.append((lo_t, p[start:start + K_t - lo_t + 1], omitted_t, _below(lam_t, lo_t)))
+            continue
+        try:
+            windows.append(_poisson_weights(lam_t, policy))
+        except TruncationFailureError as failure:
+            return windows, failure
+    return windows, None
+
+
+def sm_apply_grid(n: int, f, xs, policy: TruncationPolicy = DEFAULT_POLICY):
+    """Apply the Szasz-Mirakyan operator of index n to f at every point of ``xs``.
+
+    Returns ``(values, omitted)``, two arrays with one entry per point of
+    the 1-d ``xs``: the bits of ``sm_apply(n, f, x, policy)`` at each point
+    x.  A point that sm_apply would reject raises the same error, after the
+    points before it have been evaluated, as a loop of sm_apply calls would.
+
+    Consecutive points whose windows lo..hi overlap are taken in chunks of
+    at most ``_GRID_CHUNK`` terms.  :func:`_poisson_windows` builds a
+    chunk's windows, f is evaluated once on the lattice points from the
+    least lo to the greatest K among them, and each window is summed by
+    the dot product of :func:`_average`.  Nearby means share most of
+    their windows, so f is evaluated on far fewer points than the windows
+    hold together.
+    """
+    n = _check_index(n)
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError(f"xs must be a 1-d array of points, got shape {xs.shape}")
+    valid = (0.0 <= xs) & (xs < math.inf)
+    stop = xs.size if valid.all() else int(valid.argmin())
+    with np.errstate(over="ignore"):
+        lam = n * xs[:stop]  # inf, as n * x is for sm_apply, if it overflows
+    # capped so that hi fits an int64; so large a window is past max_terms
+    lo, hi, mode = _poisson_start(np.minimum(lam, 2.0 ** 53), policy)
+    # a point mass and a window past max_terms are chunks of their own
+    sizes = np.where((lam > 0.0) & (hi < policy.max_terms), hi - lo + 1, 0).tolist()
+    lows, highs = lo.tolist(), hi.tolist()
+    values, omitted = np.empty(stop), np.empty(stop)
+    buffer = np.empty(_GRID_CHUNK)
+    i = 0
+    while i < stop:
+        # a chunk's windows overlap the span first..last of those before them
+        j, total, first, last = i + 1, sizes[i], lows[i], highs[i]
+        while (total and j < stop and sizes[j] and lows[j] <= last and highs[j] >= first
+               and total + sizes[j] <= _GRID_CHUNK):
+            total, first, last = total + sizes[j], min(first, lows[j]), max(last, highs[j])
+            j += 1
+        if total:
+            windows, error = _poisson_windows(lam[i:j], lo[i:j], hi[i:j], mode[i:j], policy,
+                                              buffer)
+        else:
+            windows, error = [_poisson_weights(float(lam[i]), policy)], None
+        if windows:
+            first = min(window[0] for window in windows)
+            last = max(window[0] + window[1].size for window in windows)
+            vals = np.asarray(f(np.arange(first, last) / n), dtype=float)
+            for t, (lo_t, w, tail, below) in zip(range(i, j), windows):
+                values[t] = _dot(lo_t, w, vals[lo_t - first:lo_t - first + w.size], n)
+                omitted[t] = tail + below
+        if error is not None:
+            raise error
+        i = j
+    if stop < xs.size:
+        _validate(n, float(xs[stop]))
+    return values, omitted
+
+
 def bernstein_apply(n: int, f, x: float) -> float:
     """Apply the Bernstein operator: the finite binomial average of f.
 
@@ -411,17 +561,28 @@ def bernstein_apply(n: int, f, x: float) -> float:
 
 
 def _negative_binomial_weights(n: int, x: float, policy: TruncationPolicy):
-    """Negative-binomial weights C(n+k-1,k) x^k / (1+x)^(n+k) on 0..K, as ``(0, w, tail)``.
+    """Negative-binomial weights C(n+k-1,k) x^k / (1+x)^(n+k) on lo..K: ``(lo, w, tail, below)``.
 
     The initial window adds a geometric allowance on top of the usual
     deviation-based width: the tail decays only like (x/(1+x))^k, so for
     small n and large x it needs about (1+x) log(1/eps) extra terms.
+
+    The law is that of a sum S of n independent geometric variables, each
+    of mean x and second moment x (1 + 2x).  Maurer's inequality for sums
+    of nonnegative variables (JIPAM 4(1), 2003) gives
+    P(S <= nx - t) <= exp(-t^2 / (2 v)) with v = n x (1 + 2x), so the
+    window starts at lo = floor(nx - sqrt(2 L v)), for the budget L of the
+    Poisson windows, and below = exp(-(nx - lo + 1)^2 / (2 v)) bounds the
+    mass under lo (0.0 when lo = 0).  K, the tail and the weights from lo
+    on carry the bits of a window from k = 0, as for the Poisson windows.
     """
     if x == 0.0:
-        return 0, np.array([1.0]), 0.0
+        return 0, np.array([1.0]), 0.0, 0.0
     mean = n * x
     sd = np.sqrt(n * x * (1.0 + x))
     geometric = (1.0 + x) * max(0.0, np.log(1.0 / policy.tail_eps))
+    spread = mean * (1.0 + 2.0 * x)
+    log_budget = max(_WINDOW_LOG_BUDGET, -math.log(policy.tail_eps))
 
     def pmf(lo, hi):
         k = np.arange(lo, hi + 1)
@@ -434,8 +595,8 @@ def _negative_binomial_weights(n: int, x: float, policy: TruncationPolicy):
             - (n + k) * np.log1p(x)
         )
 
-    return _cut_at_tail(
-        0,
+    lo, w, tail = _cut_at_tail(
+        max(0, math.floor(mean - math.sqrt(2.0 * log_budget * spread))),
         int(mean + 20.0 * sd + geometric + 60.0),
         int((n - 1) * x),
         pmf,
@@ -444,6 +605,8 @@ def _negative_binomial_weights(n: int, x: float, policy: TruncationPolicy):
         "Baskakov mean",
         mean,
     )
+    below = math.exp(-(mean - lo + 1) ** 2 / (2.0 * spread)) if lo else 0.0
+    return lo, w, tail, below
 
 
 def baskakov_apply(n: int, f, x: float, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
@@ -451,11 +614,13 @@ def baskakov_apply(n: int, f, x: float, policy: TruncationPolicy = DEFAULT_POLIC
 
     Experimental branch: its limiting behavior is only supported by a
     heuristic second-order coefficient, so none of the quantitative rate
-    assertions elsewhere in the package rely on it.
+    assertions elsewhere in the package rely on it.  f is evaluated only on
+    lo..K; the omitted mass is the tail beyond K plus the bound on the mass
+    below lo.
     """
     n = _validate(n, x)
-    lo, w, omitted = _negative_binomial_weights(n, x, policy)
-    return SeriesValue(_average(lo, w, f, n), omitted)
+    lo, w, tail, below = _negative_binomial_weights(n, x, policy)
+    return SeriesValue(_average(lo, w, f, n), tail + below)
 
 
 def sm_exponential_closed_form(n: int, lam: float, x):

@@ -81,13 +81,29 @@ class TestPoissonPmf:
     @pytest.mark.parametrize("first, lo, hi", [(1.0, 0, 90), (5000.0, 0, 6000),
                                                 (51200.0, 40000, 53500)])
     def test_column_of_means_gives_the_rows_of_single_means(self, first, lo, hi):
-        # 64 ascending means, as a kernel block has; from 5000 on, the first
-        # mean's underflow cut lies above lo
+        # 64 ascending means, as a kernel block has; from 5000 on, the range
+        # starts where the first means' terms underflow to 0.0
         lams = first + np.arange(64.0)
         block = _poisson_pmf(lams[:, None], lo, hi)
         assert block.shape == (64, hi - lo + 1)
         for lam, row in zip(lams, block):
             np.testing.assert_array_equal(row, _poisson_pmf(float(lam), lo, hi))
+
+    # short windows go through one evaluation, long ones (1,024 terms or
+    # more on average) one at a time
+    @pytest.mark.parametrize("lams, los, his", [
+        ([0.3, 7.0, 7.5, 250.0], [0, 0, 3, 40], [9, 30, 30, 400]),
+        ([5000.0, 5100.0], [4096, 4096], [6500, 6600]),
+        ([2.0], [0], [0]),
+    ])
+    def test_concatenated_windows_give_the_windows_of_single_means(self, lams, los, his):
+        lams, los, his = np.array(lams), np.array(los), np.array(his)
+        buffer = np.full((his - los + 1).sum() + 1, -1.0)
+        got = _poisson_pmf(lams, los, his, out=buffer[:-1])
+        assert got.base is buffer and buffer[-1] == -1.0
+        want = [_poisson_pmf(float(lam), int(lo), int(hi)) for lam, lo, hi in zip(lams, los, his)]
+        np.testing.assert_array_equal(got, np.concatenate(want))
+        np.testing.assert_array_equal(_poisson_pmf(lams, los, his), got)
 
     @pytest.mark.parametrize("lam, lo, hi", [(7.0, 0, 30), (5000.0, 3000, 7000)])
     def test_writes_into_the_given_slice(self, lam, lo, hi):
@@ -165,7 +181,7 @@ class TestLatticeLawsFromTable:
     @given(n=indices, x=half_line)
     @example(n=1, x=0.5)
     def test_negative_binomial_equals_gammaln_formula(self, n, x):
-        lo, w, _ = _negative_binomial_weights(n, x, DEFAULT_POLICY)
+        lo, w, _, _ = _negative_binomial_weights(n, x, DEFAULT_POLICY)
         k = np.arange(lo, lo + w.size)
         direct = np.exp(
             gammaln(n + k.astype(float))

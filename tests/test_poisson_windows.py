@@ -16,15 +16,21 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.special import gammaln, pdtr
+from scipy.special import gammaln, nbdtr, pdtr
 
 import oplimits
 import oplimits.operators
-from oplimits import CATALOG, EvaluationError, TruncationPolicy, bernstein_apply, sm_apply
+from oplimits import (
+    CATALOG,
+    EvaluationError,
+    TruncationPolicy,
+    baskakov_apply,
+    bernstein_apply,
+    sm_apply,
+)
 from oplimits.harness import ExperimentConfig, run_experiment
 from oplimits.operators import (
     _DOT_PIECE,
-    _UNDERFLOW_LOG,
     DEFAULT_POLICY,
     _lower_end,
     _negative_binomial_weights,
@@ -179,6 +185,31 @@ class TestMassBelowTheWindow:
         assert lo <= _lower_end(lam, 64.0 * math.log(2.0)) < lo + 512
 
 
+class TestMassBelowTheNegativeBinomialWindow:
+    # nbdtr(k, n, p) is the mass at or below k of the failures before the
+    # n-th success at success probability p; the Baskakov weights are that
+    # law at p = 1 / (1 + x)
+    @WINDOW_SETTINGS
+    @given(n=st.integers(min_value=1, max_value=5000),
+           x=st.floats(min_value=1e-6, max_value=50.0),
+           tail_eps=st.sampled_from([1e-6, 1e-12, 1e-15, 1e-30, 1e-300]))
+    @example(n=1000, x=5.0, tail_eps=1e-12)
+    @example(n=5000, x=50.0, tail_eps=1e-300)
+    def test_bound_is_certified_and_within_budget(self, n, x, tail_eps):
+        policy = TruncationPolicy(tail_eps=tail_eps)
+        lo, _, tail, below = _negative_binomial_weights(n, x, policy)
+        true_below = nbdtr(lo - 1, n, 1.0 / (1.0 + x)) if lo else 0.0
+        assert true_below <= below <= min(2.0 ** -64, tail_eps)
+        if lo == 0:
+            assert below == 0.0
+        assert baskakov_apply(n, CATALOG["e0"], x, policy).omitted_mass == tail + below
+
+    def test_lower_end_drops_the_terms_below_it(self):
+        # of the 6,310 terms from k = 0 up to the cut, the first 2,790 go
+        lo, w, _, _ = _negative_binomial_weights(1000, 5.0, DEFAULT_POLICY)
+        assert (lo, lo + w.size) == (2790, 6310)
+
+
 class TestMemoisedWindow:
     @pytest.mark.parametrize("lam", [0.0, 3.0, 5000.0])
     def test_weights_are_shared_and_read_only(self, lam):
@@ -255,20 +286,30 @@ class TestLatticeAverage:
 def test_default_voronovskaya_run_sums_only_the_windows(monkeypatch):
     """The default run averages 1.28M terms and evaluates 2.19M pmf exps.
 
-    Windows from k = 0 averaged 5.66M terms and evaluated 3.40M exps.
+    Windows from k = 0 averaged 5.66M terms and evaluated 3.40M exps.  The
+    grid routine and sm_apply both sum through ``_dot`` and evaluate the
+    pmf through ``_poisson_pmf``, which may call itself once per window;
+    only the outermost call is counted.
     """
     counts = {"terms": 0, "exps": 0}
-    average, pmf = oplimits.operators._average, oplimits.operators._poisson_pmf
+    dot, pmf = oplimits.operators._dot, oplimits.operators._poisson_pmf
+    depth = [0]
 
-    def counted_average(lo, w, f, n):
+    def counted_dot(lo, w, vals, n):
         counts["terms"] += w.size
-        return average(lo, w, f, n)
+        return dot(lo, w, vals, n)
 
     def counted_pmf(lam, lo, hi, out=None):
-        counts["exps"] += hi + 1 - max(lo, _lower_end(lam, _UNDERFLOW_LOG))
-        return pmf(lam, lo, hi, out)
+        depth[0] += 1
+        try:
+            p = pmf(lam, lo, hi, out)
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            counts["exps"] += p.size
+        return p
 
-    monkeypatch.setattr(oplimits.operators, "_average", counted_average)
+    monkeypatch.setattr(oplimits.operators, "_dot", counted_dot)
     monkeypatch.setattr(oplimits.operators, "_poisson_pmf", counted_pmf)
     run_experiment(ExperimentConfig.for_experiment("voronovskaya"))
     assert counts["terms"] <= 1_300_000
