@@ -143,22 +143,44 @@ def estimate_from(values: np.ndarray) -> MonteCarloEstimate:
     )
 
 
+def _runs(s: np.ndarray):
+    """Distinct values of the sorted nonempty ``s``, and the counts of s at
+    or below each, with 0 prepended: the ends of its runs of ties."""
+    ends = np.append(np.flatnonzero(s[1:] != s[:-1]), s.size - 1)
+    return s[ends], np.concatenate(([0], ends + 1))
+
+
 def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov distance sup |F_a - F_b|.
 
-    Raises ValueError if either sample is empty or holds a NaN.
+    Both empirical CDFs are right-continuous steps that jump only at sample
+    values, so the sup is taken at the distinct values of the two samples.
+    A sorted sample's own CDF at its distinct values is read off the ends of
+    its runs of ties, with no search; the other sample's CDF there is found
+    by searching that sample's distinct values only (a chain sample of 10^5
+    draws has about 1,500).  Each CDF value is the count a search of the
+    whole sample would give, over the sample size, so the distance is
+    exactly the maximum over every pooled point of
+    |searchsorted(a)/a.size - searchsorted(b)/b.size|.
+
+    Raises ValueError if either sample is not 1-d, is empty or holds a NaN.
     """
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
+    samples = []
+    for name, sample in (("a", a), ("b", b)):
+        sample = np.asarray(sample, dtype=float)
+        if sample.ndim != 1:
+            raise ValueError(f"sample {name} must be 1-d, got shape {sample.shape}")
+        samples.append(np.sort(sample))
+    a, b = samples
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be nonempty")
     for name, sample in (("a", a), ("b", b)):
         if np.isnan(sample[-1]):  # sorting puts NaNs last
             raise ValueError(f"sample {name} contains NaN")
-    # both CDFs are right-continuous steps that jump only at sample values,
-    # so the sup is taken at the distinct values of each sorted sample; a
-    # value in both is searched twice, which leaves the max unchanged
-    z = np.concatenate([s[np.concatenate([[True], s[1:] != s[:-1]])] for s in (a, b)])
-    ca = np.searchsorted(a, z, side="right") / a.size
-    cb = np.searchsorted(b, z, side="right") / b.size
-    return float(np.max(np.abs(ca - cb)))
+    za, ca = _runs(a)
+    zb, cb = _runs(b)
+    # ca[j + 1] / a.size is F_a at za[j], and ca[searchsorted(za, z)] counts
+    # the values of a at or below any z; likewise for b
+    at_a = np.abs(ca[1:] / a.size - cb[np.searchsorted(zb, za, side="right")] / b.size)
+    at_b = np.abs(ca[np.searchsorted(za, zb, side="right")] / a.size - cb[1:] / b.size)
+    return float(max(np.max(at_a), np.max(at_b)))

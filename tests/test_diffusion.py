@@ -1,10 +1,12 @@
 """Exact and Euler simulation of the limit diffusions."""
 
 import math
+import re
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from oplimits import (
@@ -381,6 +383,19 @@ class TestScalingMoments:
             chain_scaling_moments(10, 0.123)
 
 
+# Samples with an atom at 0 (extinct chains and diffusions), lattice ties,
+# continuous values and infinities.
+KS_SAMPLES = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.integers(0, 12).map(lambda j: j / 4.0),
+        st.floats(-50.0, 50.0, allow_nan=False),
+        st.sampled_from([math.inf, -math.inf]),
+    ),
+    min_size=1, max_size=40,
+)
+
+
 class TestKSDistance:
     def test_identical_samples(self):
         a = np.array([0.0, 1.0, 2.0, 5.0])
@@ -407,6 +422,15 @@ class TestKSDistance:
                       - np.searchsorted(np.sort(b), z, side="right") / b.size)
         assert ks_distance(a, b) == float(np.max(full))
 
+    @settings(deadline=None)
+    @given(a=KS_SAMPLES, b=KS_SAMPLES)
+    def test_bits_equal_the_search_at_every_pooled_point_for_any_sample(self, a, b):
+        a, b = np.array(a), np.array(b)
+        z = np.concatenate([a, b])
+        full = np.abs(np.searchsorted(np.sort(a), z, side="right") / a.size
+                      - np.searchsorted(np.sort(b), z, side="right") / b.size)
+        assert ks_distance(a, b) == float(np.max(full))
+
     def test_atom_at_zero_is_counted(self):
         # right-continuous CDF comparison must see the shared atom at 0
         a = np.concatenate([np.zeros(500), np.ones(500)])
@@ -420,6 +444,15 @@ class TestKSDistance:
     ], ids=["nan-in-a", "nan-in-b", "all-nan"])
     def test_nan_is_rejected_naming_its_sample(self, a, b, name):
         with pytest.raises(ValueError, match=rf"^sample {name} contains NaN"):
+            ks_distance(a, b)
+
+    @pytest.mark.parametrize("a, b, name, shape", [
+        (np.zeros((2, 3)), [1.0, 2.0], "a", "(2, 3)"),
+        ([1.0, 2.0], 2.0, "b", "()"),
+    ], ids=["2-d-a", "scalar-b"])
+    def test_a_sample_that_is_not_1d_is_rejected_naming_it(self, a, b, name, shape):
+        with pytest.raises(ValueError,
+                           match=rf"^sample {name} must be 1-d, got shape {re.escape(shape)}$"):
             ks_distance(a, b)
 
     def test_euler_config_validation(self):

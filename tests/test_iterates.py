@@ -28,6 +28,8 @@ from oplimits.iterates import (
     _alias_bound,
     _chain_cdf,
     _fft_size_at_least,
+    _gw_psi,
+    _roots_of_unity_minus_one,
     _row_window,
 )
 from oplimits.mc import _MIN_THREADED_CHUNK, estimate_from, sample_across_workers
@@ -443,22 +445,33 @@ LAW_MAX_CUTOFF = 2614
 @functools.lru_cache(maxsize=None)
 def _deep_kernel():
     """The SM kernel up to LAW_MAX_CUTOFF; row i is Poisson(i) whatever n is."""
-    return build_sm_kernel(1, LAW_MAX_CUTOFF).matrix
+    return build_sm_kernel(1, LAW_MAX_CUTOFF)
 
 
 def _kernel_law(k, i):
     """e_i^T P^k from a kernel deep enough to lose no more than round-off.
 
-    Its leading (K+1) x (K+1) block of the cached deep kernel stores what a
-    fresh ``build_sm_kernel(n, K)`` would, as rows are clipped at K.
+    Rows 0..K of the cached deep kernel, cut at column K, store what a
+    fresh ``build_sm_kernel(n, K)`` would, as rows are clipped at K.  Each
+    step multiplies e only into the dense blocks that hold the states it
+    has reached, 0..h; the blocks above h meet zeros of e.
     """
     K = int(i + 20 * math.sqrt(i * k) + 20 * k + 100)
     assert K <= LAW_MAX_CUTOFF
-    matrix = _deep_kernel()[: K + 1, : K + 1]
-    e = np.zeros(K + 1)
+    kernel = _deep_kernel()
+    e = np.zeros(kernel.size)
     e[i] = 1.0
     for _ in range(k):
-        e = matrix.T @ e
+        h = int(np.flatnonzero(e)[-1])
+        y = np.zeros_like(e)
+        for r0, c0, block in kernel.blocks:
+            if r0 > h:
+                break
+            rows, width = block.shape
+            y[c0:c0 + width] += e[r0:r0 + rows] @ block
+        y[K + 1:] = 0.0
+        e = y
+    e = e[:K + 1]
     assert abs(1.0 - e.sum()) <= 1e-12
     return e
 
@@ -468,6 +481,61 @@ def _law(n, k, x):
 
 
 LAW_SETTINGS = settings(max_examples=40, deadline=None)
+
+# Double unit roundoff.
+EPS = np.finfo(float).eps
+
+
+def _complex_psi(size, k):
+    """phi_{k-1} - 1 at the roots of unity by complex ``np.expm1``, the reference."""
+    psi = np.expm1(np.arange(size // 2 + 1) * (-2j * np.pi / size))
+    for _ in range(k - 1):
+        psi = np.expm1(psi)
+    return psi
+
+
+def _complex_cdf(n, k, x):
+    """_chain_cdf's law built on the complex reference iteration."""
+    size = _chain_cdf(n, k, x).size
+    pmf = np.fft.irfft(np.exp(n * x * _complex_psi(size, k)), size)
+    return np.cumsum(np.clip(pmf, 0.0, None))
+
+
+class TestUnitCircleIteration:
+    """_gw_psi's real arithmetic against the complex iteration it replaced."""
+
+    @staticmethod
+    def _assert_within_ulps_per_generation(size, k):
+        a, b = _gw_psi(*_roots_of_unity_minus_one(size), k)
+        ref = _complex_psi(size, k)
+        # every part stays within 4 units in the last place per generation
+        assert np.all(np.abs(a - ref.real) <= 4 * k * EPS * np.abs(ref.real))
+        assert np.all(np.abs(b - ref.imag) <= 4 * k * EPS * np.abs(ref.imag))
+
+    @pytest.mark.parametrize("n", [10, 50, 250])
+    def test_default_laws_match_the_complex_iteration(self, n):
+        self._assert_within_ulps_per_generation(_chain_cdf(n, n, 1.0).size, n)
+
+    @LAW_SETTINGS
+    @given(n=st.integers(1, 60), k=st.integers(1, 60),
+           x=st.floats(min_value=0.01, max_value=3.0))
+    def test_matches_the_complex_iteration(self, n, k, x):
+        self._assert_within_ulps_per_generation(_chain_cdf(n, k, x).size, k)
+
+    @pytest.mark.parametrize("n", [10, 50, 250])
+    def test_default_cdfs_are_within_m_roundoffs_of_the_reference(self, n):
+        cdf = _chain_cdf(n, n, 1.0)
+        assert np.max(np.abs(cdf - _complex_cdf(n, n, 1.0))) <= 4 * cdf.size * EPS
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_never_writes_into_its_argument(self, k):
+        re, im = _roots_of_unity_minus_one(96)
+        saved = re.copy(), im.copy()
+        a, b = _gw_psi(re, im, k)
+        np.testing.assert_array_equal(re, saved[0])
+        np.testing.assert_array_equal(im, saved[1])
+        # at k = 1 the result equals the argument but is a copy of it
+        assert not np.shares_memory(a, re) and not np.shares_memory(b, im)
 
 
 class TestChainLaw:
@@ -509,7 +577,7 @@ class TestChainLaw:
 
     @pytest.mark.parametrize("K", [0, 1, 37, 500, LAW_MAX_CUTOFF])
     def test_deep_kernel_blocks_equal_fresh_kernels(self, K):
-        block = _deep_kernel()[: K + 1, : K + 1]
+        block = _deep_kernel().matrix[: K + 1, : K + 1]
         fresh = build_sm_kernel(1, K).matrix
         for name in ("data", "indices", "indptr"):
             np.testing.assert_array_equal(getattr(block, name), getattr(fresh, name))
