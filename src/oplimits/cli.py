@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-One binary, one subcommand per experiment.  A JSON config file provides the
-base settings; individual flags override it.  ``--out`` and ``--format``
-are not config keys: where and how the report is written never enters it.
+One binary, one subcommand per experiment.  A subcommand accepts only the
+parameters its experiment reads (``harness.PARAMETERS``), plus ``--seed``.
+A JSON config file provides the base settings; individual flags override
+it.  ``--out`` and ``--format`` are not config keys: where and how the
+report is written never enters it.
 Exit status: 0 when every report row passes, 1 when any row fails, 2 on
 configuration or runtime errors.
 """
@@ -15,7 +17,7 @@ import sys
 
 from .errors import ConfigError
 from .harness import (
-    EXPERIMENTS,
+    PARAMETERS,
     ExperimentConfig,
     emit_report,
     load_config_file,
@@ -32,6 +34,18 @@ def _parse_ladder(text):
         ) from exc
 
 
+# config key -> its flag; a subcommand offers the flags of its own keys
+_FLAGS = {
+    "n_ladder": ("--n-ladder", dict(
+        type=_parse_ladder, help="comma-separated operator indices, e.g. 8,32,128")),
+    "alpha": ("--alpha", dict(type=float, help="weight exponent")),
+    "t": ("--t", dict(type=float, help="time horizon")),
+    "function_label": ("--f", dict(help="catalog function label")),
+    "samples": ("--samples", dict(type=int, help="Monte Carlo sample count")),
+    "seed": ("--seed", dict(type=int, help="master random seed")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oplimits",
@@ -41,21 +55,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
+    for name, params in PARAMETERS.items():
+        # no abbreviations: korovkin --f must not be read as --format
+        p = sub.add_parser(name, help=f"run the {name} experiment", allow_abbrev=False)
         p.add_argument("--config", help="JSON config file", default=None)
-        p.add_argument("--n-ladder", type=_parse_ladder, default=None,
-                       help="comma-separated operator indices, e.g. 8,32,128")
-        p.add_argument("--alpha", type=float, default=None,
-                       help="weight exponent")
-        p.add_argument("--t", type=float, default=None,
-                       help="time horizon")
-        p.add_argument("--f", dest="function_label", default=None,
-                       help="catalog function label")
-        p.add_argument("--samples", type=int, default=None,
-                       help="Monte Carlo sample count")
-        p.add_argument("--seed", type=int, default=None,
-                       help="master random seed")
+        # every subcommand takes --seed; see harness._SEEDLESS
+        for key, (flag, kwargs) in _FLAGS.items():
+            if key in params or key == "seed":
+                p.add_argument(flag, dest=key, default=None, **kwargs)
         p.add_argument("--out", default=None,
                        help="report path (default <experiment>.<format>)")
         p.add_argument("--format", choices=("csv", "json"), default="csv",

@@ -4,11 +4,11 @@ Each experiment produces a flat list of report rows; a row records what was
 measured, the bound it was compared against (when one applies), the Monte
 Carlo standard error (when stochastic), the truncation error budget, and the
 resulting pass/fail flag, so every verdict is recomputable from the emitted
-fields alone.  Rows embed the fully resolved configuration (defaults and
-seed included) under the ``config`` key of their parameter echo; nothing
-else, such as the output path, the report format or the Monte Carlo stream
-layout, enters a report, so its bytes depend only on the experiment's
-parameters.
+fields alone.  Under ``config`` each row's parameters hold the experiment's
+parameters, defaults included: exactly those its runner reads
+(:data:`PARAMETERS`).  Nothing else, such as the output path, the report
+format or the Monte Carlo stream layout, enters a report, so its bytes
+depend only on the parameters that change its values.
 
 Runners only measure; one report builder per run (:class:`_Report`) turns
 their measurements into rows and owns every verdict rule.  A trend row
@@ -18,15 +18,14 @@ monotonicity slack; a final row checks its series' last value against a
 tolerance; any other row passes when measured <= bound, or always when it
 has no bound, unless its runner states the verdict (the Voronovskaya fitted
 rate lies in its slope window).  Declared tolerances are configuration, not
-code; the defaults live in :class:`ExperimentConfig` and, where an
-experiment differs, in the table below.
+code; their defaults live in :data:`PARAMETERS`.
 """
 
 import csv
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -58,140 +57,113 @@ from .iterates import (
 from .mc import ks_distance, sample_across_workers
 from .operators import TruncationPolicy, sm_apply, sm_exponential_closed_form
 
-# Per-experiment values that differ from the ExperimentConfig field defaults.
-_EXPERIMENT_DEFAULTS = {
-    "voronovskaya": {"n_ladder": (4, 16, 64, 256, 1024)},
-    "semigroup": {"n_ladder": (8, 32, 128), "t": 1.0},
-    "kelisky-rivlin": {
-        "n_ladder": (5,),
-        "function_label": "e2",
-        "final_tolerance": 1e-8,
-        "monotonicity_slack": 1e-12,
+# The parameters of the weighted series on the geometric grid.
+_SERIES = {"alpha": 2.0, "tail_eps": 1e-12, "x_max": 50.0, "grid_points": 300,
+           "dense_head": 100}
+
+# experiment -> {parameter: default}: each experiment accepts, stores and
+# echoes exactly the parameters its runner reads.
+PARAMETERS = {
+    "voronovskaya": {
+        "n_ladder": (4, 16, 64, 256, 1024), "function_label": "f1", **_SERIES,
+        "slope_window": (-0.65, -0.35), "residual_zero_tolerance": 1e-6,
     },
-    "korovkin": {"n_ladder": (1, 10, 100), "final_tolerance": 0.01},
-    "weak-convergence": {"n_ladder": (10, 50, 250), "t": 1.0},
+    "semigroup": {
+        "n_ladder": (8, 32, 128), "t": 1.0, "function_label": "f1",
+        "samples": 100_000, "seed": 42, **_SERIES,
+        "x_panel": (0.0, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0),
+        "final_tolerance": 0.02, "monotonicity_slack": 0.0,
+    },
+    "kelisky-rivlin": {
+        "n_ladder": (5,), "function_label": "e2", "k_max": 200,
+        "final_tolerance": 1e-8, "monotonicity_slack": 1e-12,
+    },
+    "korovkin": {
+        "n_ladder": (1, 10, 100), **_SERIES, "lambdas": (1.0, 2.0, 3.0),
+        "agreement_tolerance": 1e-10, "final_tolerance": 0.01,
+        "monotonicity_slack": 0.0,
+    },
+    "weak-convergence": {
+        "n_ladder": (10, 50, 250), "t": 1.0, "x": 1.0, "samples": 100_000,
+        "seed": 42, "identity_tolerance": 1e-10, "ks_tolerance": 0.02,
+        "monotonicity_slack": 0.0,
+    },
 }
 
-EXPERIMENTS = tuple(_EXPERIMENT_DEFAULTS)
+# These experiments draw no random numbers, yet the benchmark passes --seed
+# to every experiment, so they accept a seed and drop it: it is neither
+# stored nor echoed.  ROADMAP items 12 and 17 retire this exception.
+_SEEDLESS = ("voronovskaya", "kelisky-rivlin", "korovkin")
 
 
-@dataclass
+def _increasing(values) -> bool:
+    return all(b > a for a, b in zip(values, values[1:]))
+
+
+# parameter -> (whether a value of its default's type is in range, the range
+# in words); the tolerances and the slack take any finite number.
+_RANGES = {
+    "n_ladder": (lambda v: v and all(n == int(n) >= 1 for n in v) and _increasing(v),
+                 "a strictly increasing list of positive integers"),
+    "alpha": (lambda v: v >= 1, ">= 1"),
+    "t": (lambda v: v >= 0, "nonnegative"),
+    "x": (lambda v: v > 0, "positive"),
+    "function_label": (lambda v: v in CATALOG, f"a catalog label, one of {sorted(CATALOG)}"),
+    "samples": (lambda v: v >= 2, ">= 2"),
+    "seed": (lambda v: v >= 0, "nonnegative"),
+    "tail_eps": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "x_max": (lambda v: v > 0, "positive"),
+    "grid_points": (lambda v: v >= 2, ">= 2"),
+    "dense_head": (lambda v: v >= 0, "nonnegative"),
+    "x_panel": (lambda v: v and min(v) >= 0 and _increasing(v),
+                "nonempty, strictly increasing and nonnegative"),
+    "k_max": (lambda v: v >= 1, ">= 1"),
+    "lambdas": (lambda v: len(v) == 3 and v[0] > 0 and _increasing(v),
+                "three strictly increasing positives"),
+    "slope_window": (lambda v: len(v) == 2 and v[0] < v[1], "two numbers lo < hi"),
+}
+
+# (experiment, parameter) -> a narrower range than _RANGES gives
+_NARROWER = {
+    ("kelisky-rivlin", "n_ladder"): (
+        lambda v: len(v) == 1,
+        "one entry (kelisky-rivlin iterates one fixed n)"),
+    ("weak-convergence", "t"): (lambda v: v > 0, "positive for weak-convergence"),
+}
+
+
 class ExperimentConfig:
-    """Fully resolved experiment parameters; see the defaults table above."""
+    """One experiment's parameters: its row of PARAMETERS, each value checked.
 
-    experiment: str
-    n_ladder: tuple = ()
-    alpha: float = 2.0
-    t: float = 0.0
-    x: float = 1.0
-    function_label: str = "f1"
-    samples: int = 100_000
-    seed: int = 42
-    tail_eps: float = 1e-12
-    x_max: float = 50.0
-    grid_points: int = 300
-    dense_head: int = 100
-    x_panel: tuple = (0.0, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0)
-    k_max: int = 200
-    lambdas: tuple = (1.0, 2.0, 3.0)
-    slope_window: tuple = (-0.65, -0.35)
-    residual_zero_tolerance: float = 1e-6
-    agreement_tolerance: float = 1e-10
-    final_tolerance: float = 0.02
-    ks_tolerance: float = 0.02
-    identity_tolerance: float = 1e-10
-    monotonicity_slack: float = 0.0
+    Building a config is checking it, so every config a runner sees is valid.
+    """
+
+    def __init__(self, experiment: str, overrides: Optional[dict] = None):
+        if experiment not in PARAMETERS:
+            raise ConfigError(
+                f"unknown experiment {experiment!r}; expected one of {tuple(PARAMETERS)}"
+            )
+        self.experiment = experiment
+        values = dict(PARAMETERS[experiment])
+        for key, val in (overrides or {}).items():
+            if key == "seed" and experiment in _SEEDLESS:
+                continue
+            if key not in values:
+                raise ConfigError(f"unknown config key {key!r} for {experiment}")
+            values[key] = _checked(experiment, key, val)
+        self.__dict__.update(values)
 
     @classmethod
     def for_experiment(cls, experiment: str, overrides: Optional[dict] = None):
-        """Build a config from the defaults table plus explicit overrides."""
-        values = dict(_EXPERIMENT_DEFAULTS.get(experiment, {}))
-        known = {f.name for f in fields(cls)} - {"experiment"}
-        for key, val in (overrides or {}).items():
-            if key == "experiment":
-                if val != experiment:
-                    raise ConfigError(
-                        f"config names experiment {val!r} but {experiment!r} was requested"
-                    )
-                continue
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}")
-            values[key] = val
-        cfg = cls(experiment=experiment, **_normalize(values))
-        cfg.validate()
-        # exact once validate() has checked every entry is integral
-        cfg.n_ladder = tuple(int(n) for n in cfg.n_ladder)
-        return cfg
-
-    def validate(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _has_type(value, f.type):
-                raise ConfigError(
-                    f"{f.name} must be {_TYPE_NAMES[f.type]}, got {value!r}"
-                )
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(
-                f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
-            )
-        ladder = self.n_ladder
-        if not ladder or any(int(n) != n or n < 1 for n in ladder):
-            raise ConfigError("n_ladder must hold positive integers")
-        if any(b <= a for a, b in zip(ladder, ladder[1:])):
-            raise ConfigError("n_ladder must be strictly increasing")
-        if self.experiment == "kelisky-rivlin" and len(ladder) != 1:
-            raise ConfigError("kelisky-rivlin iterates one fixed n; n_ladder "
-                              "must hold exactly one entry")
-        if self.function_label not in CATALOG:
-            raise ConfigError(
-                f"unknown function {self.function_label!r}; "
-                f"catalog: {sorted(CATALOG)}"
-            )
-        if self.alpha < 1:
-            raise ConfigError("alpha must be >= 1")
-        if self.t < 0:
-            raise ConfigError("t must be nonnegative")
-        if self.x < 0:
-            raise ConfigError("x must be nonnegative")
-        if self.experiment == "weak-convergence":
-            if self.t <= 0:
-                raise ConfigError("weak-convergence requires t > 0")
-            if self.x <= 0:
-                raise ConfigError("weak-convergence requires x > 0")
-        if self.samples < 2:
-            raise ConfigError("samples must be >= 2")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        if not (0.0 < self.tail_eps < 1.0):
-            raise ConfigError("tail_eps must lie in (0, 1)")
-        if self.x_max <= 0:
-            raise ConfigError("x_max must be positive")
-        if self.grid_points < 2:
-            raise ConfigError("grid_points must be >= 2")
-        if self.dense_head < 0:
-            raise ConfigError("dense_head must be nonnegative")
-        if self.k_max < 1:
-            raise ConfigError("k_max must be >= 1")
-        lams = self.lambdas
-        if len(lams) != 3 or not (0.0 < lams[0] < lams[1] < lams[2]):
-            raise ConfigError("lambdas must be three strictly increasing positives")
-        panel = self.x_panel
-        if not panel or any(p < 0 for p in panel) or any(
-            b <= a for a, b in zip(panel, panel[1:])
-        ):
-            raise ConfigError(
-                "x_panel must be nonempty, strictly increasing and nonnegative"
-            )
-        window = self.slope_window
-        if len(window) != 2 or not window[0] < window[1]:
-            raise ConfigError("slope_window must be two numbers lo < hi")
+        """The experiment's defaults with ``overrides`` applied, each checked."""
+        return cls(experiment, overrides)
 
     def resolved(self) -> dict:
-        """The full config echo embedded in every report row."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        for key, val in out.items():
-            if isinstance(val, tuple):
-                out[key] = list(val)
+        """The parameter echo embedded in every report row."""
+        out = {}
+        for key in PARAMETERS[self.experiment]:
+            val = getattr(self, key)
+            out[key] = list(val) if isinstance(val, tuple) else val
         return out
 
     def policy(self) -> TruncationPolicy:
@@ -213,7 +185,7 @@ _TYPE_NAMES = {
 
 
 def _has_type(value, kind) -> bool:
-    """Whether a config value has its field's declared type (see _TYPE_NAMES)."""
+    """Whether a config value has the type ``kind`` (see _TYPE_NAMES)."""
     if kind is tuple:
         return isinstance(value, (list, tuple)) and all(
             _has_type(v, float) for v in value)
@@ -226,14 +198,22 @@ def _has_type(value, kind) -> bool:
     return isinstance(value, (int, float)) and math.isfinite(value)
 
 
-def _normalize(values: dict) -> dict:
-    """JSON lists become tuples; anything else is left for validate()."""
-    return {key: tuple(val) if isinstance(val, list) else val
-            for key, val in values.items()}
+def _checked(experiment, key, value):
+    """``value`` for ``key`` once it has the type of the key's default and
+    lies in range; lists become tuples and ladder entries ints."""
+    kind = type(PARAMETERS[experiment][key])
+    if not _has_type(value, kind):
+        raise ConfigError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    if kind is tuple:
+        value = tuple(value)
+    for rule in (_RANGES.get(key), _NARROWER.get((experiment, key))):
+        if rule and not rule[0](value):
+            raise ConfigError(f"{key} must be {rule[1]}, got {value!r}")
+    return tuple(int(n) for n in value) if key == "n_ladder" else value
 
 
 def load_config_file(path: str) -> dict:
-    """Read a JSON config file (keys must match ExperimentConfig fields)."""
+    """Read a JSON config file (keys are the experiment's PARAMETERS)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -274,14 +254,14 @@ class ReportRow:
 class _Report:
     """The rows of one run, built by the verdict rules in the module docstring.
 
-    Every row's params carry the resolved config echo.  A series is a named
+    Every row's params carry the config's parameter echo.  A series is a named
     sequence of trend values, e.g. one per Korovkin rate; ``last`` holds the
     latest value of each.
     """
 
     def __init__(self, config: ExperimentConfig):
+        self.config = config
         self.echo = config.resolved()
-        self.slack = config.monotonicity_slack
         self.rows = []
         self.last = {}
 
@@ -292,7 +272,7 @@ class _Report:
         if passed is None:
             passed = bound is None or measured <= bound
         self.rows.append(ReportRow(
-            self.echo["experiment"], {**params, "config": self.echo},
+            self.config.experiment, {**params, "config": self.echo},
             float(measured),
             *(None if v is None else float(v) for v in (bound, stderr, error_budget)),
             bool(passed),
@@ -301,8 +281,8 @@ class _Report:
     def trend(self, series, params, measured, **extra):
         """A row bounded by the previous value of ``series`` plus the slack."""
         prev = self.last.get(series)
-        self.add(params, measured, bound=prev,
-                 passed=prev is None or measured <= prev + self.slack, **extra)
+        passed = prev is None or measured <= prev + self.config.monotonicity_slack
+        self.add(params, measured, bound=prev, passed=passed, **extra)
         self.last[series] = measured
 
     def final(self, series, params, tolerance):
@@ -533,12 +513,11 @@ _RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig) -> tuple:
-    """Validate the config, run its experiment, and return the rows.
+    """Run the config's experiment and return the rows.
 
     A runner takes (config, report): it measures and hands each measurement
     to the run's :class:`_Report`, which builds the rows and their verdicts.
     """
-    config.validate()
     report = _Report(config)
     _RUNNERS[config.experiment](config, report)
     return tuple(report.rows)

@@ -16,6 +16,7 @@ import oplimits.cli
 from oplimits import ConfigError
 from oplimits.cli import _collect_overrides, build_parser, main
 from oplimits.harness import (
+    PARAMETERS,
     ExperimentConfig,
     ReportRow,
     emit_report,
@@ -83,13 +84,18 @@ class TestConfig:
         assert echo["seed"] == 42
         assert echo["n_ladder"] == [8, 32, 128]
         assert "final_tolerance" in echo
+        for name, params in PARAMETERS.items():
+            assert set(ExperimentConfig.for_experiment(name).resolved()) == set(params)
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n_ladder": [2, 4], "seed": 7}))
         overrides = load_config_file(str(path))
-        cfg = ExperimentConfig.for_experiment("korovkin", overrides)
+        cfg = ExperimentConfig.for_experiment("semigroup", overrides)
         assert cfg.n_ladder == (2, 4) and cfg.seed == 7
+        # korovkin draws no random numbers: it accepts a seed and drops it
+        cfg = ExperimentConfig.for_experiment("korovkin", overrides)
+        assert cfg.n_ladder == (2, 4) and not hasattr(cfg, "seed")
 
     def test_empty_x_panel_rejected(self):
         with pytest.raises(ConfigError, match="x_panel"):
@@ -101,14 +107,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="slope_window"):
             ExperimentConfig.for_experiment("voronovskaya", {"slope_window": window})
 
-    @pytest.mark.parametrize("key, value", [
-        ("alpha", True), ("t", float("inf")), ("x", "1"), ("k_max", 10.0),
-        ("function_label", 3), ("lambdas", [1, 2, None]),
-        ("seed", -1), ("x_max", 0.0), ("grid_points", 1), ("dense_head", -1),
+    @pytest.mark.parametrize("experiment, key, value", [
+        ("semigroup", "alpha", True), ("semigroup", "t", float("inf")),
+        ("weak-convergence", "x", "1"), ("kelisky-rivlin", "k_max", 10.0),
+        ("semigroup", "function_label", 3), ("korovkin", "lambdas", [1, 2, None]),
+        ("semigroup", "seed", -1), ("semigroup", "x_max", 0.0),
+        ("semigroup", "grid_points", 1), ("semigroup", "dense_head", -1),
     ])
-    def test_wrong_typed_or_out_of_range_value_names_its_key(self, key, value):
+    def test_wrong_typed_or_out_of_range_value_names_its_key(self, experiment, key, value):
         with pytest.raises(ConfigError, match=f"^{key} must be"):
-            ExperimentConfig.for_experiment("semigroup", {key: value})
+            ExperimentConfig.for_experiment(experiment, {key: value})
 
     def test_kelisky_rivlin_takes_one_n(self):
         with pytest.raises(ConfigError, match="kelisky-rivlin"):
@@ -327,9 +335,11 @@ class TestRunners:
             ExperimentConfig.for_experiment("weak-convergence", {"t": 0.0})
 
     def test_skeleton_validates_directly_built_configs(self):
-        cfg = ExperimentConfig(experiment="semigroup", n_ladder=(8,), x_panel=())
-        with pytest.raises(ConfigError):
-            run_experiment(cfg)
+        # building a config checks it; no constructor skips the checks
+        with pytest.raises(ConfigError, match="x_panel"):
+            ExperimentConfig("semigroup", {"n_ladder": (8,), "x_panel": ()})
+        with pytest.raises(TypeError):
+            ExperimentConfig(experiment="semigroup", n_ladder=(8,), x_panel=())
 
     def test_panel_snapping(self):
         idx, xs = _snap_panel((0.0, 0.3, 1.0), 8)
@@ -438,7 +448,8 @@ class TestCLI:
         assert main(["semigroup", "--config", str(cfg_path), "--out", out]) == 2
         assert "config error: x_panel" in capsys.readouterr().err
         assert main(["kelisky-rivlin", "--n-ladder", "5,7", "--out", out]) == 2
-        assert "config error: kelisky-rivlin" in capsys.readouterr().err
+        assert "config error: n_ladder must be one entry (kelisky-rivlin" in \
+            capsys.readouterr().err
 
     def test_non_integer_ladder_rejected_not_truncated(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
