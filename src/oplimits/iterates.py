@@ -14,10 +14,12 @@ row-stochastic kernel repeatedly.  Each Poisson row keeps a two-sided
 window whose Bernstein tail bounds certify at most 2^-64 of mass missing on
 either side, below the resolution of a row sum.  The rows are stored as
 dense blocks of consecutive rows, each spanning the union of its rows'
-windows, so a step is one dense (BLAS) matrix product per block, on the
-calling thread.  Rows are NOT renormalized: the iterate additionally
-propagates the constant-one function, as a second column beside f, so the
-exact leaked mass per starting state is known.  The resulting per-point
+windows, so a step is one dense (BLAS) matrix product per block.  numpy
+releases the GIL around each product, so a large kernel's blocks are split
+into contiguous groups stepped on several CPUs at once, with the same bits
+as on one.  Rows are NOT renormalized: the iterate additionally propagates
+the constant-one function, as a second column beside f, so the exact
+leaked mass per starting state is known.  The resulting per-point
 error budget (sup |f| times leaked mass) is rigorous and, unlike a uniform
 bound over all rows, stays tight at the interior states the experiments
 evaluate.
@@ -42,6 +44,7 @@ import numpy as np
 from numpy.fft import irfft
 
 from .errors import CutoffTooSmallError, EvaluationError
+from .mc import _usable_cpus
 from .operators import (
     DEFAULT_POLICY,
     _WINDOW_LOG_BUDGET,
@@ -59,10 +62,29 @@ _CUTOFF_SAFETY = 2.5
 
 # Consecutive rows per dense block of the Poisson kernel.  A block spans the
 # union of its rows' windows, so taller blocks store more zeros and shorter
-# ones run more products: the 128 steps of f1 at n = 128 took 0.25, 0.19,
-# 0.17, 0.16 and 0.18 s with 16, 32, 64, 128 and 256 rows (medians of 3,
-# 2 vCPUs).
+# ones run more products: the 128 steps of f1 at n = 128 on two threads took
+# 90, 69 and 66 ms with 32, 64 and 128 rows (medians of 15, 2 vCPUs), but 128
+# rows store 7% more entries and did not move the semigroup run's wall time.
 _BLOCK_ROWS = 64
+
+
+# Fewest stored kernel entries per thread of a threaded step.  Threaded on
+# two groups against serial, kernel_iterate of f1 took 4.6/4.2 ms at n = 32
+# (2 x 213,056 entries) and 66/102 ms at n = 128 (2 x 1,415,455; medians
+# of 15, 2 vCPUs).
+_MIN_THREADED_ENTRIES = 2 ** 20
+
+
+def _block_groups(blocks):
+    """``blocks`` as contiguous groups of about equal entries, each block in
+    the group whose share holds its midpoint: as many groups as usable CPUs
+    but none under ``_MIN_THREADED_ENTRIES``, and no empty group."""
+    sizes = np.array([block.size for _, _, block in blocks])
+    ends = np.cumsum(sizes)
+    parts = max(1, min(_usable_cpus(), int(ends[-1]) // _MIN_THREADED_ENTRIES))
+    cuts = np.searchsorted(ends - sizes / 2, ends[-1] * np.arange(1, parts) / parts)
+    bounds = [0, *cuts.tolist(), len(blocks)]
+    return [blocks[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
 @dataclass(frozen=True)
@@ -94,14 +116,17 @@ class TransitionKernel:
         r0, c0, block = self.blocks[i // self.blocks[0][2].shape[0]]
         return block[i - r0, self.lo[i] - c0:self.hi[i] - c0 + 1]
 
-    def step(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def step(self, x: np.ndarray, out: np.ndarray, blocks=None) -> np.ndarray:
         """``out`` = P ``x``, one matrix product per block on the calling thread.
 
         ``x`` is a vector over the states or a stack of them as columns.
+        Given ``blocks``, a group of ``self.blocks``, only their rows are
+        written.  ``np.dot`` runs ``np.matmul``'s BLAS product, with the same
+        bits, but releases the GIL, so groups can step in parallel.
         """
-        for r0, c0, block in self.blocks:
+        for r0, c0, block in self.blocks if blocks is None else blocks:
             h, w = block.shape
-            np.matmul(block, x[c0:c0 + w], out=out[r0:r0 + h])
+            np.dot(block, x[c0:c0 + w], out=out[r0:r0 + h])
         return out
 
     @functools.cached_property
@@ -245,8 +270,12 @@ def kernel_iterate(kernel: TransitionKernel, f, k: int) -> LatticeFunction:
     its shortfall from 1 is the exact per-state leaked mass, which prices
     the truncation error budget.  f and the constant one are the two
     columns of one array, so each step is one dense matrix product per
-    kernel block, on the calling thread; no thread is started.  At k = 0
-    nothing has leaked, so f on the lattice returns with a zero budget.
+    kernel block.  The calling thread steps the first group of blocks from
+    :func:`_block_groups` and a helper thread each other group, meeting at
+    a barrier per step, so the bits do not depend on the CPU count.  If
+    products fail, the lowest-numbered group's error is raised once every
+    helper has been joined.  At k = 0 f on the lattice returns with a zero
+    budget.
     """
     k = _check_index(k, "k", least=0)
     latt = kernel.lattice()
@@ -263,9 +292,37 @@ def kernel_iterate(kernel: TransitionKernel, f, k: int) -> LatticeFunction:
     x[:, 0] = v
     x[:, 1] = 1.0
     y = np.empty_like(x)
-    for _ in range(k):
-        x, y = kernel.step(x, out=y), x
-    v, mass = x.T
+    groups = _block_groups(kernel.blocks)
+    barrier = threading.Barrier(len(groups))
+    errors = [None] * len(groups)
+
+    def run(g):
+        a, b = x, y
+        try:
+            for _ in range(k):
+                kernel.step(a, b, groups[g])
+                barrier.wait()
+                a, b = b, a
+        except threading.BrokenBarrierError:
+            pass  # another group failed
+        except BaseException as exc:
+            errors[g] = exc
+            barrier.abort()
+
+    helpers = [threading.Thread(target=run, args=(g,)) for g in range(1, len(groups))]
+    try:
+        for thread in helpers:
+            thread.start()
+        run(0)
+    finally:
+        # frees the helpers if one could not start; else all passed the last wait
+        barrier.abort()
+        for thread in helpers:
+            if thread.ident is not None:
+                thread.join()
+    for exc in filter(None, errors):
+        raise exc
+    v, mass = (y if k % 2 else x).T
     if not np.all(np.isfinite(v)):
         raise EvaluationError("non-finite accumulation during kernel iteration")
     leak = np.clip(1.0 - mass, 0.0, None)

@@ -156,31 +156,36 @@ def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     Both empirical CDFs are right-continuous steps that jump only at sample
     values, so the sup is taken at the distinct values of the two samples.
     A sorted sample's own CDF at its distinct values is read off the ends of
-    its runs of ties, with no search; the other sample's CDF there is found
-    by searching that sample's distinct values only (a chain sample of 10^5
-    draws has about 1,500).  Each CDF value is the count a search of the
-    whole sample would give, over the sample size, so the distance is
-    exactly the maximum over every pooled point of
+    its runs of ties, with no search.  One search places the distinct values
+    of the sample with fewer of them (a chain sample of 10^5 draws has about
+    1,500) among the other's; from those positions an equality test gives
+    the other's CDF at them, and a ``bincount`` and a ``cumsum`` give their
+    own CDF at the other's values.  Each CDF value is the count a search of the whole sample would
+    give, over the sample size, so the distance is exactly the maximum over
+    every pooled point of
     |searchsorted(a)/a.size - searchsorted(b)/b.size|.
 
     Raises ValueError if either sample is not 1-d, is empty or holds a NaN.
     """
-    samples = []
+    runs = []
     for name, sample in (("a", a), ("b", b)):
         sample = np.asarray(sample, dtype=float)
         if sample.ndim != 1:
             raise ValueError(f"sample {name} must be 1-d, got shape {sample.shape}")
-        samples.append(np.sort(sample))
-    a, b = samples
-    if a.size == 0 or b.size == 0:
-        raise ValueError("both samples must be nonempty")
-    for name, sample in (("a", a), ("b", b)):
+        if sample.size == 0:
+            raise ValueError("both samples must be nonempty")
+        sample = np.sort(sample)
         if np.isnan(sample[-1]):  # sorting puts NaNs last
             raise ValueError(f"sample {name} contains NaN")
-    za, ca = _runs(a)
-    zb, cb = _runs(b)
-    # ca[j + 1] / a.size is F_a at za[j], and ca[searchsorted(za, z)] counts
-    # the values of a at or below any z; likewise for b
-    at_a = np.abs(ca[1:] / a.size - cb[np.searchsorted(zb, za, side="right")] / b.size)
-    at_b = np.abs(ca[np.searchsorted(za, zb, side="right")] / a.size - cb[1:] / b.size)
-    return float(max(np.max(at_a), np.max(at_b)))
+        runs.append(_runs(sample))
+    del sample  # each sorted copy is freed once its runs are taken
+    # the distance is symmetric, so s names the sample with fewer distinct
+    # values and l the other; c[j + 1] / c[-1] is F at z[j].  p[i], zs[i]'s
+    # left position among zl, is at most j exactly when zs[i] <= zl[j], so
+    # the cumsum counts the distinct values of s at or below each zl
+    (zs, cs), (zl, cl) = sorted(runs, key=lambda r: r[0].size)
+    p = np.searchsorted(zl, zs)
+    at_s = np.abs(cs[1:] / cs[-1] - cl[p + (zl[np.minimum(p, zl.size - 1)] == zs)] / cl[-1])
+    below = cs[np.cumsum(np.bincount(p, minlength=zl.size))[:zl.size]]
+    at_l = np.abs(below / cs[-1] - cl[1:] / cl[-1])
+    return float(max(np.max(at_s), np.max(at_l)))

@@ -431,6 +431,21 @@ class TestKSDistance:
                       - np.searchsorted(np.sort(b), z, side="right") / b.size)
         assert ks_distance(a, b) == float(np.max(full))
 
+    @pytest.mark.parametrize("kinds", [("tied", "untied"), ("untied", "tied"),
+                                       ("tied", "tied"), ("untied", "untied")])
+    def test_bits_equal_the_pooled_search_whichever_sample_has_fewer_values(self, kinds):
+        # the sample with fewer distinct values is located among the other's
+        # ones, so both orders of each pair must give the pooled search's bits
+        rng = np.random.default_rng(32)
+        draw = {"tied": lambda m: rng.poisson(40.0, size=m) / 8.0,
+                "untied": lambda m: rng.gamma(5.0, 1.0, size=m)}
+        a, b = draw[kinds[0]](3_000), draw[kinds[1]](2_000)
+        z = np.concatenate([a, b])
+        full = np.abs(np.searchsorted(np.sort(a), z, side="right") / a.size
+                      - np.searchsorted(np.sort(b), z, side="right") / b.size)
+        assert ks_distance(a, b) == float(np.max(full))
+        assert ks_distance(b, a) == float(np.max(full))
+
     def test_atom_at_zero_is_counted(self):
         # right-continuous CDF comparison must see the shared atom at 0
         a = np.concatenate([np.zeros(500), np.ones(500)])

@@ -1,7 +1,9 @@
 """Transition kernels, kernel iterates, chain sampling, and fixed-n limits."""
 
+import faulthandler
 import functools
 import math
+import sys
 import threading
 
 import numpy as np
@@ -22,6 +24,7 @@ from oplimits import (
     kernel_iterate,
     lattice_cutoff,
 )
+from oplimits import iterates
 from oplimits.harness import ExperimentConfig, _snap_panel, floor_nt
 from oplimits.iterates import (
     _ALIAS_BUDGET,
@@ -43,6 +46,23 @@ SMALL_CHECKED_ROWS = 10  # int(n * x_max) at small_kernel's defaults
 def small_kernel(n=5, x_max=2.0, tail_eps=SMALL_TAIL_EPS):
     K = lattice_cutoff(n, x_max, tail_eps)
     return build_sm_kernel(n, K, tail_eps, checked_rows=int(n * x_max))
+
+
+@pytest.fixture
+def watchdog():
+    """Ends the test process with every thread's traceback after 60 s, so
+    threads stuck at a barrier fail the run instead of hanging it."""
+    faulthandler.dump_traceback_later(60, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
+@functools.lru_cache(maxsize=None)
+def semigroup_kernel(n):
+    """The default semigroup run's kernel at n."""
+    config = ExperimentConfig.for_experiment("semigroup")
+    return build_sm_kernel(n, lattice_cutoff(n, max(config.x_panel), config.tail_eps),
+                           config.tail_eps)
 
 
 def _missing_mass(kernel):
@@ -238,14 +258,83 @@ class TestBlockIterate:
             assert np.max(np.abs(lf.values - values)) <= bound, f.label
             assert np.max(np.abs(lf.error_budget - f_sup * leak)) <= bound, f.label
 
-    def test_starts_no_thread(self, monkeypatch):
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_starts_no_thread(self, monkeypatch, n):
+        # kernels below _MIN_THREADED_ENTRIES step on the calling thread
         def no_start(thread):
             raise AssertionError("kernel_iterate started a thread")
 
+        monkeypatch.setattr(iterates, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(threading.Thread, "start", no_start)
-        kernel = small_kernel()
+        kernel = semigroup_kernel(n)
+        assert sum(block.size for *_, block in kernel.blocks) < iterates._MIN_THREADED_ENTRIES
         for k in (0, 1, 4):
             kernel_iterate(kernel, CATALOG["f1"], k)
+        small = small_kernel()
+        for k in (0, 1, 4):
+            kernel_iterate(small, CATALOG["f1"], k)
+
+    def test_cpu_count_and_split_do_not_reach_the_bits(self, monkeypatch, watchdog):
+        # up to 8 groups, more than the cores, switching threads every
+        # microsecond: a group that read a row before its writer had reached
+        # the barrier would move the bits
+        kernel = semigroup_kernel(128)
+        k = floor_nt(128, ExperimentConfig.for_experiment("semigroup").t)
+        monkeypatch.setattr(iterates, "_MIN_THREADED_ENTRIES", 2 ** 16)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 3, 4, 8):
+                monkeypatch.setattr(iterates, "_usable_cpus", lambda: cpus)
+                assert len(iterates._block_groups(kernel.blocks)) == cpus
+                results.append(kernel_iterate(kernel, CATALOG["f1"], k))
+        finally:
+            sys.setswitchinterval(interval)
+        for lf in results[1:]:
+            assert np.array_equal(lf.values, results[0].values)
+            assert np.array_equal(lf.error_budget, results[0].error_budget)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4, 8, 57, 1000])
+    def test_group_count_follows_the_work_not_the_cpus(self, monkeypatch, cpus):
+        # no group of fewer than _MIN_THREADED_ENTRIES: the n = 128 kernel
+        # (2.8M entries) takes two groups however many CPUs there are
+        monkeypatch.setattr(iterates, "_usable_cpus", lambda: cpus)
+        assert len(iterates._block_groups(semigroup_kernel(128).blocks)) == min(cpus, 2)
+        assert len(iterates._block_groups(semigroup_kernel(32).blocks)) == 1
+
+    def test_groups_are_contiguous_balanced_and_nonempty(self, monkeypatch):
+        kernel = semigroup_kernel(128)
+        monkeypatch.setattr(iterates, "_MIN_THREADED_ENTRIES", 1)
+        for cpus in (2, 3, 4, len(kernel.blocks) - 1, 3 * len(kernel.blocks)):
+            monkeypatch.setattr(iterates, "_usable_cpus", lambda: cpus)
+            groups = iterates._block_groups(kernel.blocks)
+            assert sum(groups, ()) == kernel.blocks
+            assert all(groups) and len(groups) <= cpus
+            entries = [sum(block.size for *_, block in group) for group in groups]
+            widest = max(block.size for *_, block in kernel.blocks)
+            assert max(entries) - min(entries) <= 2 * widest
+
+    @pytest.mark.parametrize("failing", [(0,), (-1,), (0, -1)])
+    def test_a_failing_group_neither_hangs_nor_leaks_a_thread(self, monkeypatch, watchdog,
+                                                              failing):
+        # the first block is stepped on the calling thread and the last on a
+        # helper; with both failing the calling thread's error is raised
+        kernel = semigroup_kernel(128)
+        bad = {id(kernel.blocks[i][2]): i % len(kernel.blocks) for i in failing}
+        dot = np.dot
+
+        def failing_dot(block, x, out):
+            if id(block) in bad:
+                raise FloatingPointError(f"block {bad[id(block)]}")
+            return dot(block, x, out=out)
+
+        monkeypatch.setattr(iterates, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(np, "dot", failing_dot)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match=f"block {min(bad.values())}$"):
+            kernel_iterate(kernel, CATALOG["f1"], 4)
+        assert threading.active_count() == before
 
 
 class TestKernelIterate:
