@@ -127,12 +127,17 @@ def feller_euler_terminal(
     return y
 
 
+def _check_unit(x):
+    """Raise a ValueError unless x lies in [0, 1], the Wright-Fisher state space (NaN fails)."""
+    if not (0.0 <= x <= 1.0):
+        raise ValueError(f"starting point must lie in [0, 1], got {x}")
+
+
 def wf_euler_terminal(
     x: float, T: float, dt: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Clamped Euler endpoints for dX = sqrt(X(1-X)) dW on [0, 1]."""
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"starting point must lie in [0, 1], got {x}")
+    _check_unit(x)
     v = np.full(size, float(x))
     for h, z in _euler_increments(T, dt, size, rng):
         v = np.clip(v + np.sqrt(v * (1.0 - v) * h) * z, 0.0, 1.0)
@@ -173,8 +178,9 @@ def semigroup_mc(
     """Monte Carlo estimate of E[f(terminal value at time t from x)].
 
     ``kind`` selects the diffusion ("feller" or "wright-fisher"); exact
-    sampling is available only for the square-root diffusion.  t = 0 returns
-    (f(x), 0) without consuming randomness.  Deterministic given
+    sampling is available only for the square-root diffusion.  x must lie in
+    the diffusion's state space, [0, inf) or [0, 1], at every t.  t = 0
+    returns (f(x), 0) without consuming randomness.  Deterministic given
     (seed, samples).  ``f`` may be called concurrently from several threads,
     so it must be thread-safe.
     """
@@ -188,6 +194,11 @@ def semigroup_mc(
         )
     samples = _check_index(samples, "samples", least=2)
     _check_nonnegative(t, "t")
+    # the starting point the samplers would reject, also at t = 0
+    if kind == FELLER:
+        _check_nonnegative(x, "x")
+    else:
+        _check_unit(x)
     if t == 0.0:
         return MonteCarloEstimate(mean=float(f(x)), stderr=0.0, samples=samples)
 

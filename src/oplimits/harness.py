@@ -55,7 +55,10 @@ from .iterates import (
     lattice_cutoff,
 )
 from .mc import ks_distance, sample_across_workers
-from .operators import TruncationPolicy, sm_apply, sm_exponential_closed_form
+from .operators import TruncationPolicy, sm_apply_grid, sm_exponential_closed_form
+# sm_apply is no longer called here, but perfbench/tests/test_tracer.py checks
+# that the tracer replaces this module's binding of it
+from .operators import sm_apply  # noqa: F401
 
 # The parameters of the weighted series on the geometric grid.
 _SERIES = {"alpha": 2.0, "tail_eps": 1e-12, "x_max": 50.0, "grid_points": 300,
@@ -438,19 +441,13 @@ def run_korovkin(config: ExperimentConfig, report: _Report):
     pts = config.grid().points
     policy = config.policy()
     w = weight_eval(config.alpha, pts)
-    fns = [lambda u, lam=lam: np.exp(-lam * np.asarray(u, dtype=float))
-           for lam in config.lambdas]
-    # n, then x, then the rate: the rates at one point share its memoised
-    # Poisson window; series[n][i, j] is rate j at point i
-    series = {n: np.array([[sm_apply(n, fn, float(x), policy).value for fn in fns]
-                           for x in pts])
-              for n in config.n_ladder}
-    for j, lam in enumerate(config.lambdas):
+    for lam in config.lambdas:
         exact_vals = np.exp(-lam * pts)
         for n in config.n_ladder:
+            series, _ = sm_apply_grid(n, lambda u: np.exp(-lam * u), pts, policy)
             closed_vals = sm_exponential_closed_form(n, lam, pts)
             report.add({"check": "series-vs-closed-form", "n": n, "lambda": lam},
-                       float(np.max(np.abs(series[n][:, j] - closed_vals))),
+                       float(np.max(np.abs(series - closed_vals))),
                        bound=config.agreement_tolerance)
             report.trend(lam, {"check": "norm-error", "n": n, "lambda": lam,
                                "alpha": config.alpha},

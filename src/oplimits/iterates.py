@@ -219,7 +219,7 @@ def build_sm_kernel(
     )
     kernel = TransitionKernel(n=n, lo=lo, hi=hi, blocks=blocks)
     if checked_rows is not None:
-        checked_rows = min(int(checked_rows), K)
+        checked_rows = min(_check_index(checked_rows, "checked_rows", least=0), K)
         defect = [max(0.0, 1.0 - float(kernel.row(r).sum()))
                   for r in range(checked_rows + 1)]
         worst = int(np.argmax(defect))

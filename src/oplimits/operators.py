@@ -31,15 +31,14 @@ The tail sums that locate a window's cut run from the top of the window
 down to the mode.  The cut K, its upper tail and every weight from lo to K
 carry the same bits as evaluating and summing the whole window from k = 0.
 Averages of more than 8,192 terms are summed in fixed pieces, so they do
-not depend on the BLAS thread count.  The last Poisson window is memoised
-with read-only weights, so applying several functions at one mean builds
-it once.
+not depend on the BLAS thread count.
 
 Two routines apply the Szasz-Mirakyan operator: ``sm_apply`` at one point,
 and ``sm_apply_grid`` at every point of a grid, which builds the windows of
 consecutive points together and evaluates f once per chunk of them.  They
 share the window start, the pmf, the cut and the dot product, so the grid
-routine returns, point for point, the bits of ``sm_apply``.
+routine returns, point for point, the bits of ``sm_apply``; a point whose
+window the batched cut does not certify goes through ``sm_apply`` itself.
 
 Also provides the exact Poisson moment polynomials, which the chain's
 scaling identities in the weak-convergence experiment read, and the closed
@@ -47,7 +46,6 @@ form of the Szasz-Mirakyan operator on exponentials, the Korovkin
 experiment's oracle for the truncated series.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -374,7 +372,6 @@ def _below(lam, lo):
     return math.exp(-(lam - lo + 1) ** 2 / (2.0 * lam)) if lo else 0.0
 
 
-@functools.lru_cache(maxsize=1)
 def _poisson_weights(lam: float, policy: TruncationPolicy):
     """Poisson(lam) pmf on lo..K, the tail mass beyond K and a bound on the mass below lo.
 
@@ -390,10 +387,6 @@ def _poisson_weights(lam: float, policy: TruncationPolicy):
     on lo..hi, cut at K; only tail sums that cannot reach the cut are
     skipped.  K, the tail and every weight from lo to K carry the bits of a
     window evaluated and summed from k = 0.
-
-    The last window is memoised, so callers that apply several functions
-    at one mean (the Korovkin experiment's rates) build it once; its
-    weights are read-only.
     """
     if lam == 0.0:
         lo, w, tail = 0, np.array([1.0]), 0.0
@@ -406,7 +399,6 @@ def _poisson_weights(lam: float, policy: TruncationPolicy):
             "mean",
             lam,
         )
-    w.flags.writeable = False
     return lo, w, tail, _below(lam, lo)
 
 
@@ -438,18 +430,18 @@ _GRID_CHUNK = 1 << 14
 
 
 def _poisson_windows(lam, lo, hi, mode, policy, buffer):
-    """The windows ``(lo, w, tail, below)`` of consecutive means, as sm_apply builds them.
+    """The window ``(lo, w, omitted)`` of each of consecutive means, or None where uncertified.
 
     ``lam``, ``lo``, ``hi`` and ``mode`` are arrays from :func:`_poisson_start`
     of positive means whose windows lo..hi fit within ``max_terms``.  One
     :func:`_poisson_pmf` call evaluates the windows, concatenated, into
     ``buffer`` if they fit there.  The first pass of :func:`_cut_at_tail`,
     the tail sums from hi down to the mode, then runs for all of them at
-    once, one sequential cumulative sum per window as there.  A window
-    whose cut that pass does not certify (the cut lies at or below the mode
-    or below lo, or the window must double) comes from
-    :func:`_poisson_weights` itself.  Returns the windows up to the first
-    that raises TruncationFailureError, and that error or None.
+    once, one sequential cumulative sum per window as there.  A window whose
+    cut that pass certifies carries the bits :func:`_poisson_weights` gives
+    it, with omitted = tail + below.  Where the pass does not certify the
+    cut (it lies at or below the mode or below lo, or the window must
+    double), the entry is None.
     """
     sizes = hi - lo + 1
     ends = np.cumsum(sizes) - 1
@@ -471,18 +463,11 @@ def _poisson_windows(lam, lo, hi, mode, policy, buffer):
     K = hi - within
     cut = ((ratio < 1.0) & (within < tops) & over[rows, within]
            & (omitted <= policy.tail_eps) & (K >= lo))
-    windows = []
-    for lam_t, lo_t, start, K_t, omitted_t, cut_t in zip(
-            lam.tolist(), lo.tolist(), (ends + 1 - sizes).tolist(), K.tolist(),
-            omitted.tolist(), cut.tolist()):
-        if cut_t:
-            windows.append((lo_t, p[start:start + K_t - lo_t + 1], omitted_t, _below(lam_t, lo_t)))
-            continue
-        try:
-            windows.append(_poisson_weights(lam_t, policy))
-        except TruncationFailureError as failure:
-            return windows, failure
-    return windows, None
+    return [(lo_t, p[start:start + K_t - lo_t + 1], omitted_t + _below(lam_t, lo_t))
+            if cut_t else None
+            for lam_t, lo_t, start, K_t, omitted_t, cut_t in zip(
+                lam.tolist(), lo.tolist(), (ends + 1 - sizes).tolist(), K.tolist(),
+                omitted.tolist(), cut.tolist())]
 
 
 def sm_apply_grid(n: int, f, xs, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -490,8 +475,9 @@ def sm_apply_grid(n: int, f, xs, policy: TruncationPolicy = DEFAULT_POLICY):
 
     Returns ``(values, omitted)``, two arrays with one entry per point of
     the 1-d ``xs``: the bits of ``sm_apply(n, f, x, policy)`` at each point
-    x.  A point that sm_apply would reject raises the same error, after the
-    points before it have been evaluated, as a loop of sm_apply calls would.
+    x.  The points are taken in order, so a point that sm_apply would
+    reject raises the same error, after the points before it have been
+    evaluated, as a loop of sm_apply calls would.
 
     Consecutive points whose windows lo..hi overlap are taken in chunks of
     at most ``_GRID_CHUNK`` terms.  :func:`_poisson_windows` builds a
@@ -499,48 +485,47 @@ def sm_apply_grid(n: int, f, xs, policy: TruncationPolicy = DEFAULT_POLICY):
     least lo to the greatest K among them, and each window is summed by
     the dot product of :func:`_average`.  Nearby means share most of
     their windows, so f is evaluated on far fewer points than the windows
-    hold together.
+    hold together.  A point whose cut :func:`_poisson_windows` does not
+    certify, the point mass at x = 0, a window past ``max_terms`` and a
+    point sm_apply rejects each go through :func:`sm_apply` itself, in
+    their place in the point order.
     """
     n = _check_index(n)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise ValueError(f"xs must be a 1-d array of points, got shape {xs.shape}")
-    valid = (0.0 <= xs) & (xs < math.inf)
-    stop = xs.size if valid.all() else int(valid.argmin())
     with np.errstate(over="ignore"):
-        lam = n * xs[:stop]  # inf, as n * x is for sm_apply, if it overflows
+        # inf, as n * x is for sm_apply, if it overflows; 0 where x is rejected
+        lam = np.where((0.0 <= xs) & (xs < math.inf), n * xs, 0.0)
     # capped so that hi fits an int64; so large a window is past max_terms
     lo, hi, mode = _poisson_start(np.minimum(lam, 2.0 ** 53), policy)
-    # a point mass and a window past max_terms are chunks of their own
+    # a point mass, a rejected x and a window past max_terms are chunks of their own
     sizes = np.where((lam > 0.0) & (hi < policy.max_terms), hi - lo + 1, 0).tolist()
     lows, highs = lo.tolist(), hi.tolist()
-    values, omitted = np.empty(stop), np.empty(stop)
+    values, omitted = np.empty(xs.size), np.empty(xs.size)
     buffer = np.empty(_GRID_CHUNK)
     i = 0
-    while i < stop:
+    while i < xs.size:
         # a chunk's windows overlap the span first..last of those before them
         j, total, first, last = i + 1, sizes[i], lows[i], highs[i]
-        while (total and j < stop and sizes[j] and lows[j] <= last and highs[j] >= first
+        while (total and j < xs.size and sizes[j] and lows[j] <= last and highs[j] >= first
                and total + sizes[j] <= _GRID_CHUNK):
             total, first, last = total + sizes[j], min(first, lows[j]), max(last, highs[j])
             j += 1
-        if total:
-            windows, error = _poisson_windows(lam[i:j], lo[i:j], hi[i:j], mode[i:j], policy,
-                                              buffer)
-        else:
-            windows, error = [_poisson_weights(float(lam[i]), policy)], None
-        if windows:
-            first = min(window[0] for window in windows)
-            last = max(window[0] + window[1].size for window in windows)
+        windows = _poisson_windows(lam[i:j], lo[i:j], hi[i:j], mode[i:j], policy,
+                                   buffer) if total else [None]
+        certified = [window for window in windows if window]
+        if certified:
+            first = min(lo_t for lo_t, _, _ in certified)
+            last = max(lo_t + w.size for lo_t, w, _ in certified)
             vals = np.asarray(f(np.arange(first, last) / n), dtype=float)
-            for t, (lo_t, w, tail, below) in zip(range(i, j), windows):
+        for t, window in zip(range(i, j), windows):
+            if window is None:
+                values[t], omitted[t] = sm_apply(n, f, float(xs[t]), policy)
+            else:
+                lo_t, w, omitted[t] = window
                 values[t] = _dot(lo_t, w, vals[lo_t - first:lo_t - first + w.size], n)
-                omitted[t] = tail + below
-        if error is not None:
-            raise error
         i = j
-    if stop < xs.size:
-        _validate(n, float(xs[stop]))
     return values, omitted
 
 

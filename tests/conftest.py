@@ -4,18 +4,6 @@ import os
 
 import pytest
 
-import oplimits.operators
-
-
-@pytest.fixture(autouse=True)
-def fresh_poisson_window():
-    """Start every test without a memoised Poisson window.
-
-    A memo hit skips the log k! table, so without this a test that swaps
-    the table could be served a window built from another test's table.
-    """
-    oplimits.operators._poisson_weights.cache_clear()
-
 
 @pytest.fixture
 def cpus(monkeypatch):

@@ -111,6 +111,23 @@ def test_non_finite_diffusion_argument_is_rejected(name, call):
         call()
 
 
+# The t = 0 shortcut must not return f at a starting point that the
+# samplers reject at t > 0.
+@pytest.mark.parametrize("kind, x, message", [
+    ("feller", -1.0, r"^x must be finite and nonnegative"),
+    ("feller", math.nan, r"^x must be finite and nonnegative"),
+    ("feller", math.inf, r"^x must be finite and nonnegative"),
+    ("wright-fisher", 2.0, r"^starting point must lie in \[0, 1\]"),
+    ("wright-fisher", -0.5, r"^starting point must lie in \[0, 1\]"),
+    ("wright-fisher", math.nan, r"^starting point must lie in \[0, 1\]"),
+], ids=["feller-negative", "feller-nan", "feller-inf", "wf-above", "wf-below", "wf-nan"])
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_starting_point_outside_the_state_space_is_rejected(kind, x, message, t):
+    method = "exact" if kind == "feller" else "euler"
+    with pytest.raises(ValueError, match=message):
+        semigroup_mc(kind, t, x, np.exp, 10, seed=1, method=method)
+
+
 class TestFellerEuler:
     def test_zero_start_stays_zero(self):
         rng = np.random.default_rng(1)

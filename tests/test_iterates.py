@@ -114,6 +114,11 @@ class TestKernelConstruction:
                            match=r"^row 5 loses mass 3\.840e-01 > tail_eps=1\.000e-12;"):
             build_sm_kernel(1, 5, 1e-12, checked_rows=5)
 
+    @pytest.mark.parametrize("checked_rows", [-1, 2.5, math.nan])
+    def test_checked_rows_must_be_a_row_index(self, checked_rows):
+        with pytest.raises(ValueError, match=r"^checked_rows must be an integer >= 0"):
+            build_sm_kernel(8, 10, checked_rows=checked_rows)
+
     def test_unchecked_construction_allowed(self):
         kernel = build_sm_kernel(1, 5, 1e-12)
         assert kernel.size == 6

@@ -19,7 +19,10 @@ from oplimits import (
     sm_apply,
     sm_apply_grid,
 )
-from oplimits.harness import ExperimentConfig
+import oplimits.generator
+import oplimits.harness
+import oplimits.operators
+from oplimits.harness import ExperimentConfig, run_experiment
 from oplimits.operators import DEFAULT_POLICY, _poisson_weights
 
 DEFAULT_GRID = ExperimentConfig.for_experiment("voronovskaya").grid().points
@@ -53,11 +56,36 @@ def _assert_same(got, want):
 @pytest.mark.parametrize("label", sorted(CATALOG))
 def test_every_catalog_function_on_the_default_grid(label):
     f = CATALOG[label]
-    for n in (4, 16, 64, 256, 1024):
+    # the voronovskaya ladder and the korovkin ladder, on one grid
+    for n in (1, 4, 10, 16, 64, 100, 256, 1024):
         values, omitted = sm_apply_grid(n, f, DEFAULT_GRID)
         want = _per_point(n, f, DEFAULT_GRID, DEFAULT_POLICY)
         assert np.array_equal(values, want[0]), (label, n)
         assert np.array_equal(omitted, want[1]), (label, n)
+
+
+@pytest.mark.parametrize("experiment", ["voronovskaya", "korovkin"])
+def test_default_runs_send_only_x_0_through_sm_apply(monkeypatch, experiment):
+    # every other point of the default grids has a window the batched cut
+    # certifies; the point mass at x = 0 is sm_apply's own
+    scalar, grid = oplimits.operators.sm_apply, oplimits.operators.sm_apply_grid
+    per_grid = []
+
+    def counted_grid(n, f, xs, policy=DEFAULT_POLICY):
+        per_grid.append([])
+        return grid(n, f, xs, policy)
+
+    def counted_scalar(n, f, x, policy=DEFAULT_POLICY):
+        per_grid[-1].append(x)
+        return scalar(n, f, x, policy)
+
+    monkeypatch.setattr(oplimits.operators, "sm_apply", counted_scalar)
+    for module in (oplimits.generator, oplimits.harness):
+        monkeypatch.setattr(module, "sm_apply_grid", counted_grid)
+    config = ExperimentConfig.for_experiment(experiment)
+    run_experiment(config)
+    calls = len(config.n_ladder) * (len(config.lambdas) if experiment == "korovkin" else 1)
+    assert per_grid == [[0.0]] * calls
 
 
 # the points mix x = 0, small means, means on both sides of 774.06 (where
