@@ -12,6 +12,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .operators import _check_index
+
 
 def weight_eval(alpha: float, x: float):
     """Evaluate the weight ``1 / (1 + x**alpha)``.
@@ -29,10 +31,10 @@ def weight_eval(alpha: float, x: float):
         Weight value(s) in (0, 1], equal to 1 at x = 0 and strictly
         decreasing on (0, inf).
     """
-    if alpha < 1:
+    if not alpha >= 1:
         raise ValueError(f"weight exponent alpha must be >= 1, got {alpha}")
     xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0):
+    if not np.all(xa >= 0):
         raise ValueError("weight is only defined on [0, inf)")
     out = 1.0 / (1.0 + xa ** alpha)
     return float(out) if np.isscalar(x) else out
@@ -63,7 +65,7 @@ class TestFunction:
     __test__ = False
 
     def __post_init__(self):
-        if self.lip_d2 is not None and self.lip_d2 < 0:
+        if self.lip_d2 is not None and not self.lip_d2 >= 0:
             raise ValueError("lip_d2 must be nonnegative")
 
     def __call__(self, x):
@@ -98,12 +100,10 @@ def make_geometric_grid(x_max: float, m: int, dense_head: int = 0) -> Grid:
     ``x_max**(j/(m-1))`` for j = 1..m-1.  The result is sorted and
     deduplicated.
     """
-    if x_max <= 0:
+    if not x_max > 0:
         raise ValueError("x_max must be positive")
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if dense_head < 0:
-        raise ValueError("dense_head must be nonnegative")
+    m = _check_index(m, "m", least=2)
+    dense_head = _check_index(dense_head, "dense_head", least=0)
     parts = [np.array([0.0])]
     if dense_head > 0:
         head = np.arange(1, dense_head + 1, dtype=float) / dense_head

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .funcspace import Grid, weight_eval
+from .operators import _check_index
 # sm_apply is no longer called here, but perfbench/tests/test_tracer.py checks
 # that the tracer replaces this module's binding of it
 from .operators import TruncationPolicy, DEFAULT_POLICY, sm_apply, sm_apply_grid  # noqa: F401
@@ -29,7 +30,7 @@ def generator_apply(f, x):
     catalog function does; it is not evaluated at x = 0.
     """
     xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0):
+    if not np.all(xa >= 0):
         raise ValueError("x must be nonnegative")
     d2 = getattr(f, "d2_fn", None)
     if d2 is None:
@@ -48,7 +49,7 @@ def m_alpha(alpha: float) -> float:
     each evaluated in closed form.  Defined for alpha > 3/2; the first
     supremum degenerates at alpha = 3/2.
     """
-    if alpha <= 1.5:
+    if not alpha > 1.5:
         raise ValueError(f"m_alpha requires alpha > 3/2, got {alpha}")
     first = (
         3.0 ** 0.75
@@ -77,7 +78,7 @@ def voronovskaya_residual(
     where P_n is the Szasz-Mirakyan operator.  A grid max, hence a lower
     bound of the sup over [0, inf).
     """
-    if alpha < 1:
+    if not alpha >= 1:
         raise ValueError("alpha must be >= 1")
     xs = grid.points
     pn, _ = sm_apply_grid(n, f, xs, policy)
@@ -91,9 +92,8 @@ def voronovskaya_bound(n: int, alpha: float, lip_d2: float) -> float:
     Valid whenever f'' is Lipschitz with constant ``lip_d2`` and
     alpha > 3/2; holds for every n, not just asymptotically.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if lip_d2 < 0:
+    n = _check_index(n)
+    if not lip_d2 >= 0:
         raise ValueError("lip_d2 must be nonnegative")
     return m_alpha(alpha) * lip_d2 / (6.0 * np.sqrt(n))
 
@@ -116,11 +116,10 @@ def semigroup_rate_bound(
     replaced by the constant ``lip_d2``, a heuristic that is NOT backed by
     the theory and is intended for reporting only.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if t < 0:
+    n = _check_index(n)
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
-    if norm_af < 0 or lip_d2 < 0:
+    if not (norm_af >= 0 and lip_d2 >= 0):
         raise ValueError("norms and Lipschitz constants must be nonnegative")
     ma = m_alpha(alpha)
     head = (np.sqrt(t / n) + 1.0 / n) * (norm_af + ma * lip_d2 / (6.0 * np.sqrt(n)))
@@ -140,6 +139,6 @@ def fit_rate(n_values: Sequence[int], errors: Sequence[float]) -> float:
         raise ValueError("need at least 3 points to fit a rate")
     if n_values.size != errors.size:
         raise ValueError("n_values and errors must have equal length")
-    if np.any(errors <= 0):
+    if not np.all(errors > 0):
         raise ValueError("errors must be strictly positive for a log fit")
     return float(np.polyfit(np.log(n_values), np.log(errors), 1)[0])

@@ -37,6 +37,7 @@ per point and generation, which numpy runs as SIMD loops.
 import functools
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -205,12 +206,13 @@ def build_sm_kernel(
     Row 0 is the point mass at 0.  Each row is truncated to its certified
     window (see :func:`_row_window`) intersected with [0, K], and the rows
     are stored in dense blocks of ``_BLOCK_ROWS``.  When ``checked_rows``
-    is given, rows 0..checked_rows must each miss at most ``tail_eps`` of
-    mass (one minus the stored row sum), otherwise
+    is given, rows 0..checked_rows must each miss at most ``tail_eps``, in
+    (0, 1), of mass (one minus the stored row sum), otherwise
     :class:`CutoffTooSmallError` reports the worst offender.
     """
     n = _check_index(n)
     K = _check_index(K, "K", least=0)
+    TruncationPolicy(tail_eps=tail_eps)  # raises unless 0 < tail_eps < 1
     lo, hi = _row_window(np.arange(K + 1), K)
     lo[0] = hi[0] = 0  # state 0 is absorbing
     blocks = tuple(
@@ -271,11 +273,11 @@ def kernel_iterate(kernel: TransitionKernel, f, k: int) -> LatticeFunction:
     the truncation error budget.  f and the constant one are the two
     columns of one array, so each step is one dense matrix product per
     kernel block.  The calling thread steps the first group of blocks from
-    :func:`_block_groups` and a helper thread each other group, meeting at
-    a barrier per step, so the bits do not depend on the CPU count.  If
-    products fail, the lowest-numbered group's error is raised once every
-    helper has been joined.  At k = 0 f on the lattice returns with a zero
-    budget.
+    :func:`_block_groups` and a thread pool each other group, and every
+    group finishes a step before any starts the next, so the bits do not
+    depend on the CPU count.  If products fail, the lowest-numbered group's
+    error is raised once every pool thread has been joined.  At k = 0 f on
+    the lattice returns with a zero budget.
     """
     k = _check_index(k, "k", least=0)
     latt = kernel.lattice()
@@ -293,36 +295,15 @@ def kernel_iterate(kernel: TransitionKernel, f, k: int) -> LatticeFunction:
     x[:, 1] = 1.0
     y = np.empty_like(x)
     groups = _block_groups(kernel.blocks)
-    barrier = threading.Barrier(len(groups))
-    errors = [None] * len(groups)
-
-    def run(g):
-        a, b = x, y
-        try:
-            for _ in range(k):
-                kernel.step(a, b, groups[g])
-                barrier.wait()
-                a, b = b, a
-        except threading.BrokenBarrierError:
-            pass  # another group failed
-        except BaseException as exc:
-            errors[g] = exc
-            barrier.abort()
-
-    helpers = [threading.Thread(target=run, args=(g,)) for g in range(1, len(groups))]
-    try:
-        for thread in helpers:
-            thread.start()
-        run(0)
-    finally:
-        # frees the helpers if one could not start; else all passed the last wait
-        barrier.abort()
-        for thread in helpers:
-            if thread.ident is not None:
-                thread.join()
-    for exc in filter(None, errors):
-        raise exc
-    v, mass = (y if k % 2 else x).T
+    # an executor starts no thread before its first submit, so one group starts none
+    with ThreadPoolExecutor(max_workers=max(1, len(groups) - 1)) as pool:
+        for _ in range(k):
+            helpers = [pool.submit(kernel.step, x, y, g) for g in groups[1:]]
+            kernel.step(x, y, groups[0])
+            for helper in helpers:
+                helper.result()
+            x, y = y, x
+    v, mass = x.T
     if not np.all(np.isfinite(v)):
         raise EvaluationError("non-finite accumulation during kernel iteration")
     leak = np.clip(1.0 - mass, 0.0, None)

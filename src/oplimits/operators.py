@@ -55,6 +55,16 @@ import numpy as np
 from .errors import EvaluationError, TruncationFailureError
 
 
+def _check_index(value, name="n", least=1) -> int:
+    """``value`` as an int if it is an integer >= ``least``, else a ValueError naming it.
+
+    NaN and the infinities fail the range test before they can reach ``int``.
+    """
+    if not (least <= value < math.inf and int(value) == value):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Controls where infinite lattice series are cut off.
@@ -71,8 +81,7 @@ class TruncationPolicy:
     def __post_init__(self):
         if not (0.0 < self.tail_eps < 1.0):
             raise ValueError(f"tail_eps must lie in (0, 1), got {self.tail_eps}")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be positive")
+        _check_index(self.max_terms, "max_terms")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -94,16 +103,6 @@ class SeriesValue(NamedTuple):
 
     value: float
     omitted_mass: float
-
-
-def _check_index(value, name="n", least=1) -> int:
-    """``value`` as an int if it is an integer >= ``least``, else a ValueError naming it.
-
-    NaN and the infinities fail the range test before they can reach ``int``.
-    """
-    if not (least <= value < math.inf and int(value) == value):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
-    return int(value)
 
 
 def _validate(n, x, x_name="x"):

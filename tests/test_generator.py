@@ -15,6 +15,7 @@ from oplimits import (
     semigroup_rate_bound,
     voronovskaya_bound,
     voronovskaya_residual,
+    weight_eval,
 )
 
 # the experiments' default working grid: dense head on [0, 1], geometric tail to 50
@@ -146,6 +147,31 @@ class TestSemigroupRateBound:
     def test_worked_example(self):
         got = semigroup_rate_bound(100, 1.0, 2.0, 0.25, 1.0)
         assert got == pytest.approx(0.06108, abs=5e-5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: weight_eval(math.nan, 1.0),
+    lambda: weight_eval(2.0, math.nan),
+    lambda: weight_eval(2.0, np.array([0.0, math.nan])),
+    lambda: generator_apply(CATALOG["f1"], math.nan),
+    lambda: m_alpha(math.nan),
+    lambda: voronovskaya_residual(10, CATALOG["f1"], math.nan, GRID),
+    lambda: voronovskaya_bound(4, 2.0, math.nan),
+    lambda: voronovskaya_bound(2.5, 2.0, 1.0),
+    lambda: semigroup_rate_bound(4, math.nan, 2.0, 1.0, 1.0),
+    lambda: semigroup_rate_bound(4, 1.0, 2.0, math.nan, 1.0),
+    lambda: semigroup_rate_bound(4.5, 1.0, 2.0, 1.0, 1.0),
+    lambda: fit_rate([4, 16, 64], [1.0, math.nan, 0.1]),
+    lambda: make_geometric_grid(math.nan, 10),
+    lambda: make_geometric_grid(10.0, 2.5),
+    lambda: make_geometric_grid(10.0, 10, 2.5),
+    lambda: TestFunction("nan", CATALOG["f1"].fn, lip_d2=math.nan),
+], ids=["weight-alpha", "weight-x", "weight-array", "generator-x", "m-alpha",
+        "residual-alpha", "bound-lip", "bound-n", "rate-t", "rate-norm", "rate-n",
+        "fit-error", "grid-x-max", "grid-m", "grid-head", "lip-d2"])
+def test_nan_and_fractional_arguments_are_rejected(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestFitRate:

@@ -119,6 +119,12 @@ class TestKernelConstruction:
         with pytest.raises(ValueError, match=r"^checked_rows must be an integer >= 0"):
             build_sm_kernel(8, 10, checked_rows=checked_rows)
 
+    @pytest.mark.parametrize("tail_eps", [math.nan, 0.0, -1.0, 1.0])
+    def test_tail_eps_must_lie_in_the_unit_interval(self, tail_eps):
+        # a NaN tail_eps would let every checked row pass
+        with pytest.raises(ValueError, match=r"^tail_eps must lie in \(0, 1\)"):
+            build_sm_kernel(8, 40, tail_eps, checked_rows=10)
+
     def test_unchecked_construction_allowed(self):
         kernel = build_sm_kernel(1, 5, 1e-12)
         assert kernel.size == 6
@@ -319,6 +325,14 @@ class TestBlockIterate:
             entries = [sum(block.size for *_, block in group) for group in groups]
             widest = max(block.size for *_, block in kernel.blocks)
             assert max(entries) - min(entries) <= 2 * widest
+
+    def test_a_threaded_run_leaves_no_thread_behind(self, monkeypatch, watchdog):
+        kernel = semigroup_kernel(128)
+        monkeypatch.setattr(iterates, "_usable_cpus", lambda: 2)
+        assert len(iterates._block_groups(kernel.blocks)) == 2
+        before = threading.active_count()
+        kernel_iterate(kernel, CATALOG["f1"], 4)
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("failing", [(0,), (-1,), (0, -1)])
     def test_a_failing_group_neither_hangs_nor_leaks_a_thread(self, monkeypatch, watchdog,

@@ -502,6 +502,12 @@ class TestTruncationIndex:
         with pytest.raises(ValueError):
             TruncationPolicy(tail_eps=1.5)
 
+    @pytest.mark.parametrize("max_terms", [0, 2.5, math.nan, math.inf])
+    def test_max_terms_must_be_a_positive_integer(self, max_terms):
+        # a NaN cap would never stop _cut_at_tail
+        with pytest.raises(ValueError, match=r"^max_terms must be an integer >= 1"):
+            TruncationPolicy(max_terms=max_terms)
+
 
 class TestWeightedContraction:
     # The quadratic is excluded: the operator maps x^2 to x^2 + x/n, which
