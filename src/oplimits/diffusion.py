@@ -71,6 +71,7 @@ def feller_exact_terminal(
     """Vectorized exact draws of the square-root diffusion at time t from x."""
     _check_positive(t, "t")
     _check_nonnegative(x, "x")
+    size = _check_index(size, "size", least=0)
     out = np.zeros(size)
     if x == 0.0:
         return out
@@ -121,6 +122,7 @@ def feller_euler_terminal(
 ) -> np.ndarray:
     """Clamped Euler endpoints for dY = sqrt(Y) dW (vectorized over paths)."""
     _check_nonnegative(x, "x")
+    size = _check_index(size, "size", least=0)
     y = np.full(size, float(x))
     for h, z in _euler_increments(T, dt, size, rng):
         y = np.maximum(0.0, y + np.sqrt(y * h) * z)
@@ -138,6 +140,7 @@ def wf_euler_terminal(
 ) -> np.ndarray:
     """Clamped Euler endpoints for dX = sqrt(X(1-X)) dW on [0, 1]."""
     _check_unit(x)
+    size = _check_index(size, "size", least=0)
     v = np.full(size, float(x))
     for h, z in _euler_increments(T, dt, size, rng):
         v = np.clip(v + np.sqrt(v * (1.0 - v) * h) * z, 0.0, 1.0)

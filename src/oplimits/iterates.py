@@ -446,6 +446,7 @@ def chain_terminal_values(
     """
     n = _validate(n, x)
     k = _check_index(k, "k", least=0)
+    size = _check_index(size, "size", least=0)
     if k == 0 or x == 0:
         return np.full(size, float(x))
     with _LAW_LOCK:

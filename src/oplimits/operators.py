@@ -39,6 +39,8 @@ consecutive points together and evaluates f once per chunk of them.  They
 share the window start, the pmf, the cut and the dot product, so the grid
 routine returns, point for point, the bits of ``sm_apply``; a point whose
 window the batched cut does not certify goes through ``sm_apply`` itself.
+Given a tuple of functions, the grid routine builds each chunk's windows
+once and averages every function over them, one row of values each.
 
 Also provides the exact Poisson moment polynomials, which the chain's
 scaling identities in the weak-convergence experiment read, and the closed
@@ -474,21 +476,28 @@ def sm_apply_grid(n: int, f, xs, policy: TruncationPolicy = DEFAULT_POLICY):
 
     Returns ``(values, omitted)``, two arrays with one entry per point of
     the 1-d ``xs``: the bits of ``sm_apply(n, f, x, policy)`` at each point
-    x.  The points are taken in order, so a point that sm_apply would
-    reject raises the same error, after the points before it have been
-    evaluated, as a loop of sm_apply calls would.
+    x.  ``f`` may also be a tuple of functions; ``values`` then has one row
+    per function, the bits of a call with that function alone, and
+    ``omitted``, which does not depend on f, stays one row.  The points are
+    taken in order, and the functions in tuple order within a point, so a
+    point that sm_apply would reject raises the same error, after the
+    points before it have been evaluated, as a loop of sm_apply calls would.
 
     Consecutive points whose windows lo..hi overlap are taken in chunks of
     at most ``_GRID_CHUNK`` terms.  :func:`_poisson_windows` builds a
-    chunk's windows, f is evaluated once on the lattice points from the
-    least lo to the greatest K among them, and each window is summed by
-    the dot product of :func:`_average`.  Nearby means share most of
-    their windows, so f is evaluated on far fewer points than the windows
-    hold together.  A point whose cut :func:`_poisson_windows` does not
-    certify, the point mass at x = 0, a window past ``max_terms`` and a
-    point sm_apply rejects each go through :func:`sm_apply` itself, in
-    their place in the point order.
+    chunk's windows once for all functions, each function is evaluated once
+    on the lattice points from the least lo to the greatest K among them,
+    and each window is summed against each function by the dot product of
+    :func:`_average`.  Nearby means share most of their windows, so f is
+    evaluated on far fewer points than the windows hold together.  A point
+    whose cut :func:`_poisson_windows` does not certify, the point mass at
+    x = 0, a window past ``max_terms`` and a point sm_apply rejects each go
+    through :func:`sm_apply` itself, once per function, in their place in
+    the point order.
     """
+    fs = f if isinstance(f, tuple) else (f,)
+    if not fs:
+        raise ValueError("f must be a function or a nonempty tuple of functions")
     n = _check_index(n)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
@@ -501,7 +510,7 @@ def sm_apply_grid(n: int, f, xs, policy: TruncationPolicy = DEFAULT_POLICY):
     # a point mass, a rejected x and a window past max_terms are chunks of their own
     sizes = np.where((lam > 0.0) & (hi < policy.max_terms), hi - lo + 1, 0).tolist()
     lows, highs = lo.tolist(), hi.tolist()
-    values, omitted = np.empty(xs.size), np.empty(xs.size)
+    values, omitted = np.empty((len(fs), xs.size)), np.empty(xs.size)
     buffer = np.empty(_GRID_CHUNK)
     i = 0
     while i < xs.size:
@@ -517,15 +526,17 @@ def sm_apply_grid(n: int, f, xs, policy: TruncationPolicy = DEFAULT_POLICY):
         if certified:
             first = min(lo_t for lo_t, _, _ in certified)
             last = max(lo_t + w.size for lo_t, w, _ in certified)
-            vals = np.asarray(f(np.arange(first, last) / n), dtype=float)
+            vals = [np.asarray(g(np.arange(first, last) / n), dtype=float) for g in fs]
         for t, window in zip(range(i, j), windows):
             if window is None:
-                values[t], omitted[t] = sm_apply(n, f, float(xs[t]), policy)
+                for row, g in zip(values, fs):
+                    row[t], omitted[t] = sm_apply(n, g, float(xs[t]), policy)
             else:
                 lo_t, w, omitted[t] = window
-                values[t] = _dot(lo_t, w, vals[lo_t - first:lo_t - first + w.size], n)
+                for row, v in zip(values, vals):
+                    row[t] = _dot(lo_t, w, v[lo_t - first:lo_t - first + w.size], n)
         i = j
-    return values, omitted
+    return (values if isinstance(f, tuple) else values[0]), omitted
 
 
 def bernstein_apply(n: int, f, x: float) -> float:

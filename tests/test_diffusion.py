@@ -14,6 +14,7 @@ from oplimits import (
     EulerConfig,
     UnsupportedMethodError,
     chain_scaling_moments,
+    chain_terminal_values,
     feller_euler_terminal,
     feller_exact_terminal,
     feller_semigroup_closed_form,
@@ -109,6 +110,28 @@ def test_nan_oracle_parameter_is_rejected(name, call):
 def test_non_finite_diffusion_argument_is_rejected(name, call):
     with pytest.raises(ValueError, match=rf"^{name} must be finite and "):
         call()
+
+
+# A sampler names a bad sample size, on its x = 0 shortcut too, instead of
+# handing it to numpy; a size of 0 gives an empty array.
+_SAMPLERS = {
+    "chain": lambda x, size: chain_terminal_values(4, 3, x, size, np.random.default_rng(0)),
+    "exact": lambda x, size: feller_exact_terminal(x, 1.0, size, np.random.default_rng(0)),
+    "feller-euler": lambda x, size: feller_euler_terminal(x, 1.0, 0.1, size,
+                                                          np.random.default_rng(0)),
+    "wf-euler": lambda x, size: wf_euler_terminal(x, 1.0, 0.1, size, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("size", [-1, 2.5, math.nan, 0])
+@pytest.mark.parametrize("x", [0.0, 0.75])
+@pytest.mark.parametrize("sampler", sorted(_SAMPLERS))
+def test_sample_size_must_be_a_nonnegative_integer(sampler, x, size):
+    if size == 0:
+        assert _SAMPLERS[sampler](x, size).shape == (0,)
+    else:
+        with pytest.raises(ValueError, match=r"^size must be an integer >= 0, got "):
+            _SAMPLERS[sampler](x, size)
 
 
 # The t = 0 shortcut must not return f at a starting point that the

@@ -269,11 +269,11 @@ class TestLatticeAverage:
 
 
 # the default voronovskaya run averages 1,280,004 terms and evaluates
-# 2,185,992 pmf exps, korovkin 911,778 and 1,649,511: each of korovkin's three
-# rates builds its own windows
+# 2,185,992 pmf exps, korovkin 911,778 and 549,837: korovkin's three rates
+# share each n's windows
 @pytest.mark.parametrize("experiment, terms, exps", [
     ("voronovskaya", 1_300_000, 2_200_000),
-    ("korovkin", 920_000, 1_660_000),
+    ("korovkin", 920_000, 560_000),
 ], ids=["voronovskaya", "korovkin"])
 def test_default_voronovskaya_run_sums_only_the_windows(monkeypatch, experiment, terms, exps):
     """A default grid run averages and evaluates only its windows.

@@ -67,7 +67,8 @@ def test_every_catalog_function_on_the_default_grid(label):
 @pytest.mark.parametrize("experiment", ["voronovskaya", "korovkin"])
 def test_default_runs_send_only_x_0_through_sm_apply(monkeypatch, experiment):
     # every other point of the default grids has a window the batched cut
-    # certifies; the point mass at x = 0 is sm_apply's own
+    # certifies; the point mass at x = 0 is sm_apply's own, once per
+    # function: korovkin averages its three rates in one grid call per n
     scalar, grid = oplimits.operators.sm_apply, oplimits.operators.sm_apply_grid
     per_grid = []
 
@@ -84,8 +85,8 @@ def test_default_runs_send_only_x_0_through_sm_apply(monkeypatch, experiment):
         monkeypatch.setattr(module, "sm_apply_grid", counted_grid)
     config = ExperimentConfig.for_experiment(experiment)
     run_experiment(config)
-    calls = len(config.n_ladder) * (len(config.lambdas) if experiment == "korovkin" else 1)
-    assert per_grid == [[0.0]] * calls
+    functions = len(config.lambdas) if experiment == "korovkin" else 1
+    assert per_grid == [[0.0] * functions] * len(config.n_ladder)
 
 
 # the points mix x = 0, small means, means on both sides of 774.06 (where
@@ -117,6 +118,59 @@ policies = st.builds(
 def test_grids_match_scalar_calls(n, xs, policy, label):
     f = CATALOG[label]
     _assert_same(_grid(n, f, xs, policy), _per_point(n, f, xs, policy))
+
+
+def _first_error(n, fs, xs, policy):
+    """The error a loop of sm_apply calls over the points, and over fs at each point, raises."""
+    try:
+        for x in xs:
+            for f in fs:
+                sm_apply(n, f, float(x), policy)
+    except (EvaluationError, TruncationFailureError, ValueError) as error:
+        return type(error), str(error)
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 2, 7]), xs=st.lists(points, max_size=40), policy=policies,
+       labels=st.lists(st.sampled_from(sorted(CATALOG)), min_size=1, max_size=3))
+@example(n=1, xs=[0.0, 0.3, 774.06, 774.07, 800.0, 3000.0], policy=DEFAULT_POLICY,
+         labels=["f1", "f2", "f3"])
+@example(n=2, xs=[1.0, 300.0, 800.0, 1.0], policy=TruncationPolicy(max_terms=900),
+         labels=["e2", "kink3"])
+def test_a_tuple_of_functions_gives_the_rows_of_one_function_calls(n, xs, policy, labels):
+    fs = tuple(CATALOG[label] for label in labels)
+    got = _grid(n, fs, xs, policy)
+    error = _first_error(n, fs, xs, policy)
+    if error:
+        assert got == error
+        return
+    values, omitted = got
+    assert values.shape == (len(fs), len(xs))
+    for f, row in zip(fs, values):
+        _assert_same((row, omitted), sm_apply_grid(n, f, xs, policy))
+
+
+def test_a_bad_term_of_a_later_function_raises_after_the_earlier_points():
+    # at n = 1 lattice points 4200 and 4300 lie in the window of x = 5000
+    # alone and the top of x = 5700's window in its own alone; the points
+    # decide first, then the order of the functions at a point
+    (lo_a, w_a, _, _), (lo_b, w_b, _, _) = (_poisson_weights(x, DEFAULT_POLICY)
+                                            for x in (5000.0, 5700.0))
+    top_b = lo_b + w_b.size - 1
+    assert lo_a <= 4200 < 4300 < lo_b < lo_a + w_a.size - 1 < top_b
+
+    def bad_at(*points):
+        return lambda u: np.where(np.isin(u, points), math.inf, np.exp(-np.asarray(u)))
+
+    xs = [0.0, 0.5, 5000.0, 5700.0]
+    f, g, h, late = bad_at(), bad_at(4200.0), bad_at(4300.0), bad_at(float(top_b))
+    named = "non-finite series term at lattice point {}"
+    assert _grid(1, g, xs, DEFAULT_POLICY) == (EvaluationError, named.format(4200.0))
+    for fs, point in (((f, g), 4200.0), ((late, g), 4200.0), ((g, h), 4200.0),
+                      ((h, g), 4300.0), ((f, late), float(top_b))):
+        assert _first_error(1, fs, xs, DEFAULT_POLICY) == (EvaluationError, named.format(point))
+        assert _grid(1, fs, xs, DEFAULT_POLICY) == (EvaluationError, named.format(point))
 
 
 def test_examples_reach_the_cases_they_name():
@@ -175,6 +229,8 @@ def test_invalid_points_raise_as_the_loop_does(bad):
         assert _grid(3, CATALOG["e1"], xs, DEFAULT_POLICY) == want
     with pytest.raises(ValueError, match="n must be an integer"):
         sm_apply_grid(0, CATALOG["e1"], [1.0])
+    with pytest.raises(ValueError, match="nonempty tuple of functions"):
+        sm_apply_grid(3, (), [0.0, 1.0])
     for xs in (1.0, [[1.0, 2.0]]):
         with pytest.raises(ValueError, match="xs must be a 1-d array"):
             sm_apply_grid(3, CATALOG["e1"], xs)
