@@ -54,6 +54,7 @@ from .operators import (
     _check_index,
     _lower_end,
     _poisson_pmf,
+    _upper_end,
     _validate,
     truncation_index,
 )
@@ -162,16 +163,11 @@ def lattice_cutoff(
 def _row_window(i: np.ndarray, K: int):
     """Columns lo..hi of Poisson(i) rows, each side missing at most 2^-64.
 
-    The lower end is the series windows' Chernoff point
-    (:func:`~oplimits.operators._lower_end`), unrounded.  For X ~ Poisson(i)
-    and a >= 0, P(X >= i + a) <= exp(-a^2 / (2 (i + a/3))) (Bernstein), so
-    with L the log of the budget a = L/3 + sqrt(L^2/9 + 2 i L) prices the
-    upper side; hi is then clipped to K.
+    The ends are the series windows' Chernoff point
+    (:func:`~oplimits.operators._lower_end`), unrounded, and Bernstein point
+    (:func:`~oplimits.operators._upper_end`); hi is then clipped to K.
     """
-    L = _WINDOW_LOG_BUDGET
-    lo = _lower_end(i, L)
-    hi = np.ceil(i + L / 3.0 + np.sqrt(L * L / 9.0 + 2.0 * L * i)).astype(np.int64)
-    return lo, np.minimum(K, hi)
+    return _lower_end(i, _WINDOW_LOG_BUDGET), np.minimum(K, _upper_end(i, _WINDOW_LOG_BUDGET))
 
 
 def _poisson_block(r0, r1, lo, hi):

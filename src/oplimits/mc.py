@@ -2,9 +2,9 @@
 
 Samples are partitioned deterministically across a fixed number of streams
 (``STREAMS``, never the host's CPU count); stream w draws from an
-independent generator spawned from the master seed.  Streams whose RNG
-calls draw many values each run concurrently on up to min(streams, usable
-CPUs) threads, and their chunks are merged in stream order, so identical
+independent generator spawned from the master seed.  Streams that each
+draw many values run concurrently on up to min(streams, usable CPUs)
+threads, and their chunks are merged in stream order, so identical
 (seed, samples) yields bit-identical results on any machine, whatever its
 CPU count.  The stream layout is not an experiment parameter and does not
 enter report rows.
@@ -19,26 +19,25 @@ import numpy as np
 # Monte Carlo stream count of every sample_across_workers call.
 STREAMS = 4
 
-# Fewest values a stream must draw per RNG call to get a thread of its own
-# (its chunk times the ``steps`` of sample_across_workers).  numpy's
-# generators release the GIL for one whole call, so what keeps a threaded
-# stream steady is a long call, not a long stream.  Streams that hand the
-# GIL over every few microseconds contend for it: on 2 CPUs, 4 threaded
-# streams of 256 values took 1.3 to 12 times as long as the same draws one
-# after another, and Euler streams of 5,000 paths that drew each step's
-# normals in a call of their own spread the benchmark's library-calls
-# wall_s 3.7 times as wide as serial draws did (quartile distance 0.487 s
-# against 0.131 s).  The 25,000-value calls of weak-convergence (a uniform
-# per chain endpoint, a Poisson and a Gamma per exact diffusion draw) stay
-# steady, and so do Euler paths that draw their normals in blocks of
-# at least this many (a draw is about 90 us per 5,000 normals, three
-# quarters of a step).  Threaded/serial wall time of 4 streams of blocked
-# Euler paths (2 CPUs, interleaved medians): 0.62 at 5,000 paths of 1,000
-# steps, 0.71 at 2,048 paths of 100 steps, 0.76 at 256 paths of 1,000
-# steps; just above the threshold, where a call takes a few milliseconds,
-# starting the pool costs more than it saves: 1.04 at 17 paths of 1,000
-# steps and 1.18 (0.4 ms) at 2,048 paths of 10 steps.
+# Fewest values an Euler stream draws per RNG call: its normals come in
+# blocks of at least this many.  numpy's generators release the GIL for one
+# whole call, so what keeps a threaded stream steady is a long call: on 2
+# CPUs, 4 threaded streams of 256 values took 1.3 to 12 times as long as
+# serial draws, and Euler streams that drew each step's 5,000 normals in a
+# call of their own spread the benchmark's library-calls wall_s 3.7 times
+# as wide (quartile distance 0.487 s against 0.131 s).
 _MIN_THREADED_CHUNK = 16384
+
+# Fewest values a stream must draw in all (its chunk times ``steps``) for
+# the streams to run on threads; below it, starting the pool in a fresh
+# process costs more than the threads save.  Threaded/serial wall time of 4
+# streams of blocked Euler paths (2 CPUs): 0.62 at 5,000 paths of 1,000
+# steps, 0.71 at 2,048 of 100, 0.76 at 256 of 1,000, but 1.04 at 17 of
+# 1,000 and 1.18 at 2,048 of 10.  Drawing the default weak-convergence
+# run's 25,000-value streams serially took the benchmark's chain-sampling
+# workload from 0.0524 s to 0.0440 s and from 46.6 MB to 44.6 MB at peak
+# (medians of 6 alternating runs, 2 vCPUs).
+_MIN_THREADED_DRAW = 1 << 17
 
 
 class MonteCarloEstimate(NamedTuple):
@@ -88,14 +87,13 @@ def sample_across_workers(
     as (config seed, ladder position, draw) that keeps calls apart.
     ``draw_chunk(rng, m)`` must return m values using only ``rng``; it may
     be called concurrently from several threads, so it must be thread-safe.
-    ``steps`` is how many values per sample one RNG call of a stream may
-    draw: an Euler path's step count, as its normals are drawn a block of
-    steps at a time; 1 where every call draws one value per sample, as
-    exact diffusion draws and chain endpoints do.  The streams run on
-    min(nonempty streams, usable CPUs) threads when a stream's calls draw
-    at least ``_MIN_THREADED_CHUNK`` values each (``samples // streams *
-    steps`` reaches it), and one after another on the calling thread
-    otherwise.
+    ``steps`` is how many values a stream draws per sample: an Euler path's
+    step count, as its normals are drawn a block of steps at a time; 1
+    where a stream draws one value per sample, as exact diffusion draws and
+    chain endpoints do.  The streams run on min(nonempty streams, usable
+    CPUs) threads when a stream draws at least ``_MIN_THREADED_DRAW``
+    values in all (``samples // streams * steps`` reaches it), and one
+    after another on the calling thread otherwise.
     Each stream's values land at its offset in the output, so the result
     does not depend on the thread count.  If streams fail, the exception of
     the lowest-numbered failing stream is raised, after every thread has
@@ -118,7 +116,7 @@ def sample_across_workers(
 
     nonempty = range(min(samples, streams))  # only trailing streams can be empty
     threads = min(len(nonempty), _usable_cpus())
-    if threads == 1 or samples // streams * steps < _MIN_THREADED_CHUNK:
+    if threads == 1 or samples // streams * steps < _MIN_THREADED_DRAW:
         for w in nonempty:
             draw(w)
     else:

@@ -26,10 +26,11 @@ same doubles as SciPy's log-gamma (also Cephes ``lgam``) without loading it.
 One routine, ``_poisson_pmf``, evaluates the Poisson law on ranges of
 integers, for a series window, for a block of kernel rows and for the
 concatenated windows of many means alike.  One Chernoff point
-(``_lower_end``) marks where a Poisson window or a kernel row may start.
-The tail sums that locate a window's cut run from the top of the window
-down to the mode.  The cut K, its upper tail and every weight from lo to K
-carry the same bits as evaluating and summing the whole window from k = 0.
+(``_lower_end``) marks where a Poisson window or a kernel row may start,
+and one Bernstein point (``_upper_end``) where it ends.  The tail sums
+that locate a window's cut run from its top down to a floor well above
+the mean.  The cut K, its upper tail and every weight from lo to K carry
+the same bits as evaluating and summing the window from k = 0.
 Averages of more than 8,192 terms are summed in fixed pieces, so they do
 not depend on the BLAS thread count.
 
@@ -74,7 +75,8 @@ class TruncationPolicy:
     ``tail_eps`` bounds the omitted probability mass above the cut; a
     Szasz-Mirakyan window omits at most min(2^-64, tail_eps) more below its
     lower end.  ``max_terms`` caps the top index of a series window plus
-    one, regardless of the tolerance.
+    one, regardless of the tolerance; a Szasz-Mirakyan window's top is the
+    Bernstein point with at most tail_eps 2^-53 of the mass above it.
     """
 
     tail_eps: float = 1e-12
@@ -244,6 +246,19 @@ def _lower_end(lam, log_budget):
     return max(0, math.floor(lam - math.sqrt(2.0 * log_budget * lam)))
 
 
+def _upper_end(lam, log_budget):
+    """ceil(lam + a), a = L/3 + sqrt(L^2/9 + 2 L lam): Poisson(lam) has mass <= exp(-L) above it.
+
+    Bernstein's inequality gives P(X >= lam + a) <= exp(-a^2 / (2 (lam + a/3))),
+    which is exp(-L) at this a.  ``lam`` is a mean, giving an int, or an
+    array of means, giving an int64 array; both evaluate the same doubles.
+    """
+    L = log_budget
+    if isinstance(lam, np.ndarray):
+        return np.ceil(lam + L / 3.0 + np.sqrt(L * L / 9.0 + 2.0 * L * lam)).astype(np.int64)
+    return math.ceil(lam + L / 3.0 + math.sqrt(L * L / 9.0 + 2.0 * L * lam))
+
+
 # Mean window length from which the segment form of _poisson_pmf evaluates
 # its windows one at a time
 _LONG_WINDOW = 1024
@@ -301,7 +316,7 @@ def _binomial_pmf(n, p, k):
     )
 
 
-def _cut_at_tail(lo, hi, mode, pmf, ratio_beyond, policy, label, mean):
+def _cut_at_tail(lo, hi, floor, pmf, ratio_beyond, policy, label, mean):
     """Evaluate ``pmf(lo, hi)`` on lo..hi and cut at the smallest K with tail <= tail_eps.
 
     ``ratio_beyond(hi)`` bounds the pmf ratio p_{j+1}/p_j for every j past
@@ -315,9 +330,10 @@ def _cut_at_tail(lo, hi, mode, pmf, ratio_beyond, policy, label, mean):
 
     The tail past j is the sequential sum p_hi + p_{hi-1} + ... + p_{j+1}
     plus the remainder, so a cumulative sum over the top of the window,
-    from hi down to ``mode``, gives the same bits as one over the whole
+    from hi down to ``floor``, gives the same bits as one over the whole
     window, and as one that started at k = 0; it is widened to the whole
-    window only if the cut lies below ``mode``.  The tail is nonincreasing
+    window only if the cut lies at or below ``floor``, which the caller
+    places below the cut it expects.  The tail is nonincreasing
     in j, so the cut is located by binary search.  If even the tail past
     lo - 1, the whole window plus the remainder, meets ``tail_eps``, then so
     does every tail past j < lo: adding terms of at most 2^-64 to a sum
@@ -335,7 +351,7 @@ def _cut_at_tail(lo, hi, mode, pmf, ratio_beyond, policy, label, mean):
         if ratio < 1.0:
             remainder = p[-1] * ratio / (1.0 - ratio)
             top = p[::-1]
-            for last in (min(mode, hi - 1), max(lo - 1, 0)):
+            for last in (min(floor, hi - 1), max(lo - 1, 0)):
                 # tail[m] is the tail past j = hi - 1 - m, for j = hi - 1 down to last
                 tail = top[:hi - last].cumsum()
                 tail += remainder
@@ -353,19 +369,24 @@ def _cut_at_tail(lo, hi, mode, pmf, ratio_beyond, policy, label, mean):
 
 
 def _poisson_start(lam, policy):
-    """The first window lo..hi and the mode of Poisson(lam), as ``(lo, hi, mode)``.
+    """The first window lo..hi of Poisson(lam) and a floor below its cut, as ``(lo, hi, floor)``.
 
     lo is the Chernoff point of :func:`_lower_end` for a budget of
     min(2^-64, tail_eps), rounded down to a multiple of ``_LOWER_END_STEP``;
-    it is 0 for means below about 770.  hi lies 20 standard deviations plus
-    a buffer above the mean.  ``lam`` is a mean, giving ints, or an array of
+    it is 0 for means below about 770.  Above hi, the Bernstein point of
+    :func:`_upper_end`, lies at most tail_eps 2^-53 of the mass, below the
+    rounding of any tail compared with tail_eps.  The first tail pass stops
+    at floor(lam + sqrt(lam log(1/tail_eps))), at most hi - 1: 5.3 standard
+    deviations above the mean at the default tail_eps, with at least 7e-8
+    of the mass above it.  ``lam`` is a mean, giving ints, or an array of
     means, giving int64 arrays of the same values.
     """
-    log_budget = max(_WINDOW_LOG_BUDGET, -math.log(policy.tail_eps))
-    lo = _lower_end(lam, log_budget) // _LOWER_END_STEP * _LOWER_END_STEP
+    log_eps = -math.log(policy.tail_eps)
+    lo = _lower_end(lam, max(_WINDOW_LOG_BUDGET, log_eps)) // _LOWER_END_STEP * _LOWER_END_STEP
+    hi = _upper_end(lam, log_eps + 53.0 * math.log(2.0))
     if isinstance(lam, np.ndarray):
-        return lo, (lam + 20.0 * np.sqrt(lam) + 60.0).astype(np.int64), lam.astype(np.int64)
-    return lo, int(lam + 20.0 * math.sqrt(lam) + 60.0), int(lam)
+        return lo, hi, np.minimum(np.floor(lam + np.sqrt(lam * log_eps)).astype(np.int64), hi - 1)
+    return lo, hi, min(math.floor(lam + math.sqrt(lam * log_eps)), hi - 1)
 
 
 def _below(lam, lo):
@@ -430,24 +451,24 @@ def sm_apply(n: int, f, x: float, policy: TruncationPolicy = DEFAULT_POLICY) -> 
 _GRID_CHUNK = 1 << 14
 
 
-def _poisson_windows(lam, lo, hi, mode, policy, buffer):
+def _poisson_windows(lam, lo, hi, floor, policy, buffer):
     """The window ``(lo, w, omitted)`` of each of consecutive means, or None where uncertified.
 
-    ``lam``, ``lo``, ``hi`` and ``mode`` are arrays from :func:`_poisson_start`
+    ``lam``, ``lo``, ``hi`` and ``floor`` are arrays from :func:`_poisson_start`
     of positive means whose windows lo..hi fit within ``max_terms``.  One
     :func:`_poisson_pmf` call evaluates the windows, concatenated, into
     ``buffer`` if they fit there.  The first pass of :func:`_cut_at_tail`,
-    the tail sums from hi down to the mode, then runs for all of them at
+    the tail sums from hi down to the floor, then runs for all of them at
     once, one sequential cumulative sum per window as there.  A window whose
     cut that pass certifies carries the bits :func:`_poisson_weights` gives
     it, with omitted = tail + below.  Where the pass does not certify the
-    cut (it lies at or below the mode or below lo, or the window must
+    cut (it lies at or below the floor or below lo, or the window must
     double), the entry is None.
     """
     sizes = hi - lo + 1
     ends = np.cumsum(sizes) - 1
     p = _poisson_pmf(lam, lo, hi, out=buffer[:ends[-1] + 1] if ends[-1] < buffer.size else None)
-    tops = hi - mode
+    tops = hi - floor
     # tail[r, m] is the tail past j = hi_r - 1 - m, for m below window r's
     # top; past it the row adds zeros
     tail = np.zeros((lam.size, int(tops.max())))
@@ -506,7 +527,7 @@ def sm_apply_grid(n: int, f, xs, policy: TruncationPolicy = DEFAULT_POLICY):
         # inf, as n * x is for sm_apply, if it overflows; 0 where x is rejected
         lam = np.where((0.0 <= xs) & (xs < math.inf), n * xs, 0.0)
     # capped so that hi fits an int64; so large a window is past max_terms
-    lo, hi, mode = _poisson_start(np.minimum(lam, 2.0 ** 53), policy)
+    lo, hi, floor = _poisson_start(np.minimum(lam, 2.0 ** 53), policy)
     # a point mass, a rejected x and a window past max_terms are chunks of their own
     sizes = np.where((lam > 0.0) & (hi < policy.max_terms), hi - lo + 1, 0).tolist()
     lows, highs = lo.tolist(), hi.tolist()
@@ -520,7 +541,7 @@ def sm_apply_grid(n: int, f, xs, policy: TruncationPolicy = DEFAULT_POLICY):
                and total + sizes[j] <= _GRID_CHUNK):
             total, first, last = total + sizes[j], min(first, lows[j]), max(last, highs[j])
             j += 1
-        windows = _poisson_windows(lam[i:j], lo[i:j], hi[i:j], mode[i:j], policy,
+        windows = _poisson_windows(lam[i:j], lo[i:j], hi[i:j], floor[i:j], policy,
                                    buffer) if total else [None]
         certified = [window for window in windows if window]
         if certified:

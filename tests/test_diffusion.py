@@ -24,7 +24,7 @@ from oplimits import (
     wf_euler_terminal,
 )
 from oplimits.diffusion import _euler_steps
-from oplimits.mc import _MIN_THREADED_CHUNK, chunk_sizes, estimate_from
+from oplimits.mc import _MIN_THREADED_CHUNK, _MIN_THREADED_DRAW, chunk_sizes, estimate_from
 from oplimits.operators import _poisson_weights, DEFAULT_POLICY
 
 
@@ -335,7 +335,7 @@ class TestBlockedEulerDraws:
 
 
 class TestEulerThreading:
-    """Euler streams thread by normals per RNG call: paths times steps."""
+    """Euler streams thread by the normals a stream draws: paths times steps."""
 
     @staticmethod
     def _threads_of(**call):
@@ -362,7 +362,7 @@ class TestEulerThreading:
     def test_threshold_counts_steps(self, cpus):
         cpus(64)
         assert _euler_steps(0.01, 1e-3)[0] == 10
-        per_stream = -(-_MIN_THREADED_CHUNK // 10)
+        per_stream = -(-_MIN_THREADED_DRAW // 10)
         call = dict(kind="wright-fisher", t=0.01, x=0.5, seed=6, method="euler")
         below = self._threads_of(samples=4 * (per_stream - 1), **call)
         assert below == {threading.get_ident()}
@@ -379,7 +379,7 @@ class TestEulerThreading:
     def test_exact_draws_count_one_value_per_sample(self, cpus):
         cpus(64)
         idents = self._threads_of(kind="feller", t=1.0, x=1.0,
-                                  samples=4 * _MIN_THREADED_CHUNK - 1, seed=2)
+                                  samples=4 * _MIN_THREADED_DRAW - 1, seed=2)
         assert idents == {threading.get_ident()}
 
 

@@ -26,7 +26,7 @@ from oplimits.harness import (
     _snap_panel,
 )
 from oplimits.iterates import chain_terminal_values
-from oplimits.mc import _MIN_THREADED_CHUNK, resolve_workers, sample_across_workers
+from oplimits.mc import _MIN_THREADED_DRAW, resolve_workers, sample_across_workers
 
 
 def _measured(rows, check):
@@ -565,7 +565,7 @@ def _chain_draw(rng, m):
 
 
 class TestConcurrentStreams:
-    """Pinned streams drawn on min(streams, CPUs) threads when chunks are large."""
+    """Pinned streams drawn on min(streams, CPUs) threads when each draws many values."""
 
     @pytest.mark.parametrize("streams, switch_interval", [
         (4, None),
@@ -576,7 +576,7 @@ class TestConcurrentStreams:
     def test_values_do_not_depend_on_cpu_count(self, monkeypatch, cpus, streams,
                                                switch_interval):
         monkeypatch.setattr("oplimits.mc.STREAMS", streams)
-        samples = streams * _MIN_THREADED_CHUNK + 3
+        samples = streams * _MIN_THREADED_DRAW + 3
         draws = []
         interval = sys.getswitchinterval()
         try:
@@ -599,7 +599,7 @@ class TestConcurrentStreams:
             idents.add(threading.get_ident())
             return _chain_draw(rng, m)
 
-        sample_across_workers(draw, 4 * _MIN_THREADED_CHUNK, seed=3)
+        sample_across_workers(draw, 4 * _MIN_THREADED_DRAW, seed=3)
         assert len(idents) <= min(4, count)
         if count == 1:
             assert idents == {threading.get_ident()}
@@ -614,8 +614,18 @@ class TestConcurrentStreams:
             idents.add(threading.get_ident())
             return _chain_draw(rng, m)
 
-        sample_across_workers(draw, 4 * _MIN_THREADED_CHUNK - 1, seed=3)
+        sample_across_workers(draw, 4 * _MIN_THREADED_DRAW - 1, seed=3)
         assert idents == {threading.get_ident()}
+
+    def test_default_weak_convergence_run_starts_no_thread(self, monkeypatch, cpus):
+        # its streams draw 25,000 values each, too few to repay threads
+        cpus(64)
+
+        def start(thread):
+            raise AssertionError(f"started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        run_experiment(ExperimentConfig.for_experiment("weak-convergence"))
 
     def test_cpu_count_fallback(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -626,7 +636,7 @@ class TestConcurrentStreams:
             idents.add(threading.get_ident())
             return _chain_draw(rng, m)
 
-        sample_across_workers(draw, 4 * _MIN_THREADED_CHUNK, seed=3)
+        sample_across_workers(draw, 4 * _MIN_THREADED_DRAW, seed=3)
         assert idents == {threading.get_ident()}
 
     def test_empty_streams_are_not_drawn(self, cpus):
@@ -659,7 +669,7 @@ class TestConcurrentStreams:
             return rng.random(m)
 
         with pytest.raises(ValueError, match=message):
-            sample_across_workers(draw, 4 * _MIN_THREADED_CHUNK, seed=1)
+            sample_across_workers(draw, 4 * _MIN_THREADED_DRAW, seed=1)
         assert threading.active_count() == before
 
     def test_first_failing_stream_is_raised(self, cpus):
@@ -672,4 +682,4 @@ class TestConcurrentStreams:
 
         for _ in range(5):
             with pytest.raises(RuntimeError, match="stream 1"):
-                sample_across_workers(draw, 4 * _MIN_THREADED_CHUNK, seed=1)
+                sample_across_workers(draw, 4 * _MIN_THREADED_DRAW, seed=1)

@@ -35,7 +35,7 @@ from oplimits.iterates import (
     _roots_of_unity_minus_one,
     _row_window,
 )
-from oplimits.mc import _MIN_THREADED_CHUNK, estimate_from, sample_across_workers
+from oplimits.mc import _MIN_THREADED_DRAW, estimate_from, sample_across_workers
 from oplimits.operators import _binomial_pmf
 
 
@@ -198,6 +198,25 @@ class TestCertifiedWindows:
             assert pdtr(lo - 1, i) <= ROW_BUDGET
         if hi < K:
             assert pdtrc(hi, i) <= ROW_BUDGET
+
+    def test_rows_keep_the_columns_of_the_array_expression(self):
+        # the default semigroup run's n = 128 kernel, block for block against
+        # rows cut by the array expression of _certified_window
+        n, K = 128, lattice_cutoff(128, 10.0)
+        assert K == 3606
+        i = np.arange(K + 1)
+        L = 64.0 * math.log(2.0)
+        lo = np.maximum(0, np.floor(i - np.sqrt(2.0 * L * i)).astype(np.int64))
+        hi = np.ceil(i + L / 3.0 + np.sqrt(L * L / 9.0 + 2.0 * L * i)).astype(np.int64)
+        hi = np.minimum(K, hi)
+        lo[0] = hi[0] = 0
+        kernel = build_sm_kernel(n, K)
+        np.testing.assert_array_equal(kernel.lo, lo)
+        np.testing.assert_array_equal(kernel.hi, hi)
+        for r0, c0, block in kernel.blocks:
+            assert c0 == lo[r0]
+            np.testing.assert_array_equal(
+                block, iterates._poisson_block(r0, r0 + block.shape[0], lo, hi))
 
     def test_a_third_fewer_nonzeros_than_fixed_windows(self):
         n = 128
@@ -715,7 +734,7 @@ class TestChainLaw:
         _chain_cdf.cache_clear()
         estimate_from(sample_across_workers(
             lambda rng, m: CATALOG["f1"](chain_terminal_values(7, 3, 1.3, m, rng)),
-            4 * _MIN_THREADED_CHUNK, seed=5,
+            4 * _MIN_THREADED_DRAW, seed=5,
         ))
         assert _chain_cdf.cache_info().misses == 1
         with pytest.raises(ValueError):

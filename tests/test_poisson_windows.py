@@ -2,10 +2,11 @@
 
 The references below evaluate every pmf term on 0..hi and take the tail
 from a reversed cumulative sum over the whole window, as the windows were
-first written.  The windows in use start at a certified lower end lo and
-skip tail sums that cannot reach the cut, so K, the upper tail and every
-weight in lo..K must come back bit for bit, and the mass below lo must lie
-within its reported bound.
+first written; a Poisson reference starts at the same Bernstein top hi.
+The windows in use start at a certified lower end lo and skip tail sums
+that cannot reach the cut, so K, the upper tail and every weight in lo..K
+must come back bit for bit, and the mass below lo must lie within its
+reported bound.
 """
 
 import math
@@ -16,17 +17,19 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.special import gammaln, nbdtr, pdtr
+from scipy.special import gammaln, nbdtr, pdtr, pdtrc
 
 import oplimits
 import oplimits.operators
 from oplimits import (
     CATALOG,
     EvaluationError,
+    TruncationFailureError,
     TruncationPolicy,
     baskakov_apply,
     bernstein_apply,
     sm_apply,
+    sm_apply_grid,
 )
 from oplimits.harness import ExperimentConfig, run_experiment
 from oplimits.operators import (
@@ -34,6 +37,7 @@ from oplimits.operators import (
     DEFAULT_POLICY,
     _lower_end,
     _negative_binomial_weights,
+    _poisson_start,
     _poisson_weights,
 )
 
@@ -53,9 +57,15 @@ def _full_cut_at_tail(hi, pmf, ratio_beyond, policy):
         hi *= 2
 
 
+def _top(lam, tail_eps):
+    """The Bernstein point above which Poisson(lam) has mass <= tail_eps 2^-53."""
+    L = -math.log(tail_eps) + 53.0 * math.log(2.0)
+    return math.ceil(lam + L / 3.0 + math.sqrt(L * L / 9.0 + 2.0 * L * lam))
+
+
 def _full_poisson_weights(lam, policy):
     return _full_cut_at_tail(
-        int(lam + 20.0 * np.sqrt(lam) + 60.0),
+        _top(lam, policy.tail_eps),
         lambda k: np.exp(-lam + k * np.log(lam) - gammaln(k + 1.0)),
         lambda hi: lam / (hi + 1.0),
         policy,
@@ -116,6 +126,9 @@ class TestBitsOfTheFullWindow:
     @example(lam=774.06, tail_eps=1e-12)
     @example(lam=774.07, tail_eps=1e-12)
     @example(lam=4e5, tail_eps=1e-12)
+    # summed from a top 20 standard deviations above the mean, this tail
+    # would end in ...192p-51 instead of ...190p-51
+    @example(lam=1557.1848999999786, tail_eps=1e-15)
     def test_poisson(self, lam, tail_eps):
         policy = TruncationPolicy(tail_eps=tail_eps)
         _assert_same_window(_poisson_weights(lam, policy),
@@ -131,12 +144,13 @@ class TestBitsOfTheFullWindow:
         _assert_same_window(_negative_binomial_weights(n, x, policy),
                             _full_negative_binomial_weights(n, x, policy))
 
-    # a loose tolerance puts the cut below the mode, where the tail sum must
-    # widen to the whole window; 1e-300 makes the window double.  The
+    # a loose tolerance puts the cut below the floor, where the tail sum
+    # must widen to the whole window; at 1e-300 the pmf at the cut is below
+    # 1e-300, and at tail_eps = 5e-324 every tail that meets it is 0.  The
     # Poisson(3000) window (lo = 2048) sums to 1 - 6.2e-13 with its
     # remainder, so at 1 - 5e-13 every tail meets the tolerance and the cut
     # falls below lo, to K = 0
-    @pytest.mark.parametrize("tail_eps", [0.5, 0.9, 0.999999, 1 - 5e-13, 1e-300])
+    @pytest.mark.parametrize("tail_eps", [0.5, 0.9, 0.999999, 1 - 5e-13, 1e-300, 5e-324])
     @pytest.mark.parametrize("lam", [0.3, 7.0, 250.0, 3000.0])
     def test_poisson_cut_anywhere_in_the_window(self, lam, tail_eps):
         policy = TruncationPolicy(tail_eps=tail_eps)
@@ -159,6 +173,42 @@ class TestBitsOfTheFullWindow:
         _assert_same_window(_poisson_weights(lam, policy),
                             _full_poisson_weights(lam, policy))
         assert _poisson_weights(lam, policy)[2] == omitted
+
+
+class TestTopOfTheWindow:
+    # pdtrc(k, lam) is the Poisson(lam) mass above k
+    @WINDOW_SETTINGS
+    @given(lam=st.one_of(poisson_means, st.floats(min_value=1e3, max_value=1e6)),
+           tail_eps=st.sampled_from([0.5, 1e-6, 1e-12, 1e-15, 1e-30, 1e-300]))
+    @example(lam=1e6, tail_eps=1e-12)
+    @example(lam=5e-324, tail_eps=0.5)
+    def test_mass_above_the_first_window_is_below_the_rounding_of_tail_eps(self, lam, tail_eps):
+        policy = TruncationPolicy(tail_eps=tail_eps)
+        lo, hi, floor = _poisson_start(lam, policy)
+        assert lo <= lam < floor + 1 <= hi
+        assert pdtrc(hi, lam) <= tail_eps * 2.0 ** -53
+
+    def test_window_top_and_floor(self):
+        # the first Poisson(1000) window at tail_eps = 1e-12 ends at
+        # ceil(1000 + L/3 + sqrt(L^2/9 + 2000 L)), L = log(1e12) + 53 log 2
+        # = 64.37, and its tail pass stops at floor(1000 + sqrt(1000 log(1e12)))
+        assert _poisson_start(1000.0, DEFAULT_POLICY) == (512, 1381, 1166)
+        assert _poisson_start(np.array([1000.0]), DEFAULT_POLICY) == (512, 1381, 1166)
+
+    def test_a_window_that_fits_max_terms_is_not_refused(self):
+        # the Poisson(1000) window, cut at K = 1230, fits 1,382 terms; a top
+        # 20 standard deviations above the mean (1,692) would not
+        fits, short = TruncationPolicy(max_terms=1382), TruncationPolicy(max_terms=1381)
+        lo, w, _, _ = _poisson_weights(1000.0, fits)
+        assert lo + w.size - 1 == 1230
+        want = sm_apply(1, CATALOG["e2"], 1000.0)
+        assert sm_apply(1, CATALOG["e2"], 1000.0, fits) == want
+        values, omitted = sm_apply_grid(1, CATALOG["e2"], [1000.0], fits)
+        assert (values[0], omitted[0]) == want
+        for call in (lambda: sm_apply(1, CATALOG["e2"], 1000.0, short),
+                     lambda: sm_apply_grid(1, CATALOG["e2"], [1000.0], short)):
+            with pytest.raises(TruncationFailureError, match="max_terms=1381"):
+                call()
 
 
 class TestMassBelowTheWindow:
@@ -269,17 +319,19 @@ class TestLatticeAverage:
 
 
 # the default voronovskaya run averages 1,280,004 terms and evaluates
-# 2,185,992 pmf exps, korovkin 911,778 and 549,837: korovkin's three rates
+# 1,580,625 pmf exps, korovkin 911,778 and 388,542: korovkin's three rates
 # share each n's windows
 @pytest.mark.parametrize("experiment, terms, exps", [
-    ("voronovskaya", 1_300_000, 2_200_000),
-    ("korovkin", 920_000, 560_000),
+    ("voronovskaya", 1_300_000, 1_600_000),
+    ("korovkin", 920_000, 400_000),
 ], ids=["voronovskaya", "korovkin"])
 def test_default_voronovskaya_run_sums_only_the_windows(monkeypatch, experiment, terms, exps):
     """A default grid run averages and evaluates only its windows.
 
     Windows from k = 0 averaged 5.66M terms and evaluated 3.40M exps in the
-    voronovskaya run, and 1.60M terms in the korovkin run.  The grid
+    voronovskaya run, and 1.60M terms in the korovkin run; windows up to
+    20 standard deviations above the mean evaluated 2.19M and 0.55M exps.
+    The grid
     routine and sm_apply both sum through ``_dot`` and evaluate the pmf
     through ``_poisson_pmf``, which may call itself once per window; only
     the outermost call is counted.

@@ -23,7 +23,7 @@ import oplimits.generator
 import oplimits.harness
 import oplimits.operators
 from oplimits.harness import ExperimentConfig, run_experiment
-from oplimits.operators import DEFAULT_POLICY, _poisson_weights
+from oplimits.operators import DEFAULT_POLICY, _poisson_start, _poisson_weights
 
 DEFAULT_GRID = ExperimentConfig.for_experiment("voronovskaya").grid().points
 
@@ -100,7 +100,7 @@ points = st.one_of(
 policies = st.builds(
     TruncationPolicy,
     # 1 - 5e-13 puts the Poisson(3000) cut below lo, at K = 0; 1e-300
-    # makes windows double; 0.5 cuts below the mode
+    # cuts where the pmf is below 1e-300; 0.5 cuts below the floor
     tail_eps=st.sampled_from([1e-12, 1e-6, 0.5, 1 - 5e-13, 1e-300]),
     max_terms=st.sampled_from([10 ** 6, 900, 4000]),
 )
@@ -174,12 +174,17 @@ def test_a_bad_term_of_a_later_function_raises_after_the_earlier_points():
 
 
 def test_examples_reach_the_cases_they_name():
-    # the K = 0 cut, a doubled window and a max_terms overflow all occur
+    # the K = 0 cut, a cut far above the default one and a max_terms
+    # overflow all occur.  No Poisson window doubles: its first top leaves
+    # at most tail_eps 2^-53 of the mass above it
     lo, w, _, _ = _poisson_weights(3000.0, TruncationPolicy(tail_eps=1 - 5e-13))
     assert (lo, w.size) == (0, 1)
-    initial_hi = int(3000.0 + 20.0 * math.sqrt(3000.0) + 60.0)
-    lo, w, _, _ = _poisson_weights(3000.0, TruncationPolicy(tail_eps=1e-300))
-    assert lo + w.size - 1 > initial_hi
+    policy = TruncationPolicy(tail_eps=1e-300)
+    initial_hi = _poisson_start(3000.0, policy)[1]
+    lo, w, _, _ = _poisson_weights(3000.0, policy)
+    assert initial_hi - 200 < lo + w.size - 1 < initial_hi
+    lo, w, _, _ = _poisson_weights(3000.0, DEFAULT_POLICY)
+    assert lo + w.size - 1 < initial_hi - 1000
     with pytest.raises(TruncationFailureError):
         sm_apply_grid(2, CATALOG["e0"], [1.0, 800.0], TruncationPolicy(max_terms=900))
 
