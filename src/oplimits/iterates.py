@@ -28,10 +28,12 @@ Chain sampling does not step the chain.  After its first Poisson(n x) step
 the Poisson chain is a critical Galton-Watson process with Poisson(1)
 offspring, so the k-step law has a closed-form probability generating
 function.  One inverse FFT of it gives the whole law, and each endpoint is
-then one uniform draw pushed through the cumulative distribution.  The
-generating function is stepped one generation at a time at the FFT's roots
-of unity in real float64 arithmetic: one ``np.tan`` and one ``np.expm1``
-per point and generation, which numpy runs as SIMD loops.
+then one uniform draw pushed through the cumulative distribution: a
+stream's uniforms are sorted once, and one search places the law's M
+entries among them.  The generating function is stepped one generation at
+a time at the FFT's roots of unity in real float64 arithmetic: one
+``np.tan`` and one ``np.expm1`` per point and generation, which numpy runs
+as SIMD loops.
 """
 
 import functools
@@ -415,6 +417,23 @@ def _chain_cdf(n: int, k: int, x: float) -> np.ndarray:
     return cdf
 
 
+def _atoms(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")`` as floats, written into ``u``.
+
+    Each uniform u gets the atom #{j : cdf[j] <= u}, the j with u in
+    [cdf[j - 1], cdf[j]).  One sort of ``u`` and one search of the
+    len(cdf) entries among the sorted uniforms count the uniforms in each
+    atom: a uniform equal to an entry counts in the atom above it, and a
+    plateau of the cumulative distribution holds none.  Equal uniforms
+    fall in the same atom, so the result does not depend on how the sort
+    orders ties.
+    """
+    order = np.argsort(u)
+    counts = np.diff(np.searchsorted(u, cdf, sorter=order), prepend=0, append=u.size)
+    u[order] = np.repeat(np.arange(cdf.size + 1.0), counts)
+    return u
+
+
 def chain_terminal_values(
     n: int, k: int, x: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -426,8 +445,11 @@ def chain_terminal_values(
     phi_0(s) = s and phi_j(s) = exp(phi_{j-1}(s) - 1): a Poisson(n x)
     first step, then k - 1 generations of a critical Galton-Watson process
     with Poisson(1) offspring.  An inverse FFT of G at M roots of unity
-    gives the law, and each endpoint is one uniform from ``rng`` located
-    in its cumulative distribution.  The law differs from the exact one by
+    gives the law, and each endpoint is one uniform from ``rng``, all drawn
+    in one call, located in its cumulative distribution.  They are located
+    together by :func:`_atoms`: one sort of the uniforms and one search of
+    the law's M entries among them, so once the law is built a call costs
+    O(size log size + M log size).  The law differs from the exact one by
     at most ``_ALIAS_BUDGET`` (1e-15) in total variation from aliasing,
     certified at every call by a Chernoff bound on the mass at or above M,
     plus round-off of about M times the double unit roundoff (M = 1,536 at
@@ -438,17 +460,21 @@ def chain_terminal_values(
     (n, k, x) and cached, so concurrent streams share it; each of its k - 1
     generations costs one ``np.tan`` and one ``np.expm1`` per point at
     M/2 + 1 points (about 13 ns a point on an AVX-512 Xeon), so its cost
-    grows as k M, with M about n x + 12 sqrt(n x k) or more.
+    grows as k M, with M about n x + 12 sqrt(n x k) or more.  A mean n x
+    that overflows a double raises a ValueError before any law is sized.
     """
     n = _validate(n, x)
     k = _check_index(k, "k", least=0)
     size = _check_index(size, "size", least=0)
     if k == 0 or x == 0:
         return np.full(size, float(x))
+    if not n * x < math.inf:
+        raise ValueError(f"the chain's mean n x = {n} * {x} overflows a double")
     with _LAW_LOCK:
         cdf = _chain_cdf(n, k, float(x))
-    u = rng.random(size) * cdf[-1]
-    return np.searchsorted(cdf, u, side="right") / n
+    u = rng.random(size)
+    u *= cdf[-1]
+    return np.divide(_atoms(cdf, u), n, out=u)
 
 
 def kelisky_rivlin_reference(f, x: float) -> float:

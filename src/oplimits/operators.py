@@ -408,10 +408,16 @@ def _poisson_weights(lam: float, policy: TruncationPolicy):
     not certifiably reached inside it.  The weights are :func:`_poisson_pmf`
     on lo..hi, cut at K; only tail sums that cannot reach the cut are
     skipped.  K, the tail and every weight from lo to K carry the bits of a
-    window evaluated and summed from k = 0.
+    window evaluated and summed from k = 0.  A mean that overflowed to inf
+    (a finite x times n) needs more than any ``max_terms``, and is named as
+    a finite one past it is.
     """
     if lam == 0.0:
         lo, w, tail = 0, np.array([1.0]), 0.0
+    elif lam == math.inf:
+        raise TruncationFailureError(
+            f"series window for mean {lam} needs more than max_terms={policy.max_terms} terms"
+        )
     else:
         lo, w, tail = _cut_at_tail(
             *_poisson_start(lam, policy),

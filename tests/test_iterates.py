@@ -8,7 +8,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse, stats
 from scipy.special import gammaln, pdtr, pdtrc
 
@@ -29,6 +29,7 @@ from oplimits.harness import ExperimentConfig, _snap_panel, floor_nt
 from oplimits.iterates import (
     _ALIAS_BUDGET,
     _alias_bound,
+    _atoms,
     _chain_cdf,
     _fft_size_at_least,
     _gw_psi,
@@ -563,6 +564,65 @@ class TestChainSampling:
         for x in (math.inf, math.nan):
             with pytest.raises(ValueError):
                 chain_terminal_values(5, 1, x, 4, rng)
+
+    def test_overflowing_mean_is_rejected_before_the_law_is_sized(self, monkeypatch):
+        def no_fft(m):
+            raise AssertionError("an FFT was sized")
+
+        monkeypatch.setattr(iterates, "_fft_size_at_least", no_fft)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=r"n x = 10 \* 1e\+308 overflows a double"):
+            chain_terminal_values(10, 5, 1e308, 10, rng)
+        # no step taken: the endpoints are x itself
+        np.testing.assert_array_equal(chain_terminal_values(10, 0, 1e308, 3, rng), 1e308)
+
+
+@st.composite
+def _laws_and_uniforms(draw):
+    """A cumulative distribution with leading zeros, plateaus and a flat top,
+    and uniforms on [0, cdf[-1]], some equal to its entries: none, one, or
+    more than the law has entries."""
+    steps = draw(st.lists(st.one_of(st.just(0.0), st.floats(5e-324, 1.0)),
+                          min_size=1, max_size=40))
+    leading, top = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    cdf = np.cumsum([0.0] * leading + steps + [0.0] * top)
+    last = float(cdf[-1])
+    # 0.0, entries of the law, the largest uniform scaled (which may round
+    # up to cdf[-1]) and draws in between
+    uniform = st.one_of(
+        st.just(0.0),
+        st.sampled_from(cdf.tolist()),
+        st.just(np.nextafter(1.0, 0.0) * last),
+        st.floats(0.0, last),
+    )
+    size = draw(st.sampled_from([0, 1, cdf.size + draw(st.integers(1, 60))]))
+    u = draw(st.lists(uniform, min_size=size, max_size=size))
+    return cdf, np.array(u, dtype=float)
+
+
+class TestChainEndpoints:
+    """The endpoints located by one sort carry the bits of one search per draw."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(law=_laws_and_uniforms())
+    @example(law=(np.array([0.0, 0.0, 0.25, 0.25, 0.5, 1.0, 1.0]),
+                  np.array([1.0, 0.25, 0.0, 0.5, 0.3, 0.25, 0.0, 0.9999])))
+    def test_atoms_are_the_right_searches(self, law):
+        cdf, u = law
+        want = np.searchsorted(cdf, u, side="right").astype(float)
+        got = _atoms(cdf, u.copy())
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n, k, x", [(10, 10, 1.0), (50, 50, 1.0), (250, 250, 1.0),
+                                         (7, 3, 1.3)])
+    @pytest.mark.parametrize("size", [0, 1, 25_000])
+    def test_endpoints_are_one_search_per_draw(self, n, k, x, size):
+        got = chain_terminal_values(n, k, x, size, np.random.default_rng(2024))
+        cdf = _chain_cdf(n, k, x)
+        u = np.random.default_rng(2024).random(size) * cdf[-1]
+        want = np.searchsorted(cdf, u, side="right") / n
+        assert got.dtype == want.dtype and got.shape == (size,)
+        np.testing.assert_array_equal(got, want)
 
 
 # The largest cutoff the tests ask _kernel_law for: i <= 100 and k <= 50.

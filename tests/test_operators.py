@@ -482,6 +482,16 @@ class TestTruncationIndex:
         with pytest.raises(TruncationFailureError):
             truncation_index(1000, 50.0, TruncationPolicy(tail_eps=1e-12, max_terms=100))
 
+    @pytest.mark.parametrize("call", [
+        lambda: truncation_index(10, 1e308),
+        lambda: sm_apply(10, CATALOG["f1"], 1e308),
+    ], ids=["truncation_index", "sm_apply"])
+    def test_overflowing_mean_is_named(self, call):
+        # x is finite but n x overflows to inf, which no window holds
+        with pytest.raises(TruncationFailureError,
+                           match=r"for mean inf needs more than max_terms=1000000 terms"):
+            call()
+
     # pdtrc(K, lam) is the Poisson mass beyond K.  The certified tail is
     # exact up to rounding (worst measured ratio 1 + 7e-11), and one term
     # fewer already leaves more than tail_eps behind (worst 1.0009 tail_eps).
