@@ -84,9 +84,7 @@ def _collect_overrides(args) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = ExperimentConfig.for_experiment(
-            args.experiment, _collect_overrides(args)
-        )
+        config = ExperimentConfig(args.experiment, _collect_overrides(args))
         rows = run_experiment(config)
         out = args.out or f"{config.experiment}.{args.format}"
         emit_report(rows, out, args.format)

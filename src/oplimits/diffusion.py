@@ -27,32 +27,19 @@ when it decides whether its streams run on threads, and its estimates do
 not depend on that decision.
 """
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UnsupportedMethodError
+from .errors import UnsupportedMethodError, _check_index, _check_real
 from .mc import (
     _MIN_THREADED_CHUNK,
     MonteCarloEstimate,
     estimate_from,
     sample_across_workers,
 )
-from .operators import _check_index, sm_moment
-
-
-def _check_positive(value, name):
-    """Raise a ValueError naming ``value`` unless it is finite and > 0 (NaN fails)."""
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
-def _check_nonnegative(value, name):
-    """Raise a ValueError naming ``value`` unless it is finite and >= 0 (NaN fails)."""
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+from .operators import sm_moment
 
 
 @dataclass(frozen=True)
@@ -62,15 +49,15 @@ class EulerConfig:
     dt: float = 1e-3
 
     def __post_init__(self):
-        _check_positive(self.dt, "dt")
+        _check_real(self.dt, "dt", open_ends=True)
 
 
 def feller_exact_terminal(
     x: float, t: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Vectorized exact draws of the square-root diffusion at time t from x."""
-    _check_positive(t, "t")
-    _check_nonnegative(x, "x")
+    _check_real(t, "t", open_ends=True)
+    _check_real(x, "x")
     size = _check_index(size, "size", least=0)
     out = np.zeros(size)
     if x == 0.0:
@@ -88,8 +75,8 @@ def _euler_steps(T: float, dt: float):
     Full steps of length dt; when they fall short of T, one more step,
     shortened to land exactly on T.  Both must be finite and positive.
     """
-    _check_positive(T, "T")
-    _check_positive(dt, "dt")
+    _check_real(T, "T", open_ends=True)
+    _check_real(dt, "dt", open_ends=True)
     nfull = int(T / dt)
     rem = T - nfull * dt
     if rem > 1e-15 * max(1.0, T):
@@ -121,7 +108,7 @@ def feller_euler_terminal(
     x: float, T: float, dt: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Clamped Euler endpoints for dY = sqrt(Y) dW (vectorized over paths)."""
-    _check_nonnegative(x, "x")
+    _check_real(x, "x")
     size = _check_index(size, "size", least=0)
     y = np.full(size, float(x))
     for h, z in _euler_increments(T, dt, size, rng):
@@ -129,17 +116,11 @@ def feller_euler_terminal(
     return y
 
 
-def _check_unit(x):
-    """Raise a ValueError unless x lies in [0, 1], the Wright-Fisher state space (NaN fails)."""
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"starting point must lie in [0, 1], got {x}")
-
-
 def wf_euler_terminal(
     x: float, T: float, dt: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Clamped Euler endpoints for dX = sqrt(X(1-X)) dW on [0, 1]."""
-    _check_unit(x)
+    _check_real(x, "x", 0.0, 1.0)
     size = _check_index(size, "size", least=0)
     v = np.full(size, float(x))
     for h, z in _euler_increments(T, dt, size, rng):
@@ -153,12 +134,9 @@ def feller_semigroup_closed_form(lam: float, x: float, t: float) -> float:
     Equals ``exp(-lam x / (1 + lam t / 2))``; serves as the oracle against
     which the exact sampler and the chain iterates are checked.
     """
-    if not lam > 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    if not x >= 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if not t >= 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    _check_real(lam, "lam", open_ends=True)
+    _check_real(x, "x")
+    _check_real(t, "t")
     return float(np.exp(-lam * x / (1.0 + lam * t / 2.0)))
 
 
@@ -196,12 +174,9 @@ def semigroup_mc(
             "exact transition sampling is only implemented for the square-root diffusion"
         )
     samples = _check_index(samples, "samples", least=2)
-    _check_nonnegative(t, "t")
+    _check_real(t, "t")
     # the starting point the samplers would reject, also at t = 0
-    if kind == FELLER:
-        _check_nonnegative(x, "x")
-    else:
-        _check_unit(x)
+    _check_real(x, "x", 0.0, None if kind == FELLER else 1.0)
     if t == 0.0:
         return MonteCarloEstimate(mean=float(f(x)), stderr=0.0, samples=samples)
 
@@ -234,7 +209,7 @@ def chain_scaling_moments(n: int, y: float) -> ScaledMoments:
     coefficients the weak-convergence criterion requires.
     """
     n = _check_index(n)
-    _check_nonnegative(y, "y")
+    _check_real(y, "y")
     i = round(y * n)
     if abs(y * n - i) > 1e-9:
         raise ValueError(f"{y} is not a lattice point i/{n}")

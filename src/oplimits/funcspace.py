@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .operators import _check_index
+from .errors import _check_index, _check_real, _check_reals
 
 
 def weight_eval(alpha: float, x: float):
@@ -21,9 +21,9 @@ def weight_eval(alpha: float, x: float):
     Parameters
     ----------
     alpha : float
-        Weight exponent, must satisfy ``alpha >= 1``.
+        Weight exponent, finite and ``>= 1``.
     x : float or ndarray
-        Evaluation point(s), must be nonnegative.
+        Evaluation point(s), finite and nonnegative.
 
     Returns
     -------
@@ -31,11 +31,8 @@ def weight_eval(alpha: float, x: float):
         Weight value(s) in (0, 1], equal to 1 at x = 0 and strictly
         decreasing on (0, inf).
     """
-    if not alpha >= 1:
-        raise ValueError(f"weight exponent alpha must be >= 1, got {alpha}")
-    xa = np.asarray(x, dtype=float)
-    if not np.all(xa >= 0):
-        raise ValueError("weight is only defined on [0, inf)")
+    _check_real(alpha, "alpha", 1.0)
+    xa = _check_reals(x, "x")
     out = 1.0 / (1.0 + xa ** alpha)
     return float(out) if np.isscalar(x) else out
 
@@ -65,8 +62,8 @@ class TestFunction:
     __test__ = False
 
     def __post_init__(self):
-        if self.lip_d2 is not None and not self.lip_d2 >= 0:
-            raise ValueError("lip_d2 must be nonnegative")
+        if self.lip_d2 is not None:
+            _check_real(self.lip_d2, "lip_d2")
 
     def __call__(self, x):
         return self.fn(x)
@@ -83,8 +80,7 @@ class Grid:
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1 or pts.size == 0:
             raise ValueError("grid must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("grid points must be finite")
+        _check_reals(pts, "grid points")
         if pts[0] != 0.0:
             raise ValueError("grid must start at 0")
         if np.any(np.diff(pts) <= 0):
@@ -100,8 +96,7 @@ def make_geometric_grid(x_max: float, m: int, dense_head: int = 0) -> Grid:
     ``x_max**(j/(m-1))`` for j = 1..m-1.  The result is sorted and
     deduplicated.
     """
-    if not x_max > 0:
-        raise ValueError("x_max must be positive")
+    _check_real(x_max, "x_max", open_ends=True)
     m = _check_index(m, "m", least=2)
     dense_head = _check_index(dense_head, "dense_head", least=0)
     parts = [np.array([0.0])]

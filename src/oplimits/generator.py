@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import _check_index, _check_real, _check_reals
 from .funcspace import Grid, weight_eval
-from .operators import _check_index
 # sm_apply is no longer called here, but perfbench/tests/test_tracer.py checks
 # that the tracer replaces this module's binding of it
 from .operators import TruncationPolicy, DEFAULT_POLICY, sm_apply, sm_apply_grid  # noqa: F401
@@ -29,9 +29,7 @@ def generator_apply(f, x):
     ``f`` must carry its analytic second derivative ``d2_fn``, as every
     catalog function does; it is not evaluated at x = 0.
     """
-    xa = np.asarray(x, dtype=float)
-    if not np.all(xa >= 0):
-        raise ValueError("x must be nonnegative")
+    xa = _check_reals(x, "x")
     d2 = getattr(f, "d2_fn", None)
     if d2 is None:
         raise ValueError("generator_apply needs f with an analytic d2_fn")
@@ -49,8 +47,7 @@ def m_alpha(alpha: float) -> float:
     each evaluated in closed form.  Defined for alpha > 3/2; the first
     supremum degenerates at alpha = 3/2.
     """
-    if not alpha > 1.5:
-        raise ValueError(f"m_alpha requires alpha > 3/2, got {alpha}")
+    _check_real(alpha, "alpha", 1.5, open_ends=True)
     first = (
         3.0 ** 0.75
         * (2.0 * alpha - 3.0)
@@ -78,8 +75,7 @@ def voronovskaya_residual(
     where P_n is the Szasz-Mirakyan operator.  A grid max, hence a lower
     bound of the sup over [0, inf).
     """
-    if not alpha >= 1:
-        raise ValueError("alpha must be >= 1")
+    _check_real(alpha, "alpha", 1.0)
     xs = grid.points
     pn, _ = sm_apply_grid(n, f, xs, policy)
     residual = n * (pn - np.asarray(f(xs), dtype=float)) - generator_apply(f, xs)
@@ -93,8 +89,7 @@ def voronovskaya_bound(n: int, alpha: float, lip_d2: float) -> float:
     alpha > 3/2; holds for every n, not just asymptotically.
     """
     n = _check_index(n)
-    if not lip_d2 >= 0:
-        raise ValueError("lip_d2 must be nonnegative")
+    _check_real(lip_d2, "lip_d2")
     return m_alpha(alpha) * lip_d2 / (6.0 * np.sqrt(n))
 
 
@@ -117,10 +112,9 @@ def semigroup_rate_bound(
     the theory and is intended for reporting only.
     """
     n = _check_index(n)
-    if not t >= 0:
-        raise ValueError("t must be nonnegative")
-    if not (norm_af >= 0 and lip_d2 >= 0):
-        raise ValueError("norms and Lipschitz constants must be nonnegative")
+    _check_real(t, "t")
+    _check_real(norm_af, "norm_af")
+    _check_real(lip_d2, "lip_d2")
     ma = m_alpha(alpha)
     head = (np.sqrt(t / n) + 1.0 / n) * (norm_af + ma * lip_d2 / (6.0 * np.sqrt(n)))
     if t == 0.0:
@@ -133,12 +127,10 @@ def semigroup_rate_bound(
 
 def fit_rate(n_values: Sequence[int], errors: Sequence[float]) -> float:
     """Least-squares slope of log(error) against log(n)."""
-    n_values = np.asarray(n_values, dtype=float)
-    errors = np.asarray(errors, dtype=float)
+    n_values = _check_reals(n_values, "n_values", open_ends=True)
+    errors = _check_reals(errors, "errors", open_ends=True)
     if n_values.size < 3:
         raise ValueError("need at least 3 points to fit a rate")
     if n_values.size != errors.size:
         raise ValueError("n_values and errors must have equal length")
-    if not np.all(errors > 0):
-        raise ValueError("errors must be strictly positive for a log fit")
     return float(np.polyfit(np.log(n_values), np.log(errors), 1)[0])

@@ -153,13 +153,8 @@ class ExperimentConfig:
                 continue
             if key not in values:
                 raise ConfigError(f"unknown config key {key!r} for {experiment}")
-            values[key] = _checked(experiment, key, val)
+            values[key] = _config_value(experiment, key, val)
         self.__dict__.update(values)
-
-    @classmethod
-    def for_experiment(cls, experiment: str, overrides: Optional[dict] = None):
-        """The experiment's defaults with ``overrides`` applied, each checked."""
-        return cls(experiment, overrides)
 
     def resolved(self) -> dict:
         """The parameter echo embedded in every report row."""
@@ -201,7 +196,7 @@ def _has_type(value, kind) -> bool:
     return isinstance(value, (int, float)) and math.isfinite(value)
 
 
-def _checked(experiment, key, value):
+def _config_value(experiment, key, value):
     """``value`` for ``key`` once it has the type of the key's default and
     lies in range; lists become tuples and ladder entries ints."""
     kind = type(PARAMETERS[experiment][key])

@@ -6,8 +6,8 @@ law from state i/n is Poisson(i)/n, which does not depend on n; state 0 is
 absorbing.  For the binomial (Bernstein) chain on [0, 1] the law from i/n is
 Binomial(n, i/n)/n, with 0 and 1 absorbing.
 
-The kernels' rows come from the series' own pmf routines and their
-arguments pass the series' own checks, both in :mod:`oplimits.operators`.
+The kernels' rows come from the series' own pmf routines in
+:mod:`oplimits.operators`.
 
 Exact computation truncates the state space at a cutoff K and applies the
 row-stochastic kernel repeatedly.  Each Poisson row keeps a two-sided
@@ -46,19 +46,17 @@ from typing import Optional
 import numpy as np
 from numpy.fft import irfft
 
-from .errors import CutoffTooSmallError, EvaluationError
+from .errors import CutoffTooSmallError, EvaluationError, _check_index, _check_real
 from .mc import _usable_cpus
 from .operators import (
     DEFAULT_POLICY,
     _WINDOW_LOG_BUDGET,
     TruncationPolicy,
     _binomial_pmf,
-    _check_index,
     _lower_end,
     _poisson_pmf,
+    _poisson_weights,
     _upper_end,
-    _validate,
-    truncation_index,
 )
 
 # lattice_cutoff's headroom factor on the largest starting mean.
@@ -156,10 +154,12 @@ def lattice_cutoff(
     the mass the iteration spreads upward; the resulting leak is validated
     exactly, per starting point, by :func:`kernel_iterate`.
     """
-    _validate(n, x_max, "x_max")
-    policy = TruncationPolicy(tail_eps=tail_eps, max_terms=10 ** 8)
-    # Poisson(1 * mean) keeps the mean's bits, where n * (2.5 x_max) could not
-    return max(truncation_index(1, _CUTOFF_SAFETY * n * x_max, policy), 1)
+    _check_index(n)
+    _check_real(x_max, "x_max")
+    # a mean that overflows is named by the series, as a finite one past max_terms is
+    lo, w, _, _ = _poisson_weights(_CUTOFF_SAFETY * n * x_max,
+                                   TruncationPolicy(tail_eps=tail_eps, max_terms=10 ** 8))
+    return max(lo + w.size - 1, 1)
 
 
 def _row_window(i: np.ndarray, K: int):
@@ -210,7 +210,7 @@ def build_sm_kernel(
     """
     n = _check_index(n)
     K = _check_index(K, "K", least=0)
-    TruncationPolicy(tail_eps=tail_eps)  # raises unless 0 < tail_eps < 1
+    _check_real(tail_eps, "tail_eps", 0.0, 1.0, open_ends=True)
     lo, hi = _row_window(np.arange(K + 1), K)
     lo[0] = hi[0] = 0  # state 0 is absorbing
     blocks = tuple(
@@ -461,15 +461,17 @@ def chain_terminal_values(
     generations costs one ``np.tan`` and one ``np.expm1`` per point at
     M/2 + 1 points (about 13 ns a point on an AVX-512 Xeon), so its cost
     grows as k M, with M about n x + 12 sqrt(n x k) or more.  A mean n x
-    that overflows a double raises a ValueError before any law is sized.
+    above 2^53, the cap of the series grid's means, raises a ValueError
+    before any law is sized.
     """
-    n = _validate(n, x)
+    n = _check_index(n)
+    _check_real(x, "x")
     k = _check_index(k, "k", least=0)
     size = _check_index(size, "size", least=0)
     if k == 0 or x == 0:
         return np.full(size, float(x))
-    if not n * x < math.inf:
-        raise ValueError(f"the chain's mean n x = {n} * {x} overflows a double")
+    if not n * x <= 2.0 ** 53:
+        raise ValueError(f"the chain's mean n x = {n} * {x} must be at most 2^53")
     with _LAW_LOCK:
         cdf = _chain_cdf(n, k, float(x))
     u = rng.random(size)
@@ -479,8 +481,7 @@ def chain_terminal_values(
 
 def kelisky_rivlin_reference(f, x: float) -> float:
     """Fixed-n limit of Bernstein iterates: the chord f(0) + (f(1) - f(0)) x."""
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"reference is defined on [0, 1], got {x}")
+    _check_real(x, "x", 0.0, 1.0)
     f0 = float(f(0.0))
     f1 = float(f(1.0))
     return f0 + (f1 - f0) * x

@@ -16,6 +16,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .errors import _check_index
+
 # Monte Carlo stream count of every sample_across_workers call.
 STREAMS = 4
 
@@ -52,10 +54,7 @@ def resolve_workers(workers=None) -> int:
     """Stream count: the explicit argument, else ``STREAMS``."""
     if workers is None:
         return STREAMS
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    return workers
+    return _check_index(workers, "workers")
 
 
 def _usable_cpus() -> int:
@@ -68,9 +67,7 @@ def _usable_cpus() -> int:
 
 def chunk_sizes(samples: int, streams: int):
     """Split ``samples`` into ``streams`` near-equal deterministic chunks."""
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    base, extra = divmod(samples, streams)
+    base, extra = divmod(_check_index(samples, "samples"), streams)
     return [base + (1 if w < extra else 0) for w in range(streams)]
 
 

@@ -7,8 +7,8 @@ distribution parameterized by the evaluation point x:
 * Bernstein: Binomial(n, x) weights, domain [0, 1];
 * Baskakov: negative-binomial weights, domain [0, inf), experimental.
 
-The transition kernels of :mod:`oplimits.iterates` take their rows and
-their index checks from here, so series and kernels cannot drift apart.
+The transition kernels of :mod:`oplimits.iterates` take their rows from
+here, so series and kernels cannot drift apart.
 
 Infinite series are truncated at an index whose omitted probability mass is
 below a policy tolerance; every truncated evaluation reports that omitted
@@ -55,17 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EvaluationError, TruncationFailureError
-
-
-def _check_index(value, name="n", least=1) -> int:
-    """``value`` as an int if it is an integer >= ``least``, else a ValueError naming it.
-
-    NaN and the infinities fail the range test before they can reach ``int``.
-    """
-    if not (least <= value < math.inf and int(value) == value):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
-    return int(value)
+from .errors import EvaluationError, TruncationFailureError, _check_index, _check_real, _check_reals
 
 
 @dataclass(frozen=True)
@@ -83,8 +73,7 @@ class TruncationPolicy:
     max_terms: int = 10 ** 6
 
     def __post_init__(self):
-        if not (0.0 < self.tail_eps < 1.0):
-            raise ValueError(f"tail_eps must lie in (0, 1), got {self.tail_eps}")
+        _check_real(self.tail_eps, "tail_eps", 0.0, 1.0, open_ends=True)
         _check_index(self.max_terms, "max_terms")
 
 
@@ -107,14 +96,6 @@ class SeriesValue(NamedTuple):
 
     value: float
     omitted_mass: float
-
-
-def _validate(n, x, x_name="x"):
-    """Check n is a positive integer and x is finite and >= 0; return n as an int."""
-    n = _check_index(n)
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"{x_name} must be finite and nonnegative, got {x}")
-    return n
 
 
 # OpenBLAS splits a dot product of more than 10,000 terms across its threads,
@@ -316,6 +297,12 @@ def _binomial_pmf(n, p, k):
     )
 
 
+def _past_max_terms(label, mean, policy):
+    """The error for a window of the law ``label`` ``mean`` that needs more than max_terms."""
+    return TruncationFailureError(
+        f"series window for {label} {mean} needs more than max_terms={policy.max_terms} terms")
+
+
 def _cut_at_tail(lo, hi, floor, pmf, ratio_beyond, policy, label, mean):
     """Evaluate ``pmf(lo, hi)`` on lo..hi and cut at the smallest K with tail <= tail_eps.
 
@@ -342,10 +329,7 @@ def _cut_at_tail(lo, hi, floor, pmf, ratio_beyond, policy, label, mean):
     """
     while True:
         if hi + 1 > policy.max_terms:
-            raise TruncationFailureError(
-                f"series window for {label} {mean} needs more than "
-                f"max_terms={policy.max_terms} terms"
-            )
+            raise _past_max_terms(label, mean, policy)
         p = pmf(lo, hi)
         ratio = ratio_beyond(hi)
         if ratio < 1.0:
@@ -415,9 +399,7 @@ def _poisson_weights(lam: float, policy: TruncationPolicy):
     if lam == 0.0:
         lo, w, tail = 0, np.array([1.0]), 0.0
     elif lam == math.inf:
-        raise TruncationFailureError(
-            f"series window for mean {lam} needs more than max_terms={policy.max_terms} terms"
-        )
+        raise _past_max_terms("mean", lam, policy)
     else:
         lo, w, tail = _cut_at_tail(
             *_poisson_start(lam, policy),
@@ -432,7 +414,8 @@ def _poisson_weights(lam: float, policy: TruncationPolicy):
 
 def truncation_index(n: int, x: float, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
     """Smallest K with Poisson(n x) mass beyond K at most ``tail_eps``."""
-    n = _validate(n, x)
+    n = _check_index(n)
+    _check_real(x, "x")
     lo, w, _, _ = _poisson_weights(n * x, policy)
     return lo + w.size - 1
 
@@ -447,7 +430,8 @@ def sm_apply(n: int, f, x: float, policy: TruncationPolicy = DEFAULT_POLICY) -> 
     and the omitted Poisson mass: the tail beyond K plus the certified
     bound on the mass below lo.
     """
-    n = _validate(n, x)
+    n = _check_index(n)
+    _check_real(x, "x")
     lo, w, tail, below = _poisson_weights(n * x, policy)
     return SeriesValue(_average(lo, w, f, n), tail + below)
 
@@ -572,9 +556,8 @@ def bernstein_apply(n: int, f, x: float) -> float:
     ``sum_k C(n,k) x^k (1-x)^(n-k) f(k/n)`` for x in [0, 1], computed with
     log-space weights; exact point evaluations at the endpoints.
     """
-    n = _validate(n, x)
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"Bernstein operator requires x in [0, 1], got {x}")
+    n = _check_index(n)
+    _check_real(x, "x", 0.0, 1.0)
     if x == 0.0:
         return float(f(0.0))
     if x == 1.0:
@@ -597,12 +580,18 @@ def _negative_binomial_weights(n: int, x: float, policy: TruncationPolicy):
     Poisson windows, and below = exp(-(nx - lo + 1)^2 / (2 v)) bounds the
     mass under lo (0.0 when lo = 0).  K, the tail and the weights from lo
     on carry the bits of a window from k = 0, as for the Poisson windows.
+    A first window past ``max_terms``, as an overflowing mean gives, is
+    named before any term is evaluated.
     """
     if x == 0.0:
         return 0, np.array([1.0]), 0.0, 0.0
     mean = n * x
-    sd = np.sqrt(n * x * (1.0 + x))
-    geometric = (1.0 + x) * max(0.0, np.log(1.0 / policy.tail_eps))
+    # Python floats, so an overflowing mean makes top inf with no warning (np.log keeps its bits)
+    sd = math.sqrt(n * x * (1.0 + x))
+    geometric = (1.0 + x) * max(0.0, float(np.log(1.0 / policy.tail_eps)))
+    top = mean + 20.0 * sd + geometric + 60.0
+    if not top < policy.max_terms:
+        raise _past_max_terms("Baskakov mean", mean, policy)
     spread = mean * (1.0 + 2.0 * x)
     log_budget = max(_WINDOW_LOG_BUDGET, -math.log(policy.tail_eps))
 
@@ -619,7 +608,7 @@ def _negative_binomial_weights(n: int, x: float, policy: TruncationPolicy):
 
     lo, w, tail = _cut_at_tail(
         max(0, math.floor(mean - math.sqrt(2.0 * log_budget * spread))),
-        int(mean + 20.0 * sd + geometric + 60.0),
+        int(top),
         int((n - 1) * x),
         pmf,
         lambda hi: (n + hi) / (hi + 1.0) * x / (1.0 + x),
@@ -640,7 +629,8 @@ def baskakov_apply(n: int, f, x: float, policy: TruncationPolicy = DEFAULT_POLIC
     lo..K; the omitted mass is the tail beyond K plus the bound on the mass
     below lo.
     """
-    n = _validate(n, x)
+    n = _check_index(n)
+    _check_real(x, "x")
     lo, w, tail, below = _negative_binomial_weights(n, x, policy)
     return SeriesValue(_average(lo, w, f, n), tail + below)
 
@@ -653,12 +643,8 @@ def sm_exponential_closed_form(n: int, lam: float, x):
     array of points, each finite and nonnegative; a scalar x gives a float.
     """
     n = _check_index(n)
-    x = np.asarray(x, dtype=float)
-    bad = ~((0.0 <= x) & (x < math.inf))
-    if bad.any():
-        raise ValueError(f"x must be finite and nonnegative, got {x[bad][0]}")
-    if not lam > 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    x = _check_reals(x, "x")
+    _check_real(lam, "lam", open_ends=True)
     # -expm1 keeps 1 - exp(-lam/n) accurate when lam/n is tiny
     values = np.exp(-n * x * (-np.expm1(-lam / n)))
     return float(values) if values.ndim == 0 else values
@@ -666,7 +652,8 @@ def sm_exponential_closed_form(n: int, lam: float, x):
 
 def sm_moment(n: int, p: int, x: float) -> float:
     """Raw moment E[T^p] of T ~ Poisson(n x), p in {1, 2}."""
-    n = _validate(n, x)
+    n = _check_index(n)
+    _check_real(x, "x")
     m = n * x
     if p == 1:
         return float(m)

@@ -46,7 +46,7 @@ def _measured(rows, check):
 
 
 # the experiments' default working grid: dense head on [0, 1], geometric tail to 50
-GRID = ExperimentConfig.for_experiment("voronovskaya").grid()
+GRID = ExperimentConfig("voronovskaya").grid()
 
 
 def _report(name, ok, detail, elapsed, budget):
@@ -110,7 +110,7 @@ def test_poisson_moment_identities():
 @pytest.fixture(scope="module")
 def voronovskaya_ladder():
     start = time.perf_counter()
-    cfg = ExperimentConfig.for_experiment("voronovskaya")
+    cfg = ExperimentConfig("voronovskaya")
     rows = run_experiment(cfg)
     return cfg, rows, time.perf_counter() - start
 
@@ -164,7 +164,7 @@ def test_voronovskaya_rate_window(voronovskaya_ladder):
 
     start = time.perf_counter()
     witness = run_experiment(
-        ExperimentConfig.for_experiment("voronovskaya", {"function_label": "kink3"}))
+        ExperimentConfig("voronovskaya", {"function_label": "kink3"}))
     elapsed = elapsed_ladder + (time.perf_counter() - start)
     (slope_kink,) = _measured(witness, "fitted-rate")
     failing = [(row.params["check"], row.params.get("n"), row.measured, row.bound)
@@ -200,7 +200,7 @@ def test_voronovskaya_rate_window(voronovskaya_ladder):
 
 def test_semigroup_convergence_ladder():
     start = time.perf_counter()
-    cfg = ExperimentConfig.for_experiment("semigroup")
+    cfg = ExperimentConfig("semigroup")
     rows = run_experiment(cfg)
     elapsed = time.perf_counter() - start
     measured = _measured(rows, "iterate-vs-semigroup")
@@ -219,7 +219,7 @@ def test_semigroup_convergence_ladder():
 
 def test_kelisky_rivlin_limit():
     start = time.perf_counter()
-    rows = run_experiment(ExperimentConfig.for_experiment("kelisky-rivlin"))
+    rows = run_experiment(ExperimentConfig("kelisky-rivlin"))
     elapsed = time.perf_counter() - start
     measured = _measured(rows, "deviation")
     passed = all(r.passed for r in rows)
@@ -316,7 +316,7 @@ def test_chain_iterate_oracle_equivalence():
 
 def test_weak_convergence_ladder():
     start = time.perf_counter()
-    cfg = ExperimentConfig.for_experiment("weak-convergence")
+    cfg = ExperimentConfig("weak-convergence")
     rows = run_experiment(cfg)
     elapsed = time.perf_counter() - start
     measured = _measured(rows, "ks-distance")
@@ -360,7 +360,7 @@ def test_report_determinism(tmp_path):
     ]
     identical = True
     for name, overrides in specs:
-        cfg = ExperimentConfig.for_experiment(name, overrides)
+        cfg = ExperimentConfig(name, overrides)
         blobs = []
         for run in range(2):
             path = tmp_path / f"{name}-{run}.csv"

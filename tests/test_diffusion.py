@@ -72,8 +72,8 @@ class TestExactSampler:
             feller_exact_terminal(-1.0, 1.0, 1, rng)
 
 
-# A NaN parameter must fail the oracle's own check, not come back as nan or
-# fail inside numpy.
+# A NaN or infinite parameter must fail the oracle's own check, not come
+# back as nan or a limit value, or fail inside numpy.
 @pytest.mark.parametrize("name, call", [
     ("lam", lambda: sm_exponential_closed_form(4, math.nan, 1.0)),
     ("x", lambda: sm_exponential_closed_form(4, 1.0, math.nan)),
@@ -82,7 +82,20 @@ class TestExactSampler:
     ("t", lambda: feller_semigroup_closed_form(1.0, 1.0, math.nan)),
     ("x", lambda: feller_exact_terminal(math.nan, 1.0, 4, np.random.default_rng(0))),
     ("t", lambda: feller_exact_terminal(1.0, math.nan, 4, np.random.default_rng(0))),
-], ids=["sm-lam", "sm-x", "feller-lam", "feller-x", "feller-t", "exact-x", "exact-t"])
+    ("lam", lambda: sm_exponential_closed_form(4, math.inf, 1.0)),
+    ("lam", lambda: sm_exponential_closed_form(4, -math.inf, 1.0)),
+    ("x", lambda: sm_exponential_closed_form(4, 1.0, math.inf)),
+    ("x", lambda: sm_exponential_closed_form(4, 1.0, -math.inf)),
+    ("lam", lambda: feller_semigroup_closed_form(math.inf, 1.0, 1.0)),
+    ("lam", lambda: feller_semigroup_closed_form(-math.inf, 1.0, 1.0)),
+    ("x", lambda: feller_semigroup_closed_form(1.0, math.inf, 1.0)),
+    ("x", lambda: feller_semigroup_closed_form(1.0, -math.inf, 1.0)),
+    ("t", lambda: feller_semigroup_closed_form(1.0, 1.0, math.inf)),
+    ("t", lambda: feller_semigroup_closed_form(1.0, 1.0, -math.inf)),
+], ids=["sm-lam", "sm-x", "feller-lam", "feller-x", "feller-t", "exact-x", "exact-t",
+        "sm-lam-inf", "sm-lam-minus-inf", "sm-x-inf", "sm-x-minus-inf", "feller-lam-inf",
+        "feller-lam-minus-inf", "feller-x-inf", "feller-x-minus-inf", "feller-t-inf",
+        "feller-t-minus-inf"])
 def test_nan_oracle_parameter_is_rejected(name, call):
     with pytest.raises(ValueError, match=rf"^{name} must be "):
         call()
@@ -104,9 +117,28 @@ def test_nan_oracle_parameter_is_rejected(name, call):
     ("t", lambda: semigroup_mc("feller", math.nan, 1.0, np.exp, 4, seed=0)),
     ("y", lambda: chain_scaling_moments(4, math.nan)),
     ("y", lambda: chain_scaling_moments(4, math.inf)),
+    ("x", lambda: feller_exact_terminal(-math.inf, 1.0, 4, np.random.default_rng(0))),
+    ("t", lambda: feller_exact_terminal(1.0, -math.inf, 4, np.random.default_rng(0))),
+    ("x", lambda: feller_euler_terminal(-math.inf, 1.0, 1e-3, 4, np.random.default_rng(0))),
+    ("T", lambda: feller_euler_terminal(1.0, -math.inf, 1e-3, 4, np.random.default_rng(0))),
+    ("dt", lambda: feller_euler_terminal(1.0, 1.0, math.inf, 4, np.random.default_rng(0))),
+    ("dt", lambda: feller_euler_terminal(1.0, 1.0, -math.inf, 4, np.random.default_rng(0))),
+    ("T", lambda: wf_euler_terminal(0.5, math.inf, 1e-3, 4, np.random.default_rng(0))),
+    ("T", lambda: wf_euler_terminal(0.5, -math.inf, 1e-3, 4, np.random.default_rng(0))),
+    ("dt", lambda: wf_euler_terminal(0.5, 1.0, math.inf, 4, np.random.default_rng(0))),
+    ("dt", lambda: wf_euler_terminal(0.5, 1.0, -math.inf, 4, np.random.default_rng(0))),
+    ("dt", lambda: EulerConfig(dt=math.inf)),
+    ("dt", lambda: EulerConfig(dt=-math.inf)),
+    ("t", lambda: semigroup_mc("feller", math.inf, 1.0, np.exp, 4, seed=0)),
+    ("t", lambda: semigroup_mc("feller", -math.inf, 1.0, np.exp, 4, seed=0)),
+    ("y", lambda: chain_scaling_moments(4, -math.inf)),
 ], ids=["exact-x-inf", "exact-t-inf", "euler-x-nan", "euler-x-inf", "euler-T-nan",
         "euler-T-inf", "euler-dt-nan", "wf-T-nan", "wf-dt-nan", "config-dt-nan",
-        "mc-t-nan", "moments-y-nan", "moments-y-inf"])
+        "mc-t-nan", "moments-y-nan", "moments-y-inf", "exact-x-minus-inf",
+        "exact-t-minus-inf", "euler-x-minus-inf", "euler-T-minus-inf", "euler-dt-inf",
+        "euler-dt-minus-inf", "wf-T-inf", "wf-T-minus-inf", "wf-dt-inf", "wf-dt-minus-inf",
+        "config-dt-inf", "config-dt-minus-inf", "mc-t-inf", "mc-t-minus-inf",
+        "moments-y-minus-inf"])
 def test_non_finite_diffusion_argument_is_rejected(name, call):
     with pytest.raises(ValueError, match=rf"^{name} must be finite and "):
         call()
@@ -140,10 +172,13 @@ def test_sample_size_must_be_a_nonnegative_integer(sampler, x, size):
     ("feller", -1.0, r"^x must be finite and nonnegative"),
     ("feller", math.nan, r"^x must be finite and nonnegative"),
     ("feller", math.inf, r"^x must be finite and nonnegative"),
-    ("wright-fisher", 2.0, r"^starting point must lie in \[0, 1\]"),
-    ("wright-fisher", -0.5, r"^starting point must lie in \[0, 1\]"),
-    ("wright-fisher", math.nan, r"^starting point must lie in \[0, 1\]"),
-], ids=["feller-negative", "feller-nan", "feller-inf", "wf-above", "wf-below", "wf-nan"])
+    ("wright-fisher", 2.0, r"^x must be in \[0, 1\]"),
+    ("wright-fisher", -0.5, r"^x must be in \[0, 1\]"),
+    ("wright-fisher", math.nan, r"^x must be in \[0, 1\]"),
+    ("wright-fisher", math.inf, r"^x must be in \[0, 1\]"),
+    ("wright-fisher", -math.inf, r"^x must be in \[0, 1\]"),
+], ids=["feller-negative", "feller-nan", "feller-inf", "wf-above", "wf-below", "wf-nan",
+        "wf-inf", "wf-minus-inf"])
 @pytest.mark.parametrize("t", [0.0, 1.0])
 def test_starting_point_outside_the_state_space_is_rejected(kind, x, message, t):
     method = "exact" if kind == "feller" else "euler"

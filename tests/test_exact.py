@@ -23,7 +23,7 @@ def test_the_pmf_reference_sums_to_the_closed_form_reference():
 
 
 def test_korovkin_values_agree_with_the_exact_closed_form():
-    config = ExperimentConfig.for_experiment("korovkin")
+    config = ExperimentConfig("korovkin")
     pts = config.grid().points
     # about ten points of the default grid, from x = 0 to x = 50
     some = pts[np.r_[0:pts.size:44, pts.size - 1]]
@@ -52,7 +52,7 @@ def _f1_residual_reference(n, alpha, xs):
 
 
 def test_the_f1_residual_reference_at_n_1024():
-    config = ExperimentConfig.for_experiment("voronovskaya")
+    config = ExperimentConfig("voronovskaya")
     want = _f1_residual_reference(1024, config.alpha, config.grid().points)
     assert abs(float(want) - 2.643193355e-5) < 1e-14
 
@@ -61,7 +61,7 @@ def test_the_f1_residual_reference_at_n_1024():
                    reason="pmf rounding, amplified n-fold in the residual: ROADMAP item 2")
 def test_the_f1_voronovskaya_residual_at_n_1024_agrees_with_the_exact_one():
     # the report gives 2.643243436e-5, 1.9e-5 above the reference
-    config = ExperimentConfig.for_experiment("voronovskaya")
+    config = ExperimentConfig("voronovskaya")
     want = float(_f1_residual_reference(1024, config.alpha, config.grid().points))
     measured = next(row.measured for row in run_experiment(config)
                     if row.params.get("n") == 1024)

@@ -7,6 +7,7 @@ import pytest
 
 from oplimits import (
     CATALOG,
+    Grid,
     TestFunction,
     make_geometric_grid,
     fit_rate,
@@ -149,28 +150,52 @@ class TestSemigroupRateBound:
         assert got == pytest.approx(0.06108, abs=5e-5)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: weight_eval(math.nan, 1.0),
-    lambda: weight_eval(2.0, math.nan),
-    lambda: weight_eval(2.0, np.array([0.0, math.nan])),
-    lambda: generator_apply(CATALOG["f1"], math.nan),
-    lambda: m_alpha(math.nan),
-    lambda: voronovskaya_residual(10, CATALOG["f1"], math.nan, GRID),
-    lambda: voronovskaya_bound(4, 2.0, math.nan),
-    lambda: voronovskaya_bound(2.5, 2.0, 1.0),
-    lambda: semigroup_rate_bound(4, math.nan, 2.0, 1.0, 1.0),
-    lambda: semigroup_rate_bound(4, 1.0, 2.0, math.nan, 1.0),
-    lambda: semigroup_rate_bound(4.5, 1.0, 2.0, 1.0, 1.0),
-    lambda: fit_rate([4, 16, 64], [1.0, math.nan, 0.1]),
-    lambda: make_geometric_grid(math.nan, 10),
-    lambda: make_geometric_grid(10.0, 2.5),
-    lambda: make_geometric_grid(10.0, 10, 2.5),
-    lambda: TestFunction("nan", CATALOG["f1"].fn, lip_d2=math.nan),
+@pytest.mark.parametrize("name, call", [
+    ("alpha", lambda: weight_eval(math.nan, 1.0)),
+    ("x", lambda: weight_eval(2.0, math.nan)),
+    ("x", lambda: weight_eval(2.0, np.array([0.0, math.nan]))),
+    ("x", lambda: generator_apply(CATALOG["f1"], math.nan)),
+    ("alpha", lambda: m_alpha(math.nan)),
+    ("alpha", lambda: voronovskaya_residual(10, CATALOG["f1"], math.nan, GRID)),
+    ("lip_d2", lambda: voronovskaya_bound(4, 2.0, math.nan)),
+    ("n", lambda: voronovskaya_bound(2.5, 2.0, 1.0)),
+    ("t", lambda: semigroup_rate_bound(4, math.nan, 2.0, 1.0, 1.0)),
+    ("norm_af", lambda: semigroup_rate_bound(4, 1.0, 2.0, math.nan, 1.0)),
+    ("n", lambda: semigroup_rate_bound(4.5, 1.0, 2.0, 1.0, 1.0)),
+    ("errors", lambda: fit_rate([4, 16, 64], [1.0, math.nan, 0.1])),
+    ("x_max", lambda: make_geometric_grid(math.nan, 10)),
+    ("m", lambda: make_geometric_grid(10.0, 2.5)),
+    ("dense_head", lambda: make_geometric_grid(10.0, 10, 2.5)),
+    ("lip_d2", lambda: TestFunction("nan", CATALOG["f1"].fn, lip_d2=math.nan)),
+    ("alpha", lambda: weight_eval(math.inf, 1.0)),
+    ("x", lambda: weight_eval(2.0, math.inf)),
+    ("x", lambda: weight_eval(2.0, np.array([0.0, -math.inf]))),
+    ("x", lambda: generator_apply(CATALOG["f1"], math.inf)),
+    ("x", lambda: generator_apply(CATALOG["f1"], np.array([1.0, -math.inf]))),
+    ("alpha", lambda: m_alpha(math.inf)),
+    ("alpha", lambda: voronovskaya_residual(10, CATALOG["f1"], math.inf, GRID)),
+    ("alpha", lambda: voronovskaya_bound(4, math.inf, 1.0)),
+    ("lip_d2", lambda: voronovskaya_bound(4, 2.0, math.inf)),
+    ("t", lambda: semigroup_rate_bound(4, math.inf, 2.0, 1.0, 1.0)),
+    ("alpha", lambda: semigroup_rate_bound(4, 1.0, math.inf, 1.0, 1.0)),
+    ("norm_af", lambda: semigroup_rate_bound(4, 1.0, 2.0, math.inf, 1.0)),
+    ("lip_d2", lambda: semigroup_rate_bound(4, 1.0, 2.0, 1.0, math.inf)),
+    ("lip_d2", lambda: semigroup_rate_bound(4, 1.0, 2.0, 1.0, -math.inf)),
+    ("n_values", lambda: fit_rate([1, 2, math.inf], [1.0, 1.0, 1.0])),
+    ("errors", lambda: fit_rate([4, 16, 64], [1.0, math.inf, 0.1])),
+    ("x_max", lambda: make_geometric_grid(math.inf, 10)),
+    ("grid points", lambda: Grid(np.array([0.0, 1.0, math.inf]))),
+    ("lip_d2", lambda: TestFunction("inf", CATALOG["f1"].fn, lip_d2=math.inf)),
 ], ids=["weight-alpha", "weight-x", "weight-array", "generator-x", "m-alpha",
         "residual-alpha", "bound-lip", "bound-n", "rate-t", "rate-norm", "rate-n",
-        "fit-error", "grid-x-max", "grid-m", "grid-head", "lip-d2"])
-def test_nan_and_fractional_arguments_are_rejected(call):
-    with pytest.raises(ValueError):
+        "fit-error", "grid-x-max", "grid-m", "grid-head", "lip-d2",
+        "weight-alpha-inf", "weight-x-inf", "weight-array-minus-inf", "generator-x-inf",
+        "generator-array-minus-inf", "m-alpha-inf", "residual-alpha-inf", "bound-alpha-inf",
+        "bound-lip-inf", "rate-t-inf", "rate-alpha-inf", "rate-norm-inf", "rate-lip-inf",
+        "rate-lip-minus-inf", "fit-n-inf", "fit-error-inf", "grid-x-max-inf",
+        "grid-point-inf", "lip-d2-inf"])
+def test_nan_and_fractional_arguments_are_rejected(name, call):
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
         call()
 
 

@@ -46,66 +46,66 @@ class TestFloorSemantics:
 
 class TestConfig:
     def test_defaults_per_experiment(self):
-        cfg = ExperimentConfig.for_experiment("voronovskaya")
+        cfg = ExperimentConfig("voronovskaya")
         assert cfg.n_ladder == (4, 16, 64, 256, 1024)
         assert cfg.function_label == "f1"
-        cfg = ExperimentConfig.for_experiment("weak-convergence")
+        cfg = ExperimentConfig("weak-convergence")
         assert cfg.n_ladder == (10, 50, 250)
         assert cfg.ks_tolerance == 0.02
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig.for_experiment("korovkin", {"n_lader": (1, 2)})
+            ExperimentConfig("korovkin", {"n_lader": (1, 2)})
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig.for_experiment("frobnicate")
+            ExperimentConfig("frobnicate")
 
     def test_ladder_must_increase(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig.for_experiment("korovkin", {"n_ladder": (10, 10)})
+            ExperimentConfig("korovkin", {"n_ladder": (10, 10)})
 
     def test_function_must_exist(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig.for_experiment("semigroup", {"function_label": "nope"})
+            ExperimentConfig("semigroup", {"function_label": "nope"})
 
     def test_lambda_ordering_enforced(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig.for_experiment("korovkin", {"lambdas": (2.0, 1.0, 3.0)})
+            ExperimentConfig("korovkin", {"lambdas": (2.0, 1.0, 3.0)})
 
     def test_experiment_mismatch_in_overrides(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig.for_experiment("korovkin", {"experiment": "semigroup"})
+            ExperimentConfig("korovkin", {"experiment": "semigroup"})
 
     def test_resolved_echo_contains_everything(self):
-        cfg = ExperimentConfig.for_experiment("semigroup")
+        cfg = ExperimentConfig("semigroup")
         echo = cfg.resolved()
         assert not {"output_path", "format", "workers"} & set(echo)
         assert echo["seed"] == 42
         assert echo["n_ladder"] == [8, 32, 128]
         assert "final_tolerance" in echo
         for name, params in PARAMETERS.items():
-            assert set(ExperimentConfig.for_experiment(name).resolved()) == set(params)
+            assert set(ExperimentConfig(name).resolved()) == set(params)
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n_ladder": [2, 4], "seed": 7}))
         overrides = load_config_file(str(path))
-        cfg = ExperimentConfig.for_experiment("semigroup", overrides)
+        cfg = ExperimentConfig("semigroup", overrides)
         assert cfg.n_ladder == (2, 4) and cfg.seed == 7
         # korovkin draws no random numbers: it accepts a seed and drops it
-        cfg = ExperimentConfig.for_experiment("korovkin", overrides)
+        cfg = ExperimentConfig("korovkin", overrides)
         assert cfg.n_ladder == (2, 4) and not hasattr(cfg, "seed")
 
     def test_empty_x_panel_rejected(self):
         with pytest.raises(ConfigError, match="x_panel"):
-            ExperimentConfig.for_experiment("semigroup", {"x_panel": []})
+            ExperimentConfig("semigroup", {"x_panel": []})
 
     @pytest.mark.parametrize("window", [[1], [-0.35, -0.65], [-0.5, -0.5],
                                         ["lo", "hi"], [-0.65, -0.5, -0.35]])
     def test_malformed_slope_window_rejected(self, window):
         with pytest.raises(ConfigError, match="slope_window"):
-            ExperimentConfig.for_experiment("voronovskaya", {"slope_window": window})
+            ExperimentConfig("voronovskaya", {"slope_window": window})
 
     @pytest.mark.parametrize("experiment, key, value", [
         ("semigroup", "alpha", True), ("semigroup", "t", float("inf")),
@@ -116,12 +116,12 @@ class TestConfig:
     ])
     def test_wrong_typed_or_out_of_range_value_names_its_key(self, experiment, key, value):
         with pytest.raises(ConfigError, match=f"^{key} must be"):
-            ExperimentConfig.for_experiment(experiment, {key: value})
+            ExperimentConfig(experiment, {key: value})
 
     def test_kelisky_rivlin_takes_one_n(self):
         with pytest.raises(ConfigError, match="kelisky-rivlin"):
-            ExperimentConfig.for_experiment("kelisky-rivlin", {"n_ladder": (5, 7)})
-        cfg = ExperimentConfig.for_experiment("kelisky-rivlin", {"n_ladder": (7,)})
+            ExperimentConfig("kelisky-rivlin", {"n_ladder": (5, 7)})
+        cfg = ExperimentConfig("kelisky-rivlin", {"n_ladder": (7,)})
         assert cfg.n_ladder == (7,)
 
     def test_config_file_errors(self, tmp_path):
@@ -227,7 +227,7 @@ class TestEmitReport:
 
 class TestRunners:
     def test_voronovskaya_quadratic_all_pass(self):
-        cfg = ExperimentConfig.for_experiment(
+        cfg = ExperimentConfig(
             "voronovskaya", {"n_ladder": (4, 16, 64), "function_label": "e2"}
         )
         rows = run_experiment(cfg)
@@ -236,7 +236,7 @@ class TestRunners:
         assert _measured(rows, "fitted-rate") == []
 
     def test_voronovskaya_without_lipschitz_data_reports_only(self):
-        cfg = ExperimentConfig.for_experiment(
+        cfg = ExperimentConfig(
             "voronovskaya", {"n_ladder": (4, 16, 64), "function_label": "cauchy"}
         )
         rows = run_experiment(cfg)
@@ -245,7 +245,7 @@ class TestRunners:
         assert all(r.bound is None for r in rows)
 
     def test_voronovskaya_exponential_bounds_hold_rate_is_first_order(self):
-        cfg = ExperimentConfig.for_experiment(
+        cfg = ExperimentConfig(
             "voronovskaya", {"n_ladder": (4, 16, 64)}
         )
         rows = run_experiment(cfg)
@@ -260,7 +260,7 @@ class TestRunners:
         assert not slope_rows[0].passed
 
     def test_semigroup_closed_form_reference(self):
-        cfg = ExperimentConfig.for_experiment("semigroup", {"n_ladder": (8, 32)})
+        cfg = ExperimentConfig("semigroup", {"n_ladder": (8, 32)})
         rows = run_experiment(cfg)
         assert all(r.passed for r in rows)
         measured = _measured(rows, "iterate-vs-semigroup")
@@ -268,20 +268,20 @@ class TestRunners:
         assert all(r.stderr is None for r in rows)
 
     def test_semigroup_zero_horizon_is_identity(self):
-        cfg = ExperimentConfig.for_experiment("semigroup", {"n_ladder": (8,), "t": 0.0})
+        cfg = ExperimentConfig("semigroup", {"n_ladder": (8,), "t": 0.0})
         rows = run_experiment(cfg)
         assert rows[0].params["k"] == 0
         assert _measured(rows, "iterate-vs-semigroup")[0] <= 1e-12
 
     def test_semigroup_constant_function_fixed_by_both_sides(self):
-        cfg = ExperimentConfig.for_experiment(
+        cfg = ExperimentConfig(
             "semigroup", {"n_ladder": (8,), "function_label": "e0", "samples": 1_000}
         )
         rows = run_experiment(cfg)
         assert _measured(rows, "iterate-vs-semigroup")[0] <= 8 * cfg.tail_eps + 1e-13
 
     def test_semigroup_monte_carlo_reference(self):
-        cfg = ExperimentConfig.for_experiment(
+        cfg = ExperimentConfig(
             "semigroup",
             {"n_ladder": (8,), "function_label": "xexp", "samples": 20_000},
         )
@@ -291,13 +291,13 @@ class TestRunners:
         assert rung.error_budget is not None
 
     def test_kelisky_rivlin_default_passes(self):
-        rows = run_experiment(ExperimentConfig.for_experiment("kelisky-rivlin"))
+        rows = run_experiment(ExperimentConfig("kelisky-rivlin"))
         assert all(r.passed for r in rows)
         assert _measured(rows, "deviation")[-1] <= 1e-8
         assert len(rows) == 201
 
     def test_korovkin_default_passes(self):
-        rows = run_experiment(ExperimentConfig.for_experiment("korovkin"))
+        rows = run_experiment(ExperimentConfig("korovkin"))
         assert all(r.passed for r in rows)
         checks = {r.params["check"] for r in rows}
         assert checks == {"series-vs-closed-form", "norm-error", "final-norm-error"}
@@ -309,7 +309,7 @@ class TestRunners:
         delta = {1: 1e-3, 10: 1e-3 + 1e-6}
         monkeypatch.setattr("oplimits.harness.sm_exponential_closed_form",
                             lambda n, lam, x: np.exp(-lam * x) + delta[n])
-        cfg = ExperimentConfig.for_experiment(
+        cfg = ExperimentConfig(
             "korovkin", {"n_ladder": (1, 10), "monotonicity_slack": 1e-5,
                          "grid_points": 8, "dense_head": 0},
         )
@@ -320,7 +320,7 @@ class TestRunners:
         assert all(r.passed for r in trend)
 
     def test_weak_convergence_small_ladder(self):
-        cfg = ExperimentConfig.for_experiment(
+        cfg = ExperimentConfig(
             "weak-convergence", {"n_ladder": (10, 50), "samples": 50_000}
         )
         rows = run_experiment(cfg)
@@ -330,9 +330,9 @@ class TestRunners:
 
     def test_weak_convergence_requires_positive_start(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig.for_experiment("weak-convergence", {"x": 0.0})
+            ExperimentConfig("weak-convergence", {"x": 0.0})
         with pytest.raises(ConfigError):
-            ExperimentConfig.for_experiment("weak-convergence", {"t": 0.0})
+            ExperimentConfig("weak-convergence", {"t": 0.0})
 
     def test_skeleton_validates_directly_built_configs(self):
         # building a config checks it; no constructor skips the checks
@@ -374,7 +374,7 @@ class TestTrendRule:
         # a slack of -1 asks each value to drop by more than it can, so the
         # later trend rows must fail; a runner ignoring the slack passes them
         overrides, trend_checks, finals = _TREND_RUNNERS[experiment]
-        cfg = ExperimentConfig.for_experiment(
+        cfg = ExperimentConfig(
             experiment, {**overrides, "monotonicity_slack": slack})
         series = {}
         decided_by_slack = False
@@ -400,7 +400,7 @@ class TestTrendRule:
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
-        cfg = ExperimentConfig.for_experiment(
+        cfg = ExperimentConfig(
             "weak-convergence", {"n_ladder": (5, 10), "samples": 5_000}
         )
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -412,7 +412,7 @@ class TestDeterminism:
     def test_seed_changes_stochastic_output(self, tmp_path):
         reports = []
         for seed in (1, 2):
-            cfg = ExperimentConfig.for_experiment(
+            cfg = ExperimentConfig(
                 "weak-convergence", {"n_ladder": (5, 10), "samples": 5_000, "seed": seed}
             )
             reports.append(run_experiment(cfg))
@@ -625,7 +625,7 @@ class TestConcurrentStreams:
             raise AssertionError(f"started thread {thread.name}")
 
         monkeypatch.setattr(threading.Thread, "start", start)
-        run_experiment(ExperimentConfig.for_experiment("weak-convergence"))
+        run_experiment(ExperimentConfig("weak-convergence"))
 
     def test_cpu_count_fallback(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)

@@ -23,6 +23,7 @@ from oplimits import (
     bernstein_kernel,
     build_sm_kernel,
     chain_terminal_values,
+    kelisky_rivlin_reference,
     kernel_iterate,
     lattice_cutoff,
     make_geometric_grid,
@@ -312,14 +313,16 @@ class TestSzaszMirakyan:
             sm_apply(3, CATALOG["e0"], -0.5)
 
 
-@pytest.mark.parametrize("x", [math.nan, math.inf])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("call", [
     lambda x: sm_apply(3, CATALOG["e0"], x),
     lambda x: baskakov_apply(3, CATALOG["e0"], x),
     lambda x: truncation_index(3, x),
-], ids=["sm_apply", "baskakov_apply", "truncation_index"])
+    lambda x: sm_moment(3, 1, x),
+    lambda x: chain_terminal_values(3, 2, x, 4, _rng()),
+], ids=["sm_apply", "baskakov_apply", "truncation_index", "sm_moment", "chain"])
 def test_non_finite_x_is_rejected(call, x):
-    with pytest.raises(ValueError, match="x must be finite"):
+    with pytest.raises(ValueError, match="^x must be finite"):
         call(x)
 
 
@@ -348,6 +351,21 @@ def _rng():
     ("n", lambda: build_sm_kernel(2.5, 10)),
     ("n", lambda: bernstein_kernel(math.inf)),
     ("n", lambda: bernstein_kernel(2.5)),
+    ("n", lambda: sm_apply(10 ** 400, CATALOG["e0"], 1.0)),
+    ("n", lambda: baskakov_apply(2 ** 53 + 1, CATALOG["e0"], 1.0)),
+    ("K", lambda: build_sm_kernel(8, 10 ** 400)),
+    ("size", lambda: chain_terminal_values(5, 2, 1.0, 10 ** 400, _rng())),
+    ("max_terms", lambda: TruncationPolicy(max_terms=10 ** 400)),
+    ("x", lambda: bernstein_apply(4, CATALOG["e0"], math.inf)),
+    ("x", lambda: bernstein_apply(4, CATALOG["e0"], -math.inf)),
+    ("x_max", lambda: lattice_cutoff(8, -math.inf)),
+    ("tail_eps", lambda: lattice_cutoff(8, 1.0, math.inf)),
+    ("tail_eps", lambda: build_sm_kernel(8, 10, math.inf)),
+    ("tail_eps", lambda: build_sm_kernel(8, 10, -math.inf)),
+    ("tail_eps", lambda: TruncationPolicy(tail_eps=math.inf)),
+    ("tail_eps", lambda: TruncationPolicy(tail_eps=-math.inf)),
+    ("x", lambda: kelisky_rivlin_reference(CATALOG["e0"], math.inf)),
+    ("x", lambda: kelisky_rivlin_reference(CATALOG["e0"], -math.inf)),
 ], ids=[
     "sm_apply-n-inf", "sm_apply-n-nan", "bernstein_apply-n-inf", "baskakov_apply-n-nan",
     "lattice_cutoff-x_max-inf", "lattice_cutoff-x_max-nan", "lattice_cutoff-n-inf",
@@ -356,6 +374,12 @@ def _rng():
     "build_sm_kernel-K-fraction", "build_sm_kernel-K-inf",
     "build_sm_kernel-n-inf", "build_sm_kernel-n-fraction",
     "bernstein_kernel-n-inf", "bernstein_kernel-n-fraction",
+    "sm_apply-n-huge", "baskakov_apply-n-above-2^53", "build_sm_kernel-K-huge", "chain-size-huge",
+    "policy-max_terms-huge", "bernstein_apply-x-inf", "bernstein_apply-x-minus-inf",
+    "lattice_cutoff-x_max-minus-inf", "lattice_cutoff-tail_eps-inf",
+    "build_sm_kernel-tail_eps-inf", "build_sm_kernel-tail_eps-minus-inf",
+    "policy-tail_eps-inf", "policy-tail_eps-minus-inf",
+    "kelisky_rivlin_reference-x-inf", "kelisky_rivlin_reference-x-minus-inf",
 ])
 def test_bad_index_is_rejected_by_name(name, call):
     with pytest.raises(ValueError, match=rf"^{name} must be "):
@@ -482,14 +506,17 @@ class TestTruncationIndex:
         with pytest.raises(TruncationFailureError):
             truncation_index(1000, 50.0, TruncationPolicy(tail_eps=1e-12, max_terms=100))
 
-    @pytest.mark.parametrize("call", [
-        lambda: truncation_index(10, 1e308),
-        lambda: sm_apply(10, CATALOG["f1"], 1e308),
-    ], ids=["truncation_index", "sm_apply"])
-    def test_overflowing_mean_is_named(self, call):
+    @pytest.mark.parametrize("law, max_terms, call", [
+        ("mean", 10 ** 6, lambda: truncation_index(10, 1e308)),
+        ("mean", 10 ** 6, lambda: sm_apply(10, CATALOG["f1"], 1e308)),
+        ("Baskakov mean", 10 ** 6, lambda: baskakov_apply(10, CATALOG["f1"], 1e308)),
+        ("mean", 10 ** 8, lambda: lattice_cutoff(8, 1e308)),
+    ], ids=["truncation_index", "sm_apply", "baskakov_apply", "lattice_cutoff"])
+    def test_overflowing_mean_is_named(self, law, max_terms, call):
         # x is finite but n x overflows to inf, which no window holds
         with pytest.raises(TruncationFailureError,
-                           match=r"for mean inf needs more than max_terms=1000000 terms"):
+                           match=rf"^series window for {law} inf needs more than "
+                                 rf"max_terms={max_terms} terms"):
             call()
 
     # pdtrc(K, lam) is the Poisson mass beyond K.  The certified tail is

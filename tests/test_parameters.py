@@ -74,7 +74,7 @@ def default_reports(tmp_path_factory):
 def test_the_table_is_what_the_runner_reads(experiment):
     read = set()
     for overrides in BRANCHES[experiment]:
-        recorder = _ReadRecorder(ExperimentConfig.for_experiment(experiment, overrides))
+        recorder = _ReadRecorder(ExperimentConfig(experiment, overrides))
         report = _Report(recorder)
         recorder.read.clear()  # the echo reads every parameter; the runner may not
         _RUNNERS[experiment](recorder, report)
@@ -90,7 +90,7 @@ def test_seedless_reports_do_not_change_with_the_seed(experiment, tmp_path):
         assert _run_cli([experiment, "--seed", str(seed), "--out", str(out)]) <= 1
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
-    assert "seed" not in ExperimentConfig.for_experiment(experiment, {"seed": 7}).resolved()
+    assert "seed" not in ExperimentConfig(experiment, {"seed": 7}).resolved()
 
 
 @pytest.mark.parametrize("experiment", sorted(PARAMETERS))
@@ -99,13 +99,13 @@ def test_every_key_the_experiment_does_not_read_is_rejected(experiment):
     for key in unread:
         default = next(p[key] for p in PARAMETERS.values() if key in p)
         with pytest.raises(ConfigError, match=f"'{key}' for {experiment}"):
-            ExperimentConfig.for_experiment(experiment, {key: default})
+            ExperimentConfig(experiment, {key: default})
 
 
 @pytest.mark.parametrize("experiment", sorted(PARAMETERS))
 def test_an_echo_is_a_config_of_its_experiment(experiment):
-    echo = ExperimentConfig.for_experiment(experiment, {"n_ladder": [7]}).resolved()
-    assert ExperimentConfig.for_experiment(experiment, echo).resolved() == echo
+    echo = ExperimentConfig(experiment, {"n_ladder": [7]}).resolved()
+    assert ExperimentConfig(experiment, echo).resolved() == echo
 
 
 @pytest.mark.parametrize("argv, named", [

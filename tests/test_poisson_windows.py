@@ -356,6 +356,6 @@ def test_default_voronovskaya_run_sums_only_the_windows(monkeypatch, experiment,
 
     monkeypatch.setattr(oplimits.operators, "_dot", counted_dot)
     monkeypatch.setattr(oplimits.operators, "_poisson_pmf", counted_pmf)
-    run_experiment(ExperimentConfig.for_experiment(experiment))
+    run_experiment(ExperimentConfig(experiment))
     assert counts["terms"] <= terms
     assert counts["exps"] <= exps

@@ -26,7 +26,7 @@ import oplimits.operators
 from oplimits.harness import ExperimentConfig, run_experiment
 from oplimits.operators import DEFAULT_POLICY, _poisson_start, _poisson_weights
 
-DEFAULT_GRID = ExperimentConfig.for_experiment("voronovskaya").grid().points
+DEFAULT_GRID = ExperimentConfig("voronovskaya").grid().points
 
 
 def _per_point(n, f, xs, policy):
@@ -84,7 +84,7 @@ def test_default_runs_send_only_x_0_through_sm_apply(monkeypatch, experiment):
     monkeypatch.setattr(oplimits.operators, "sm_apply", counted_scalar)
     for module in (oplimits.generator, oplimits.harness):
         monkeypatch.setattr(module, "sm_apply_grid", counted_grid)
-    config = ExperimentConfig.for_experiment(experiment)
+    config = ExperimentConfig(experiment)
     run_experiment(config)
     functions = len(config.lambdas) if experiment == "korovkin" else 1
     assert per_grid == [[0.0] * functions] * len(config.n_ladder)
