@@ -44,12 +44,21 @@ class ConfigError(ValueError):
     """An experiment configuration is malformed or inconsistent."""
 
 
+def _shown(value) -> str:
+    """``value`` for a message; an int beyond ±2^53 by its digit count."""
+    if not (isinstance(value, int) and abs(value) > _MAX_INDEX):
+        return str(value)
+    # 2^(b-1) <= |value| < 2^b, so |value| has as many digits as 2^(b-1) or one more
+    d = int((abs(value).bit_length() - 1) * math.log10(2)) + 1
+    return f"{'a negative' if value < 0 else 'an'} integer of {d + (abs(value) >= 10 ** d)} digits"
+
+
 def _check_index(value, name="n", least=1) -> int:
     """``value`` as an int; NaN and the infinities fail before they can reach ``int``."""
     if not (least <= value < math.inf and int(value) == value):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
+        raise ValueError(f"{name} must be an integer >= {least}, got {_shown(value)}")
     if value > _MAX_INDEX:
-        raise ValueError(f"{name} must be at most 2^53, got {value}")
+        raise ValueError(f"{name} must be at most 2^53, got {_shown(value)}")
     return int(value)
 
 

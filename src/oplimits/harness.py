@@ -365,12 +365,13 @@ def run_semigroup_convergence(config: ExperimentConfig, report: _Report):
     for pos, n in enumerate(config.n_ladder):
         k = floor_nt(n, t)
         K = lattice_cutoff(n, panel_max, config.tail_eps)
-        kernel = build_sm_kernel(
-            n, K, config.tail_eps,
-            checked_rows=int(math.ceil(n * panel_max)),
-        )
+        kernel = build_sm_kernel(n, K, config.tail_eps,
+                                 checked_rows=int(math.ceil(n * panel_max)))
         lattice_fn = kernel_iterate(kernel, f, k)
         idx, xs = _snap_panel(config.x_panel, n)
+        values, budgets = lattice_fn.values[idx], lattice_fn.error_budget[idx]
+        # free this rung's kernel before the next one is built
+        del kernel, lattice_fn
         w = weight_eval(config.alpha, xs)
 
         stderr = None
@@ -385,8 +386,8 @@ def run_semigroup_convergence(config: ExperimentConfig, report: _Report):
             ref = np.array([e.mean for e in ests])
             stderr = max(e.stderr for e in ests)
 
-        disc = float(np.max(w * np.abs(lattice_fn.values[idx] - ref)))
-        budget = float(np.max(lattice_fn.error_budget[idx]))
+        disc = float(np.max(w * np.abs(values - ref)))
+        budget = float(np.max(budgets))
 
         hb = semigroup_rate_bound(n, t, config.alpha, norm_af, lip) if use_bounds else None
         params = {"check": "iterate-vs-semigroup", "n": n, "k": k,

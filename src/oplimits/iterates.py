@@ -15,31 +15,24 @@ window whose Bernstein tail bounds certify at most 2^-64 of mass missing on
 either side, below the resolution of a row sum.  The rows are stored as
 dense blocks of consecutive rows, each spanning the union of its rows'
 windows, so a step is one dense (BLAS) matrix product per block.  numpy
-releases the GIL around each product, so a large kernel's blocks are split
-into contiguous groups stepped on several CPUs at once, with the same bits
-as on one.  Rows are NOT renormalized: the iterate additionally propagates
-the constant-one function, as a second column beside f, so the exact
-leaked mass per starting state is known.  The resulting per-point
-error budget (sup |f| times leaked mass) is rigorous and, unlike a uniform
-bound over all rows, stays tight at the interior states the experiments
-evaluate.
+releases the GIL around each product, so several threads step a large
+kernel, each claiming the next block; a block writes rows of its own, so
+the bits are the same on any number of threads.  Rows are NOT
+renormalized: the iterate additionally propagates the constant-one
+function, as a second column beside f, so the exact leaked mass per
+starting state is known.  The resulting per-point error budget (sup |f|
+times leaked mass) is rigorous and, unlike a uniform bound over all rows,
+stays tight at the interior states the experiments evaluate.
 
-Chain sampling does not step the chain.  After its first Poisson(n x) step
-the Poisson chain is a critical Galton-Watson process with Poisson(1)
-offspring, so the k-step law has a closed-form probability generating
-function.  One inverse FFT of it gives the whole law, and each endpoint is
-then one uniform draw pushed through the cumulative distribution: a
-stream's uniforms are sorted once, and one search places the law's M
-entries among them.  The generating function is stepped one generation at
-a time at the FFT's roots of unity in real float64 arithmetic: one
-``np.tan`` and one ``np.expm1`` per point and generation, which numpy runs
-as SIMD loops.
+Chain sampling does not step the chain: the Poisson chain's k-step law
+has a closed-form generating function, one inverse FFT of it gives the
+whole law, and each endpoint is one uniform draw pushed through its
+cumulative distribution (see :func:`chain_terminal_values`).
 """
 
 import functools
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -47,7 +40,7 @@ import numpy as np
 from numpy.fft import irfft
 
 from .errors import CutoffTooSmallError, EvaluationError, _check_index, _check_real
-from .mc import _usable_cpus
+from .mc import _run_claimed, _usable_cpus
 from .operators import (
     DEFAULT_POLICY,
     _WINDOW_LOG_BUDGET,
@@ -70,23 +63,11 @@ _CUTOFF_SAFETY = 2.5
 _BLOCK_ROWS = 64
 
 
-# Fewest stored kernel entries per thread of a threaded step.  Threaded on
-# two groups against serial, kernel_iterate of f1 took 4.6/4.2 ms at n = 32
-# (2 x 213,056 entries) and 66/102 ms at n = 128 (2 x 1,415,455; medians
-# of 15, 2 vCPUs).
+# Fewest stored kernel entries per thread of a threaded step.  On two fixed
+# halves of the blocks against serial, kernel_iterate of f1 took 4.6/4.2 ms
+# at n = 32 (2 x 213,056 entries) and 66/102 ms at n = 128 (2 x 1,415,455;
+# medians of 15, 2 vCPUs).
 _MIN_THREADED_ENTRIES = 2 ** 20
-
-
-def _block_groups(blocks):
-    """``blocks`` as contiguous groups of about equal entries, each block in
-    the group whose share holds its midpoint: as many groups as usable CPUs
-    but none under ``_MIN_THREADED_ENTRIES``, and no empty group."""
-    sizes = np.array([block.size for _, _, block in blocks])
-    ends = np.cumsum(sizes)
-    parts = max(1, min(_usable_cpus(), int(ends[-1]) // _MIN_THREADED_ENTRIES))
-    cuts = np.searchsorted(ends - sizes / 2, ends[-1] * np.arange(1, parts) / parts)
-    bounds = [0, *cuts.tolist(), len(blocks)]
-    return [blocks[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
 @dataclass(frozen=True)
@@ -118,15 +99,9 @@ class TransitionKernel:
         r0, c0, block = self.blocks[i // self.blocks[0][2].shape[0]]
         return block[i - r0, self.lo[i] - c0:self.hi[i] - c0 + 1]
 
-    def step(self, x: np.ndarray, out: np.ndarray, blocks=None) -> np.ndarray:
-        """``out`` = P ``x``, one matrix product per block on the calling thread.
-
-        ``x`` is a vector over the states or a stack of them as columns.
-        Given ``blocks``, a group of ``self.blocks``, only their rows are
-        written.  ``np.dot`` runs ``np.matmul``'s BLAS product, with the same
-        bits, but releases the GIL, so groups can step in parallel.
-        """
-        for r0, c0, block in self.blocks if blocks is None else blocks:
+    def step(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out`` = P ``x``, for states or columns of them, one product per block."""
+        for r0, c0, block in self.blocks:
             h, w = block.shape
             np.dot(block, x[c0:c0 + w], out=out[r0:r0 + h])
         return out
@@ -270,12 +245,11 @@ def kernel_iterate(kernel: TransitionKernel, f, k: int) -> LatticeFunction:
     its shortfall from 1 is the exact per-state leaked mass, which prices
     the truncation error budget.  f and the constant one are the two
     columns of one array, so each step is one dense matrix product per
-    kernel block.  The calling thread steps the first group of blocks from
-    :func:`_block_groups` and a thread pool each other group, and every
-    group finishes a step before any starts the next, so the bits do not
-    depend on the CPU count.  If products fail, the lowest-numbered group's
-    error is raised once every pool thread has been joined.  At k = 0 f on
-    the lattice returns with a zero budget.
+    kernel block.  The blocks are the tasks of k steps of
+    :func:`~oplimits.mc._run_claimed` on min(usable CPUs, stored entries //
+    ``_MIN_THREADED_ENTRIES``) threads, so the bits do not depend on the
+    CPU count and a failing product raises the lowest-numbered block's
+    error.  At k = 0 f on the lattice returns with a zero budget.
     """
     k = _check_index(k, "k", least=0)
     latt = kernel.lattice()
@@ -292,16 +266,18 @@ def kernel_iterate(kernel: TransitionKernel, f, k: int) -> LatticeFunction:
     x[:, 0] = v
     x[:, 1] = 1.0
     y = np.empty_like(x)
-    groups = _block_groups(kernel.blocks)
-    # an executor starts no thread before its first submit, so one group starts none
-    with ThreadPoolExecutor(max_workers=max(1, len(groups) - 1)) as pool:
-        for _ in range(k):
-            helpers = [pool.submit(kernel.step, x, y, g) for g in groups[1:]]
-            kernel.step(x, y, groups[0])
-            for helper in helpers:
-                helper.result()
-            x, y = y, x
-    v, mass = x.T
+    products = [[(block, a[c0:c0 + block.shape[1]], b[r0:r0 + block.shape[0]])
+                 for r0, c0, block in kernel.blocks] for a, b in ((x, y), (y, x))]
+
+    def product(step, i):
+        block, operand, out = products[step % 2][i]
+        # np.dot runs np.matmul's BLAS product, bit for bit, but releases the GIL
+        np.dot(block, operand, out=out)
+
+    entries = sum(block.size for _, _, block in kernel.blocks)
+    threads = max(1, min(_usable_cpus(), entries // _MIN_THREADED_ENTRIES))
+    _run_claimed(product, len(kernel.blocks), threads, steps=k)
+    v, mass = (x, y)[k % 2].T
     if not np.all(np.isfinite(v)):
         raise EvaluationError("non-finite accumulation during kernel iteration")
     leak = np.clip(1.0 - mass, 0.0, None)
@@ -457,12 +433,9 @@ def chain_terminal_values(
     bits depend on the SIMD code numpy dispatches to (AVX-512 or not), so a
     draw can move between hosts only if its uniform lands within it of an
     entry of the cumulative distribution.  The law is built once per
-    (n, k, x) and cached, so concurrent streams share it; each of its k - 1
-    generations costs one ``np.tan`` and one ``np.expm1`` per point at
-    M/2 + 1 points (about 13 ns a point on an AVX-512 Xeon), so its cost
-    grows as k M, with M about n x + 12 sqrt(n x k) or more.  A mean n x
-    above 2^53, the cap of the series grid's means, raises a ValueError
-    before any law is sized.
+    (n, k, x) and cached, so concurrent streams share it; it costs about
+    k M (see :func:`_chain_cdf`).  A mean n x above 2^53, the cap of the
+    series grid's means, raises a ValueError before any law is sized.
     """
     n = _check_index(n)
     _check_real(x, "x")

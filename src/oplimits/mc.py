@@ -10,8 +10,10 @@ CPU count.  The stream layout is not an experiment parameter and does not
 enter report rows.
 """
 
+import contextlib
+import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,7 +33,7 @@ STREAMS = 4
 _MIN_THREADED_CHUNK = 16384
 
 # Fewest values a stream must draw in all (its chunk times ``steps``) for
-# the streams to run on threads; below it, starting the pool in a fresh
+# the streams to run on threads; below it, starting threads in a fresh
 # process costs more than the threads save.  Threaded/serial wall time of 4
 # streams of blocked Euler paths (2 CPUs): 0.62 at 5,000 paths of 1,000
 # steps, 0.71 at 2,048 of 100, 0.76 at 256 of 1,000, but 1.04 at 17 of
@@ -65,6 +67,40 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _run_claimed(task, tasks, threads, steps=1):
+    """Run ``task(step, i)`` for each i < ``tasks``, step by step: the caller
+    and ``threads - 1`` helpers claim each step's indices from a shared
+    counter, and a barrier ends each step.  Once a task fails none is
+    claimed, and after every helper is joined the failure with the lowest
+    index, the one a serial run raises, is raised."""
+    barrier = threading.Barrier(threads)
+    claims = [itertools.count() for _ in range(steps)]
+    failures = {}
+
+    def claim():
+        with contextlib.suppress(threading.BrokenBarrierError):
+            for step, counter in enumerate(claims):
+                while (i := next(counter)) < tasks and not failures:
+                    try:
+                        task(step, i)
+                    except BaseException as error:  # re-raised on the calling thread
+                        failures[i] = error
+                        barrier.abort()
+                barrier.wait()
+
+    helpers = [threading.Thread(target=claim) for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        claim()
+    finally:
+        barrier.abort()
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+
+
 def chunk_sizes(samples: int, streams: int):
     """Split ``samples`` into ``streams`` near-equal deterministic chunks."""
     base, extra = divmod(_check_index(samples, "samples"), streams)
@@ -87,14 +123,12 @@ def sample_across_workers(
     ``steps`` is how many values a stream draws per sample: an Euler path's
     step count, as its normals are drawn a block of steps at a time; 1
     where a stream draws one value per sample, as exact diffusion draws and
-    chain endpoints do.  The streams run on min(nonempty streams, usable
-    CPUs) threads when a stream draws at least ``_MIN_THREADED_DRAW``
-    values in all (``samples // streams * steps`` reaches it), and one
-    after another on the calling thread otherwise.
-    Each stream's values land at its offset in the output, so the result
-    does not depend on the thread count.  If streams fail, the exception of
-    the lowest-numbered failing stream is raised, after every thread has
-    been joined.
+    chain endpoints do.  The streams are tasks of :func:`_run_claimed`, on
+    min(nonempty streams, usable CPUs) threads once a stream draws
+    ``_MIN_THREADED_DRAW`` values in all (``samples // streams * steps``),
+    else on the calling thread alone.  Each lands at its offset in the
+    output, so the result does not depend on the thread count, and the
+    lowest-numbered failing stream's error is raised.
     """
     streams = resolve_workers()
     children = np.random.SeedSequence(seed).spawn(streams)
@@ -102,26 +136,16 @@ def sample_across_workers(
     offsets = np.cumsum([0] + sizes)
     out = np.empty(samples)
 
-    def draw(w):
+    def draw(_, w):
         m = sizes[w]
         part = np.asarray(draw_chunk(np.random.default_rng(children[w]), m), dtype=float)
         if part.shape != (m,):
-            raise ValueError(
-                f"draw_chunk returned shape {part.shape}, expected ({m},)"
-            )
+            raise ValueError(f"draw_chunk returned shape {part.shape}, expected ({m},)")
         out[offsets[w]:offsets[w + 1]] = part
 
-    nonempty = range(min(samples, streams))  # only trailing streams can be empty
-    threads = min(len(nonempty), _usable_cpus())
-    if threads == 1 or samples // streams * steps < _MIN_THREADED_DRAW:
-        for w in nonempty:
-            draw(w)
-    else:
-        # reading the results in stream order raises the lowest-numbered
-        # failure and cancels the streams not yet started; leaving the
-        # block joins every thread
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(draw, nonempty))
+    nonempty = min(samples, streams)  # only trailing streams can be empty
+    threaded = samples // streams * steps >= _MIN_THREADED_DRAW
+    _run_claimed(draw, nonempty, min(nonempty, _usable_cpus()) if threaded else 1)
     return out
 
 

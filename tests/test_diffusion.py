@@ -384,25 +384,25 @@ class TestEulerThreading:
         return idents
 
     @pytest.mark.parametrize("count", [1, 2, 64])
-    def test_long_euler_streams_are_threaded(self, cpus, count):
+    def test_long_euler_streams_are_threaded(self, cpus, started_threads, count):
+        # the calling thread claims streams beside min(streams, CPUs) - 1 helpers
         cpus(count)
         idents = self._threads_of(kind="feller", t=1.0, x=1.0, samples=20_000,
                                   seed=4, method="euler")
+        assert len(started_threads) == min(4, count) - 1
         assert len(idents) <= min(4, count)
         if count == 1:
             assert idents == {threading.get_ident()}
-        else:
-            assert threading.get_ident() not in idents
 
-    def test_threshold_counts_steps(self, cpus):
+    def test_threshold_counts_steps(self, cpus, started_threads):
         cpus(64)
         assert _euler_steps(0.01, 1e-3)[0] == 10
         per_stream = -(-_MIN_THREADED_DRAW // 10)
         call = dict(kind="wright-fisher", t=0.01, x=0.5, seed=6, method="euler")
         below = self._threads_of(samples=4 * (per_stream - 1), **call)
-        assert below == {threading.get_ident()}
+        assert below == {threading.get_ident()} and not started_threads
         at = self._threads_of(samples=4 * per_stream, **call)
-        assert threading.get_ident() not in at
+        assert len(started_threads) == 3 and len(at) <= 4
 
     def test_small_euler_call_stays_on_the_calling_thread(self, cpus):
         # the tracer test's call, whose layer metrics assume one thread

@@ -26,7 +26,12 @@ from oplimits.harness import (
     _snap_panel,
 )
 from oplimits.iterates import chain_terminal_values
-from oplimits.mc import _MIN_THREADED_DRAW, resolve_workers, sample_across_workers
+from oplimits.mc import (
+    _MIN_THREADED_DRAW,
+    _run_claimed,
+    resolve_workers,
+    sample_across_workers,
+)
 
 
 def _measured(rows, check):
@@ -591,7 +596,8 @@ class TestConcurrentStreams:
             np.testing.assert_array_equal(values, draws[0])
 
     @pytest.mark.parametrize("count", [1, 2, 3, 64])
-    def test_threads_used_are_capped(self, cpus, count):
+    def test_threads_used_are_capped(self, cpus, started_threads, count):
+        # the calling thread claims streams beside min(streams, CPUs) - 1 helpers
         cpus(count)
         idents = set()
 
@@ -600,11 +606,10 @@ class TestConcurrentStreams:
             return _chain_draw(rng, m)
 
         sample_across_workers(draw, 4 * _MIN_THREADED_DRAW, seed=3)
+        assert len(started_threads) == min(4, count) - 1
         assert len(idents) <= min(4, count)
         if count == 1:
             assert idents == {threading.get_ident()}
-        else:
-            assert threading.get_ident() not in idents
 
     def test_small_chunks_stay_on_the_calling_thread(self, cpus):
         cpus(64)
@@ -683,3 +688,55 @@ class TestConcurrentStreams:
         for _ in range(5):
             with pytest.raises(RuntimeError, match="stream 1"):
                 sample_across_workers(draw, 4 * _MIN_THREADED_DRAW, seed=1)
+
+
+class TestRunClaimed:
+    """The claim loop behind threaded kernel steps and Monte Carlo streams."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    def test_each_step_ends_before_the_next_starts(self, watchdog, started_threads, threads):
+        tasks, steps = 5, 6
+        events = []  # list.append is atomic, so the log keeps the true order
+
+        def task(step, i):
+            events.append(("start", step, i))
+            time.sleep(0.001 * ((step + i) % 3))
+            events.append(("end", step, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_claimed(task, tasks, threads, steps)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(started_threads) == threads - 1
+        assert sorted(e[1:] for e in events if e[0] == "start") == [
+            (s, i) for s in range(steps) for i in range(tasks)]
+        for at, (kind, step, _) in enumerate(events):
+            if kind == "start" and step > 0:
+                ended = [e for e in events[:at] if e[:2] == ("end", step - 1)]
+                assert len(ended) == tasks
+        if threads == 1:
+            assert events == [(kind, s, i) for s in range(steps) for i in range(tasks)
+                              for kind in ("start", "end")]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    def test_lowest_failure_is_raised_once_helpers_are_joined(self, watchdog,
+                                                              started_threads, threads):
+        # on threads, (2, 3) fails while (2, 0) is still running; (2, 0) fails last
+        ran = []
+
+        def task(step, i):
+            ran.append((step, i))
+            if step == 2 and i == 0:
+                time.sleep(0.05)
+            if step == 2 and i in (0, 3):
+                raise RuntimeError(f"task {i}")
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="task 0$"):
+            _run_claimed(task, 5, threads, steps=4)
+        assert not any(t.is_alive() for t in started_threads)
+        assert len(started_threads) == threads - 1
+        assert threading.active_count() == before
+        assert ((2, 3) in ran) == (threads > 1) and max(ran) < (3, 0)

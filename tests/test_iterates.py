@@ -1,6 +1,5 @@
 """Transition kernels, kernel iterates, chain sampling, and fixed-n limits."""
 
-import faulthandler
 import functools
 import math
 import sys
@@ -47,15 +46,6 @@ SMALL_CHECKED_ROWS = 10  # int(n * x_max) at small_kernel's defaults
 def small_kernel(n=5, x_max=2.0, tail_eps=SMALL_TAIL_EPS):
     K = lattice_cutoff(n, x_max, tail_eps)
     return build_sm_kernel(n, K, tail_eps, checked_rows=int(n * x_max))
-
-
-@pytest.fixture
-def watchdog():
-    """Ends the test process with every thread's traceback after 60 s, so
-    threads stuck at a barrier fail the run instead of hanging it."""
-    faulthandler.dump_traceback_later(60, exit=True)
-    yield
-    faulthandler.cancel_dump_traceback_later()
 
 
 @functools.lru_cache(maxsize=None)
@@ -305,10 +295,11 @@ class TestBlockIterate:
         for k in (0, 1, 4):
             kernel_iterate(small, CATALOG["f1"], k)
 
-    def test_cpu_count_and_split_do_not_reach_the_bits(self, monkeypatch, watchdog):
-        # up to 8 groups, more than the cores, switching threads every
-        # microsecond: a group that read a row before its writer had reached
-        # the barrier would move the bits
+    def test_cpu_count_does_not_reach_the_bits(self, monkeypatch, watchdog,
+                                               started_threads):
+        # up to 8 threads, more than the cores, switching every microsecond:
+        # a block that read a row before its writer had reached the barrier
+        # would move the bits
         kernel = semigroup_kernel(128)
         k = floor_nt(128, ExperimentConfig("semigroup").t)
         monkeypatch.setattr(iterates, "_MIN_THREADED_ENTRIES", 2 ** 16)
@@ -318,8 +309,9 @@ class TestBlockIterate:
         try:
             for cpus in (1, 2, 3, 4, 8):
                 monkeypatch.setattr(iterates, "_usable_cpus", lambda: cpus)
-                assert len(iterates._block_groups(kernel.blocks)) == cpus
+                before = len(started_threads)
                 results.append(kernel_iterate(kernel, CATALOG["f1"], k))
+                assert len(started_threads) - before == cpus - 1
         finally:
             sys.setswitchinterval(interval)
         for lf in results[1:]:
@@ -327,38 +319,31 @@ class TestBlockIterate:
             assert np.array_equal(lf.error_budget, results[0].error_budget)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4, 8, 57, 1000])
-    def test_group_count_follows_the_work_not_the_cpus(self, monkeypatch, cpus):
-        # no group of fewer than _MIN_THREADED_ENTRIES: the n = 128 kernel
-        # (2.8M entries) takes two groups however many CPUs there are
+    def test_helpers_follow_the_work_not_the_cpus(self, monkeypatch, started_threads, cpus):
+        # one thread per _MIN_THREADED_ENTRIES stored entries at most: the
+        # n = 128 kernel (2.8M entries) takes two however many CPUs there are
         monkeypatch.setattr(iterates, "_usable_cpus", lambda: cpus)
-        assert len(iterates._block_groups(semigroup_kernel(128).blocks)) == min(cpus, 2)
-        assert len(iterates._block_groups(semigroup_kernel(32).blocks)) == 1
-
-    def test_groups_are_contiguous_balanced_and_nonempty(self, monkeypatch):
         kernel = semigroup_kernel(128)
-        monkeypatch.setattr(iterates, "_MIN_THREADED_ENTRIES", 1)
-        for cpus in (2, 3, 4, len(kernel.blocks) - 1, 3 * len(kernel.blocks)):
-            monkeypatch.setattr(iterates, "_usable_cpus", lambda: cpus)
-            groups = iterates._block_groups(kernel.blocks)
-            assert sum(groups, ()) == kernel.blocks
-            assert all(groups) and len(groups) <= cpus
-            entries = [sum(block.size for *_, block in group) for group in groups]
-            widest = max(block.size for *_, block in kernel.blocks)
-            assert max(entries) - min(entries) <= 2 * widest
+        entries = sum(block.size for *_, block in kernel.blocks)
+        kernel_iterate(kernel, CATALOG["f1"], 2)
+        assert len(started_threads) == min(cpus, entries // 2 ** 20) - 1 == min(cpus, 2) - 1
+        kernel_iterate(semigroup_kernel(32), CATALOG["f1"], 2)
+        assert len(started_threads) == min(cpus, 2) - 1
 
-    def test_a_threaded_run_leaves_no_thread_behind(self, monkeypatch, watchdog):
+    def test_a_threaded_run_leaves_no_thread_behind(self, monkeypatch, watchdog,
+                                                   started_threads):
         kernel = semigroup_kernel(128)
         monkeypatch.setattr(iterates, "_usable_cpus", lambda: 2)
-        assert len(iterates._block_groups(kernel.blocks)) == 2
         before = threading.active_count()
         kernel_iterate(kernel, CATALOG["f1"], 4)
+        assert len(started_threads) == 1
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("failing", [(0,), (-1,), (0, -1)])
     def test_a_failing_group_neither_hangs_nor_leaks_a_thread(self, monkeypatch, watchdog,
                                                               failing):
-        # the first block is stepped on the calling thread and the last on a
-        # helper; with both failing the calling thread's error is raised
+        # the first block and the last are claimed by either thread; with
+        # both failing the first block's error is raised
         kernel = semigroup_kernel(128)
         bad = {id(kernel.blocks[i][2]): i % len(kernel.blocks) for i in failing}
         dot = np.dot

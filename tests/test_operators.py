@@ -352,6 +352,9 @@ def _rng():
     ("n", lambda: bernstein_kernel(math.inf)),
     ("n", lambda: bernstein_kernel(2.5)),
     ("n", lambda: sm_apply(10 ** 400, CATALOG["e0"], 1.0)),
+    # beyond Python's 4,300-digit limit on int-to-string conversion
+    ("n", lambda: sm_apply(10 ** 5000, CATALOG["e0"], 1.0)),
+    ("n", lambda: sm_apply(-10 ** 5000, CATALOG["e0"], 1.0)),
     ("n", lambda: baskakov_apply(2 ** 53 + 1, CATALOG["e0"], 1.0)),
     ("K", lambda: build_sm_kernel(8, 10 ** 400)),
     ("size", lambda: chain_terminal_values(5, 2, 1.0, 10 ** 400, _rng())),
@@ -374,7 +377,8 @@ def _rng():
     "build_sm_kernel-K-fraction", "build_sm_kernel-K-inf",
     "build_sm_kernel-n-inf", "build_sm_kernel-n-fraction",
     "bernstein_kernel-n-inf", "bernstein_kernel-n-fraction",
-    "sm_apply-n-huge", "baskakov_apply-n-above-2^53", "build_sm_kernel-K-huge", "chain-size-huge",
+    "sm_apply-n-huge", "sm_apply-n-5001-digits", "sm_apply-n-minus-5001-digits",
+    "baskakov_apply-n-above-2^53", "build_sm_kernel-K-huge", "chain-size-huge",
     "policy-max_terms-huge", "bernstein_apply-x-inf", "bernstein_apply-x-minus-inf",
     "lattice_cutoff-x_max-minus-inf", "lattice_cutoff-tail_eps-inf",
     "build_sm_kernel-tail_eps-inf", "build_sm_kernel-tail_eps-minus-inf",
@@ -384,6 +388,19 @@ def _rng():
 def test_bad_index_is_rejected_by_name(name, call):
     with pytest.raises(ValueError, match=rf"^{name} must be "):
         call()
+
+
+@pytest.mark.parametrize("n, shown", [
+    (10 ** 400, "an integer of 401 digits"),
+    (10 ** 5000 - 1, "an integer of 5000 digits"),
+    (-10 ** 5000, "a negative integer of 5001 digits"),
+    (2 ** 53 + 1, "an integer of 16 digits"),
+    (-7, "-7"),
+], ids=["401-digits", "5000-digits", "minus-5001-digits", "above-2^53", "minus-7"])
+def test_rejected_index_is_shown_in_bounded_form(n, shown):
+    with pytest.raises(ValueError) as excinfo:
+        sm_apply(n, CATALOG["e0"], 1.0)
+    assert str(excinfo.value).endswith(f", got {shown}")
 
 
 class TestBernstein:
