@@ -153,6 +153,9 @@ def _poisson_block(r0, r1, lo, hi):
     Rows from 1 on come from one call of the series' pmf routine, so each
     entry in a row's window carries the bits of that row evaluated alone.
     Entries outside a row's window are 0.0; row 0 is the point mass at 0.
+    ``lo`` and ``hi`` never decrease, so those entries lie left of the last
+    row's lo or right of the first row's hi, and only those columns are
+    masked.
     """
     c0, c1 = int(lo[r0]), int(hi[r1 - 1])
     block = np.empty((r1 - r0, c1 - c0 + 1))
@@ -161,8 +164,10 @@ def _poisson_block(r0, r1, lo, hi):
         _poisson_pmf(np.arange(first, r1, dtype=float)[:, None], c0, c1,
                      out=block[first - r0:])
     c = np.arange(c0, c1 + 1)
+    left, right = int(lo[r1 - 1]) - c0, int(hi[r0]) - c0 + 1
+    block[:, :left][c[:left] < lo[r0:r1, None]] = 0.0
     # this also clears row 0, whose window is column 0 alone
-    block[(c < lo[r0:r1, None]) | (c > hi[r0:r1, None])] = 0.0
+    block[:, right:][c[right:] > hi[r0:r1, None]] = 0.0
     if r0 == 0:
         block[0, 0] = 1.0
     return block
@@ -195,8 +200,12 @@ def build_sm_kernel(
     kernel = TransitionKernel(n=n, lo=lo, hi=hi, blocks=blocks)
     if checked_rows is not None:
         checked_rows = min(_check_index(checked_rows, "checked_rows", least=0), K)
-        defect = [max(0.0, 1.0 - float(kernel.row(r).sum()))
-                  for r in range(checked_rows + 1)]
+        # the slices of TransitionKernel.row, taken block by block
+        defect = []
+        for r0, c0, block in blocks:
+            r1 = min(r0 + block.shape[0], checked_rows + 1)
+            defect += [max(0.0, 1.0 - float(row[a - c0:b - c0 + 1].sum()))
+                       for row, a, b in zip(block, lo[r0:r1].tolist(), hi[r0:r1].tolist())]
         worst = int(np.argmax(defect))
         if defect[worst] > tail_eps:
             raise CutoffTooSmallError(
@@ -352,20 +361,22 @@ def _gw_psi(re: np.ndarray, im: np.ndarray, k: int):
     return a, b
 
 
-def _alias_bound(n: int, k: int, x: float, size: int) -> float:
-    """Chernoff bound min_r G(r) r^-size on P(n X_k >= size), for k >= 1.
+def _alias_bound(n: int, k: int, x: float):
+    """The Chernoff bound min_r G(r) r^-size on P(n X_k >= size), as a function of size, k >= 1.
 
     G(r) = exp(n x (phi_{k-1}(r) - 1)) is the generating function of n X_k
     at real r > 1.  The critical process keeps G finite only for r below
     about 1 + 2/k, so r - 1 runs over a grid of (0, 2/k); grid points where
-    G overflows are skipped.
+    G overflows are skipped.  The k - 1 generations of phi run once here;
+    each size then costs one pass over the grid.
     """
     psi = rm1 = np.linspace(0.0, 2.0 / k, _BOUND_POINTS + 2)[1:-1]
     with np.errstate(over="ignore"):
         for _ in range(k - 1):
             psi = np.expm1(psi)
-        log_bound = n * x * psi - size * np.log1p(rm1)
-    return float(np.exp(np.min(log_bound)))
+        log_g = n * x * psi
+    log_r = np.log1p(rm1)
+    return lambda size: float(np.exp(np.min(log_g - size * log_r)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -373,7 +384,8 @@ def _chain_cdf(n: int, k: int, x: float) -> np.ndarray:
     """Read-only cumulative distribution of n X_k on {0, ..., M-1}, k >= 1.
 
     M starts 12 standard deviations (Var n X_k = n x k) plus 64 above the
-    mean n x and grows until :func:`_alias_bound` meets ``_ALIAS_BUDGET``.
+    mean n x and grows until the bound of :func:`_alias_bound`, built once
+    per law, meets ``_ALIAS_BUDGET``.
     The law is ``irfft`` of G on the M/2 + 1 points exp(-2 pi i m / M),
     where :func:`_gw_psi` steps phi through the k - 1 generations in real
     arithmetic at about 13 ns per point and generation (AVX-512 Xeon; 13 ms
@@ -384,7 +396,8 @@ def _chain_cdf(n: int, k: int, x: float) -> np.ndarray:
     """
     mean = n * x
     size = _fft_size_at_least(mean + 12.0 * math.sqrt(mean * k) + 64)
-    while _alias_bound(n, k, x, size) > _ALIAS_BUDGET:
+    bound = _alias_bound(n, k, x)
+    while bound(size) > _ALIAS_BUDGET:
         size = _fft_size_at_least(size + 1)
     a, b = _gw_psi(*_roots_of_unity_minus_one(size), k)
     pmf = irfft(np.exp(mean * (a + 1j * b)), size)

@@ -208,6 +208,9 @@ class TestCertifiedWindows:
             assert c0 == lo[r0]
             np.testing.assert_array_equal(
                 block, iterates._poisson_block(r0, r0 + block.shape[0], lo, hi))
+            # every entry outside a row's window is 0.0
+            h, w = block.shape
+            np.testing.assert_array_equal(block, kernel.matrix[r0:r0 + h, c0:c0 + w].toarray())
 
     def test_a_third_fewer_nonzeros_than_fixed_windows(self):
         n = 128
@@ -759,17 +762,24 @@ class TestChainLaw:
     def test_alias_bound_bounds_the_tail(self):
         n, k, x = 50, 50, 1.0
         cdf = _chain_cdf(n, k, x)
+        bound = _alias_bound(n, k, x)
         for size in (64, 128, 256, 384, 512, 768, 1024):
             tail = 1.0 - cdf[size - 1]
-            assert tail <= _alias_bound(n, k, x, size) * (1 + 1e-9) + 1e-15
+            assert tail <= bound(size) * (1 + 1e-9) + 1e-15
 
     def test_large_n_outgrows_the_twelve_sigma_start(self):
         n = k = 250
         start = _fft_size_at_least(n + 12.0 * math.sqrt(n * k) + 64)
         size = _chain_cdf(n, k, 1.0).size
-        assert _alias_bound(n, k, 1.0, start) > _ALIAS_BUDGET
+        bound = _alias_bound(n, k, 1.0)
+        assert bound(start) > _ALIAS_BUDGET
         assert size > start
-        assert _alias_bound(n, k, 1.0, size) <= _ALIAS_BUDGET
+        assert bound(size) <= _ALIAS_BUDGET
+
+    # the default weak-convergence rungs, n = k at x = 1
+    @pytest.mark.parametrize("n, size", [(10, 256), (50, 1536), (250, 8192)])
+    def test_default_laws_keep_their_fft_sizes(self, n, size):
+        assert _chain_cdf(n, n, 1.0).size == size
 
     @given(m=st.floats(min_value=0.0, max_value=1e6))
     def test_fft_sizes_are_the_smallest_smooth_even_sizes(self, m):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,30 @@ class TestPoissonPmf:
         table = oplimits.operators._log_factorial_cache
         assert table.size == 200
         np.testing.assert_array_equal(table, gammaln(np.arange(200) + 1.0))
+
+    # growth steps whose pieces straddle x = k + 1 = 13 (exact to Stirling)
+    # and x = 1000 (polynomial to three-term correction), and one call
+    @pytest.mark.parametrize("sizes", [(13, 4096, 10000, 59392), (100, 5000, 60000, 200000),
+                                       (59392,)])
+    def test_table_grown_in_pieces_equals_one_evaluation(self, monkeypatch, sizes):
+        monkeypatch.setattr(oplimits.operators, "_log_factorial_cache", np.empty(0))
+        for size in sizes:
+            table = _log_factorial_table(size)
+        assert table.size == sizes[-1]
+        np.testing.assert_array_equal(table, _log_factorials(0, table.size))
+        np.testing.assert_array_equal(table, gammaln(np.arange(table.size) + 1.0))
+
+    def test_growth_keeps_its_temporaries_small(self, monkeypatch):
+        # the default Voronovskaya run's last growth; the new table alone is 0.48 MB
+        monkeypatch.setattr(oplimits.operators, "_log_factorial_cache", _log_factorials(0, 29696))
+        tracemalloc.start()
+        try:
+            _log_factorial_table(59392)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert oplimits.operators._log_factorial_cache.size == 59392
+        assert peak < 1.2e6
 
     def test_import_builds_no_table(self):
         src = os.path.dirname(os.path.dirname(oplimits.__file__))
