@@ -10,27 +10,28 @@ distribution parameterized by the evaluation point x:
 The transition kernels of :mod:`oplimits.iterates` take their rows from
 here, so series and kernels cannot drift apart.
 
-Infinite series are truncated at an index whose omitted probability mass is
-below a policy tolerance; every truncated evaluation reports that omitted
-mass alongside the value so downstream error budgets stay explicit.  A
-Szasz-Mirakyan or Baskakov window also starts at a certified lower end lo,
-below which lies at most min(2^-64, tolerance) of the mass (for the
-Poisson windows lo = 0 for means below about 770).  Its omitted mass is
-the upper tail plus that bound, and f is evaluated only on lo..K.  Weights
-are computed in log space, which stays stable for Poisson means up to at
-least 5e4; all three laws read log k! from one table
-(``_log_factorial_table``) that grows on demand.  Its entries are Cephes
-``lgam(k + 1)`` evaluated with libm logarithms (``_log_factorials``), the
-same doubles as SciPy's log-gamma (also Cephes ``lgam``) without loading it.
+Infinite series are truncated so that the probability mass they omit is
+at most a policy tolerance, and every truncated evaluation reports that
+mass alongside the value.  A Szasz-Mirakyan window starts at a certified
+lower end lo, below which lies at most min(2^-64, tolerance) of the mass
+(lo = 0 for means below about 770), and ends at the smallest cut K whose
+upper tail, summed exactly, meets the tolerance.  A Baskakov window has
+two closed-form ends, each with at most half the tolerance beyond it, and
+sums no tail.  f is evaluated only inside a window.  Weights are computed
+in log space, which stays stable for Poisson means up to at least 5e4;
+all three laws read log k! from one table (``_log_factorial_table``) that
+grows on demand.  Its entries are Cephes ``lgam(k + 1)`` evaluated with
+libm logarithms (``_log_factorials``), the same doubles as SciPy's
+log-gamma (also Cephes ``lgam``) without loading it.
 
 One routine, ``_poisson_pmf``, evaluates the Poisson law on ranges of
 integers, for a series window, for a block of kernel rows and for the
 concatenated windows of many means alike.  One Chernoff point
 (``_lower_end``) marks where a Poisson window or a kernel row may start,
 and one Bernstein point (``_upper_end``) where it ends.  The tail sums
-that locate a window's cut run from its top down to a floor well above
-the mean.  The cut K, its upper tail and every weight from lo to K carry
-the same bits as evaluating and summing the window from k = 0.
+that locate a Poisson window's cut run from its top down to a floor well
+above the mean.  The cut K, its upper tail and every weight from lo to K
+carry the same bits as evaluating and summing the window from k = 0.
 Averages of more than 8,192 terms are summed in fixed pieces, so they do
 not depend on the BLAS thread count.
 
@@ -62,9 +63,10 @@ from .errors import EvaluationError, TruncationFailureError, _check_index, _chec
 class TruncationPolicy:
     """Controls where infinite lattice series are cut off.
 
-    ``tail_eps`` bounds the omitted probability mass above the cut; a
-    Szasz-Mirakyan window omits at most min(2^-64, tail_eps) more below its
-    lower end.  ``max_terms`` caps the top index of a series window plus
+    ``tail_eps`` bounds the omitted probability mass above a
+    Szasz-Mirakyan window's cut, which omits at most min(2^-64, tail_eps)
+    more below its lower end; a Baskakov window omits at most tail_eps/2 on
+    each side.  ``max_terms`` caps the top index of a series window plus
     one, regardless of the tolerance; a Szasz-Mirakyan window's top is the
     Bernstein point with at most tail_eps 2^-53 of the mass above it.
     """
@@ -322,55 +324,6 @@ def _past_max_terms(label, mean, policy):
         f"series window for {label} {mean} needs more than max_terms={policy.max_terms} terms")
 
 
-def _cut_at_tail(lo, hi, floor, pmf, ratio_beyond, policy, label, mean):
-    """Evaluate ``pmf(lo, hi)`` on lo..hi and cut at the smallest K with tail <= tail_eps.
-
-    ``ratio_beyond(hi)`` bounds the pmf ratio p_{j+1}/p_j for every j past
-    hi; the geometric remainder it implies is folded into every tail value,
-    so the cut is rigorous even though the window is finite.  The window
-    doubles until a certified cut exists inside it.  Returns the window's
-    lower end, the pmf on it up to K, and the certified upper tail mass
-    beyond K.  The mass below ``lo`` is the caller's to certify; this tail
-    does not include it.  ``label`` and ``mean`` name the law in the error
-    raised past ``max_terms``.
-
-    The tail past j is the sequential sum p_hi + p_{hi-1} + ... + p_{j+1}
-    plus the remainder, so a cumulative sum over the top of the window,
-    from hi down to ``floor``, gives the same bits as one over the whole
-    window, and as one that started at k = 0; it is widened to the whole
-    window only if the cut lies at or below ``floor``, which the caller
-    places below the cut it expects.  The tail is nonincreasing
-    in j, so the cut is located by binary search.  If even the tail past
-    lo - 1, the whole window plus the remainder, meets ``tail_eps``, then so
-    does every tail past j < lo: adding terms of at most 2^-64 to a sum
-    that close to 1 leaves its bits alone.  The cut is then K = 0, and the
-    window is k = 0 alone.
-    """
-    while True:
-        if hi + 1 > policy.max_terms:
-            raise _past_max_terms(label, mean, policy)
-        p = pmf(lo, hi)
-        ratio = ratio_beyond(hi)
-        if ratio < 1.0:
-            remainder = p[-1] * ratio / (1.0 - ratio)
-            top = p[::-1]
-            for last in (min(floor, hi - 1), max(lo - 1, 0)):
-                # tail[m] is the tail past j = hi - 1 - m, for j = hi - 1 down to last
-                tail = top[:hi - last].cumsum()
-                tail += remainder
-                within = int(tail.searchsorted(policy.tail_eps, side="right"))
-                if within < tail.size:
-                    break
-            # the tail past hi itself is the remainder alone
-            omitted = tail[within - 1] if within else remainder
-            if omitted <= policy.tail_eps:
-                K = hi - within
-                if K < lo:
-                    return 0, pmf(0, 0), float(omitted)
-                return lo, p[:K - lo + 1], float(omitted)
-        hi *= 2
-
-
 def _poisson_start(lam, policy):
     """The first window lo..hi of Poisson(lam) and a floor below its cut, as ``(lo, hi, floor)``.
 
@@ -401,34 +354,42 @@ def _poisson_weights(lam: float, policy: TruncationPolicy):
     """Poisson(lam) pmf on lo..K, the tail mass beyond K and a bound on the mass below lo.
 
     Returns ``(lo, w, tail, below)``: w is the pmf on lo..K, tail the
-    certified mass beyond K, and below the bound of :func:`_below` on the
-    mass below lo.  The omitted mass is tail + below.
-
-    K is the smallest cutoff whose upper-tail mass is <= ``tail_eps``.  The
-    tail is an exact reversed summation over the window of
-    :func:`_poisson_start` augmented with a certified geometric remainder
-    for the mass beyond the window; the window grows if the tolerance is
-    not certifiably reached inside it.  The weights are :func:`_poisson_pmf`
-    on lo..hi, cut at K; only tail sums that cannot reach the cut are
-    skipped.  K, the tail and every weight from lo to K carry the bits of a
-    window evaluated and summed from k = 0.  A mean that overflowed to inf
-    (a finite x times n) needs more than any ``max_terms``, and is named as
-    a finite one past it is.
+    certified mass beyond K and below the bound of :func:`_below` on the
+    mass below lo; the omitted mass is tail + below.  K is the smallest cut
+    whose tail is <= ``tail_eps``.  The pmf is evaluated on the window
+    lo..hi of :func:`_poisson_start`; past hi the pmf ratio stays below
+    r = lam/(hi + 1), so p_hi r/(1 - r) bounds the mass beyond hi.  The tail
+    past j, p_hi + p_{hi-1} + ... + p_{j+1} plus that remainder, is a
+    cumulative sum from hi down to the floor, widened to lo - 1 only if the
+    cut lies at or below the floor, so K, the tail and every weight carry
+    the bits of a window summed from k = 0.  The tail past hi - 1 meets
+    tail_eps (p_hi lies far below it).  If the tail past lo - 1 meets it
+    too, so does every tail past j < lo (terms of at most 2^-64 leave a sum
+    that close to 1 alone), and the window is k = 0 alone.  A mean of 2^53
+    or more, as an overflow gives, needs more than any ``max_terms``.
     """
     if lam == 0.0:
-        lo, w, tail = 0, np.array([1.0]), 0.0
-    elif lam == math.inf:
+        return 0, np.array([1.0]), 0.0, 0.0
+    if lam >= 2.0 ** 53:
         raise _past_max_terms("mean", lam, policy)
-    else:
-        lo, w, tail = _cut_at_tail(
-            *_poisson_start(lam, policy),
-            lambda lo, hi: _poisson_pmf(lam, lo, hi),
-            lambda hi: lam / (hi + 1.0),
-            policy,
-            "mean",
-            lam,
-        )
-    return lo, w, tail, _below(lam, lo)
+    lo, hi, floor = _poisson_start(lam, policy)
+    if hi + 1 > policy.max_terms:
+        raise _past_max_terms("mean", lam, policy)
+    p = _poisson_pmf(lam, lo, hi)
+    ratio = lam / (hi + 1.0)
+    remainder = p[-1] * ratio / (1.0 - ratio)
+    top = p[::-1]
+    for last in (min(floor, hi - 1), max(lo - 1, 0)):
+        # tail[m] is the tail past j = hi - 1 - m, for j = hi - 1 down to last
+        tail = top[:hi - last].cumsum()
+        tail += remainder
+        within = int(tail.searchsorted(policy.tail_eps, side="right"))
+        if within < tail.size:
+            break
+    K, omitted = hi - within, float(tail[within - 1])
+    if K < lo:
+        return 0, _poisson_pmf(lam, 0, 0), omitted, 0.0
+    return lo, p[:K - lo + 1], omitted, _below(lam, lo)
 
 
 def truncation_index(n: int, x: float, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
@@ -466,12 +427,13 @@ def _poisson_windows(lam, lo, hi, floor, policy, buffer):
     ``lam``, ``lo``, ``hi`` and ``floor`` are arrays from :func:`_poisson_start`
     of positive means whose windows lo..hi fit within ``max_terms``.  One
     :func:`_poisson_pmf` call evaluates the windows, concatenated, into
-    ``buffer`` if they fit there.  The first pass of :func:`_cut_at_tail`,
-    the tail sums from hi down to the floor, then runs for all of them at
-    once, one sequential cumulative sum per window as there.  A window whose
-    cut that pass certifies carries the bits :func:`_poisson_weights` gives
-    it, with omitted = tail + below.  Where the pass does not certify the
-    cut (it lies at or below the floor or below lo), the entry is None.
+    ``buffer`` if they fit there.  The first pass of the cut of
+    :func:`_poisson_weights`, the tail sums from hi down to the floor, then
+    runs for all of them at once, one sequential cumulative sum per window
+    as there.  A window whose cut that pass certifies carries the bits
+    :func:`_poisson_weights` gives it, with omitted = tail + below.  Where
+    the pass does not certify the cut (it lies at or below the floor or
+    below lo), the entry is None.
     """
     sizes = hi - lo + 1
     ends = np.cumsum(sizes) - 1
@@ -583,58 +545,41 @@ def bernstein_apply(n: int, f, x: float) -> float:
 
 
 def _negative_binomial_weights(n: int, x: float, policy: TruncationPolicy):
-    """Negative-binomial weights C(n+k-1,k) x^k / (1+x)^(n+k) on lo..K: ``(lo, w, tail, below)``.
+    """Negative-binomial weights C(n+k-1,k) x^k / (1+x)^(n+k) on lo..hi: ``(lo, w, above, below)``.
 
-    The initial window adds a geometric allowance on top of the usual
-    deviation-based width: the tail decays only like (x/(1+x))^k, so for
-    small n and large x it needs about (1+x) log(1/eps) extra terms.
-
-    The law is that of a sum S of n independent geometric variables, each
-    of mean x and second moment x (1 + 2x).  Maurer's inequality for sums
-    of nonnegative variables (JIPAM 4(1), 2003) gives
-    P(S <= nx - t) <= exp(-t^2 / (2 v)) with v = n x (1 + 2x), so the
-    window starts at lo = floor(nx - sqrt(2 L v)), for the budget L of the
-    Poisson windows, and below = exp(-(nx - lo + 1)^2 / (2 v)) bounds the
-    mass under lo (0.0 when lo = 0).  K, the tail and the weights from lo
-    on carry the bits of a window from k = 0, as for the Poisson windows.
-    A first window past ``max_terms``, as an overflowing mean gives, is
-    named before any term is evaluated.
+    The law is that of a sum S of n independent geometric variables of mean
+    x.  Each end of the window is a closed-form bound for the budget
+    L = log(2/tail_eps), and no tail is summed.  Maurer's inequality for
+    sums of nonnegative variables (JIPAM 4(1), 2003) gives P(S <= nx - t)
+    <= exp(-t^2 / (2 v)) with v = n x (1 + 2x), the summed second moments,
+    so lo = floor(nx - sqrt(2 L v)) has below = exp(-(nx - lo + 1)^2 / (2 v))
+    < tail_eps/2 under it (0.0 when lo = 0).  Janson's bound (Statist.
+    Probab. Lett. 135, 2018, Thm 2.1) gives P(S + n >= c n (1 + x))
+    <= exp(-n (c - 1 - log c)) for c >= 1, and c - 1 - log c
+    >= (c - 1)^2 / (2c), so c = 1 + a + sqrt(a^2 + 2a), a = L/n, puts
+    above = tail_eps/2 beyond hi = ceil(c n (1 + x)) - n.  A window past
+    ``max_terms``, as an overflowing mean gives, is named before any term
+    is evaluated.
     """
     if x == 0.0:
         return 0, np.array([1.0]), 0.0, 0.0
     mean = n * x
-    # Python floats, so an overflowing mean makes top inf with no warning (np.log keeps its bits)
-    sd = math.sqrt(n * x * (1.0 + x))
-    geometric = (1.0 + x) * max(0.0, float(np.log(1.0 / policy.tail_eps)))
-    top = mean + 20.0 * sd + geometric + 60.0
-    if not top < policy.max_terms:
+    # Python floats, so an overflowing mean makes top inf with no warning
+    L = math.log(2.0) - math.log(policy.tail_eps)
+    a = L / n
+    top = (1.0 + a + math.sqrt(a * a + 2.0 * a)) * n * (1.0 + x)
+    # hi + 1 = ceil(top) - n + 1 <= max_terms, and inf and nan fail
+    if not top <= policy.max_terms + n - 1:
         raise _past_max_terms("Baskakov mean", mean, policy)
+    hi = math.ceil(top) - n
     spread = mean * (1.0 + 2.0 * x)
-    log_budget = max(_WINDOW_LOG_BUDGET, -math.log(policy.tail_eps))
-
-    def pmf(lo, hi):
-        k = np.arange(lo, hi + 1)
-        log_factorial = _log_factorial_table(n + hi)
-        return np.exp(
-            log_factorial[n - 1 + k]
-            - log_factorial[k]
-            - log_factorial[n - 1]
-            + k * np.log(x)
-            - (n + k) * np.log1p(x)
-        )
-
-    lo, w, tail = _cut_at_tail(
-        max(0, math.floor(mean - math.sqrt(2.0 * log_budget * spread))),
-        int(top),
-        int((n - 1) * x),
-        pmf,
-        lambda hi: (n + hi) / (hi + 1.0) * x / (1.0 + x),
-        policy,
-        "Baskakov mean",
-        mean,
-    )
+    lo = max(0, math.floor(mean - math.sqrt(2.0 * L * spread)))
+    log_factorial = _log_factorial_table(n + hi)
+    k = np.arange(lo, hi + 1)
+    w = np.exp(log_factorial[n - 1 + k] - log_factorial[k] - log_factorial[n - 1]
+               + k * np.log(x) - (n + k) * np.log1p(x))
     below = math.exp(-(mean - lo + 1) ** 2 / (2.0 * spread)) if lo else 0.0
-    return lo, w, tail, below
+    return lo, w, 0.5 * policy.tail_eps, below
 
 
 def baskakov_apply(n: int, f, x: float, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
@@ -643,13 +588,14 @@ def baskakov_apply(n: int, f, x: float, policy: TruncationPolicy = DEFAULT_POLIC
     Experimental branch: its limiting behavior is only supported by a
     heuristic second-order coefficient, so none of the quantitative rate
     assertions elsewhere in the package rely on it.  f is evaluated only on
-    lo..K; the omitted mass is the tail beyond K plus the bound on the mass
-    below lo.
+    the window lo..hi of :func:`_negative_binomial_weights`; the omitted
+    mass is the sum of the closed-form bounds above hi and below lo, at
+    most ``tail_eps``.
     """
     n = _check_index(n)
     _check_real(x, "x")
-    lo, w, tail, below = _negative_binomial_weights(n, x, policy)
-    return SeriesValue(_average(lo, w, f, n), tail + below)
+    lo, w, above, below = _negative_binomial_weights(n, x, policy)
+    return SeriesValue(_average(lo, w, f, n), above + below)
 
 
 def sm_exponential_closed_form(n: int, lam: float, x):
@@ -668,7 +614,7 @@ def sm_exponential_closed_form(n: int, lam: float, x):
 
 
 def sm_moment(n: int, p: int, x: float) -> float:
-    """Raw moment E[T^p] of T ~ Poisson(n x), p in {1, 2}."""
+    """Raw moment E[T^p] of T ~ Poisson(n x), for p = 1 or 2."""
     n = _check_index(n)
     _check_real(x, "x")
     m = n * x
@@ -676,4 +622,4 @@ def sm_moment(n: int, p: int, x: float) -> float:
         return float(m)
     if p == 2:
         return float(m ** 2 + m)
-    raise ValueError(f"moment order p must be in {{1, 2}}, got {p}")
+    raise ValueError(f"p must be 1 or 2, got {p}")

@@ -494,6 +494,22 @@ class TestCLI:
         assert f"config error: {key} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    # the experiments that draw no random numbers drop a seed only once it
+    # passes the seeded experiments' check
+    @pytest.mark.parametrize("how", ["flag", "config-file"])
+    @pytest.mark.parametrize("experiment", ["voronovskaya", "kelisky-rivlin", "korovkin"])
+    def test_seedless_experiment_rejects_an_invalid_seed(self, tmp_path, capsys, experiment, how):
+        if how == "flag":
+            args, message = ["--seed", "-1"], "seed must be nonnegative, got -1"
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"seed": "abc"}))
+            args, message = ["--config", str(cfg_path)], "seed must be an integer, got 'abc'"
+        out = tmp_path / "x.csv"
+        assert main([experiment, *args, "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_default_experiments_import_nothing_and_load_no_scipy(self, tmp_path):
         # every module a default run needs loads with oplimits.cli, so
         # set-up, not the run, pays for it; scipy is needed by none of them

@@ -480,9 +480,9 @@ class TestBaskakov:
         assert baskakov_apply(4, CATALOG["f1"], 0.0).value == 1.0
 
     def test_heavy_geometric_tail_is_cut_honestly(self):
-        # at n = 1 the weights are geometric with ratio x/(1+x); reaching
-        # tail_eps at x = 50 needs ~1400 terms, well past a purely
-        # deviation-based window
+        # at n = 1 the weights are geometric with ratio x/(1+x), so at x = 50
+        # the mass above k = 1,400 is still 8.9e-13; Janson's bound ends the
+        # window at k = 2,990, well past a purely deviation-based window
         out = baskakov_apply(1, CATALOG["e1"], 50.0)
         assert 0.0 < out.omitted_mass <= DEFAULT_POLICY.tail_eps
         assert out.value == pytest.approx(50.0, abs=1e-8)
@@ -510,7 +510,7 @@ class TestMoments:
 
     def test_invalid_order(self):
         for p in (0, 3):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=rf"^p must be 1 or 2, got {p}$"):
                 sm_moment(3, p, 1.0)
 
     # Over lam in [1e-3, 5e4] the polynomials match the weighted sums within
@@ -583,7 +583,7 @@ class TestTruncationIndex:
 
     @pytest.mark.parametrize("max_terms", [0, 2.5, math.nan, math.inf])
     def test_max_terms_must_be_a_positive_integer(self, max_terms):
-        # a NaN cap would never stop _cut_at_tail
+        # a NaN cap would let every window past its max_terms check
         with pytest.raises(ValueError, match=r"^max_terms must be an integer >= 1"):
             TruncationPolicy(max_terms=max_terms)
 

@@ -1,23 +1,25 @@
-"""Series windows against full-window references, and the lattice-average checks.
+"""Series windows against full-window references and tail laws, and the lattice-average checks.
 
-The references below evaluate every pmf term on 0..hi and take the tail
-from a reversed cumulative sum over the whole window, as the windows were
-first written; a Poisson reference starts at the same Bernstein top hi.
-The windows in use start at a certified lower end lo and skip tail sums
-that cannot reach the cut, so K, the upper tail and every weight in lo..K
-must come back bit for bit, and the mass below lo must lie within its
-reported bound.
+The Poisson references below evaluate every pmf term on 0..hi and take the
+tail from a reversed cumulative sum over the whole window, as the windows
+were first written, starting at the same Bernstein top hi.  The windows in
+use start at a certified lower end lo and skip tail sums that cannot reach
+the cut, so K, the upper tail and every weight in lo..K must come back bit
+for bit, and the mass below lo must lie within its reported bound.  A
+negative-binomial window sums no tail: SciPy's tail laws check that each
+of its closed-form ends bounds the mass beyond it.
 """
 
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.special import gammaln, nbdtr, pdtr, pdtrc
+from scipy.special import gammaln, nbdtr, nbdtrc, pdtr, pdtrc
 
 import oplimits
 import oplimits.operators
@@ -72,23 +74,6 @@ def _full_poisson_weights(lam, policy):
     )
 
 
-def _full_negative_binomial_weights(n, x, policy):
-    sd = np.sqrt(n * x * (1.0 + x))
-    geometric = (1.0 + x) * max(0.0, np.log(1.0 / policy.tail_eps))
-    return _full_cut_at_tail(
-        int(n * x + 20.0 * sd + geometric + 60.0),
-        lambda k: np.exp(
-            gammaln(n + k.astype(float))
-            - gammaln(k + 1.0)
-            - gammaln(float(n))
-            + k * np.log(x)
-            - (n + k) * np.log1p(x)
-        ),
-        lambda hi: (n + hi) / (hi + 1.0) * x / (1.0 + x),
-        policy,
-    )
-
-
 def _assert_same_window(got, want):
     """K, the upper tail and the weights from lo on equal the reference's bits.
 
@@ -134,16 +119,6 @@ class TestBitsOfTheFullWindow:
         _assert_same_window(_poisson_weights(lam, policy),
                             _full_poisson_weights(lam, policy))
 
-    @WINDOW_SETTINGS
-    @given(n=st.integers(min_value=1, max_value=5000),
-           x=st.floats(min_value=1e-6, max_value=10.0), tail_eps=tail_eps_values)
-    @example(n=1, x=50.0, tail_eps=1e-12)
-    @example(n=5000, x=10.0, tail_eps=1e-15)
-    def test_negative_binomial(self, n, x, tail_eps):
-        policy = TruncationPolicy(tail_eps=tail_eps)
-        _assert_same_window(_negative_binomial_weights(n, x, policy),
-                            _full_negative_binomial_weights(n, x, policy))
-
     # a loose tolerance puts the cut below the floor, where the tail sum
     # must widen to the whole window; at 1e-300 the pmf at the cut is below
     # 1e-300, and at tail_eps = 5e-324 every tail that meets it is 0.  The
@@ -156,13 +131,6 @@ class TestBitsOfTheFullWindow:
         policy = TruncationPolicy(tail_eps=tail_eps)
         _assert_same_window(_poisson_weights(lam, policy),
                             _full_poisson_weights(lam, policy))
-
-    @pytest.mark.parametrize("tail_eps", [0.5, 0.999999, 1e-300])
-    @pytest.mark.parametrize("n, x", [(1, 0.5), (3, 2.0), (200, 4.0)])
-    def test_negative_binomial_cut_anywhere_in_the_window(self, n, x, tail_eps):
-        policy = TruncationPolicy(tail_eps=tail_eps)
-        _assert_same_window(_negative_binomial_weights(n, x, policy),
-                            _full_negative_binomial_weights(n, x, policy))
 
     # a tail equal to tail_eps meets it: with tail_eps set to a cut's own
     # omitted mass, the cut must not move
@@ -210,6 +178,16 @@ class TestTopOfTheWindow:
             with pytest.raises(TruncationFailureError, match="max_terms=1381"):
                 call()
 
+    # a finite mean whose Bernstein point overflows to inf, and one from
+    # 2^53 on, which no max_terms holds
+    @pytest.mark.parametrize("n, x", [(1, 1e308), (10, 1e307), (1, 2.0 ** 53)])
+    def test_a_mean_too_large_for_any_window_is_named(self, n, x):
+        want = "^" + re.escape(f"series window for mean {n * x} needs more than max_terms=1000000")
+        for call in (lambda: sm_apply(n, CATALOG["e0"], x),
+                     lambda: sm_apply_grid(n, CATALOG["e0"], [x])):
+            with pytest.raises(TruncationFailureError, match=want):
+                call()
+
 
 class TestMassBelowTheWindow:
     # pdtr(k, lam) is the Poisson(lam) mass at or below k
@@ -235,29 +213,62 @@ class TestMassBelowTheWindow:
         assert lo <= _lower_end(lam, 64.0 * math.log(2.0)) < lo + 512
 
 
-class TestMassBelowTheNegativeBinomialWindow:
-    # nbdtr(k, n, p) is the mass at or below k of the failures before the
-    # n-th success at success probability p; the Baskakov weights are that
-    # law at p = 1 / (1 + x)
+def _janson_top(n, x, tail_eps):
+    """The point hi above which Janson's bound leaves at most tail_eps/2 of NB(n, 1/(1 + x))."""
+    a = (math.log(2.0) - math.log(tail_eps)) / n
+    return math.ceil((1.0 + a + math.sqrt(a * a + 2.0 * a)) * n * (1.0 + x)) - n
+
+
+# windows of at most this many terms, so that none allocates much
+NB_MAX_TERMS = 1 << 20
+
+
+class TestEndsOfTheNegativeBinomialWindow:
+    # nbdtr(k, n, p) and nbdtrc(k, n, p) are the masses at or below k and
+    # above k of the failures before the n-th success at success
+    # probability p; the Baskakov weights are that law at p = 1 / (1 + x)
     @WINDOW_SETTINGS
-    @given(n=st.integers(min_value=1, max_value=5000),
-           x=st.floats(min_value=1e-6, max_value=50.0),
-           tail_eps=st.sampled_from([1e-6, 1e-12, 1e-15, 1e-30, 1e-300]))
-    @example(n=1000, x=5.0, tail_eps=1e-12)
-    @example(n=5000, x=50.0, tail_eps=1e-300)
-    def test_bound_is_certified_and_within_budget(self, n, x, tail_eps):
-        policy = TruncationPolicy(tail_eps=tail_eps)
-        lo, _, tail, below = _negative_binomial_weights(n, x, policy)
-        true_below = nbdtr(lo - 1, n, 1.0 / (1.0 + x)) if lo else 0.0
-        assert true_below <= below <= min(2.0 ** -64, tail_eps)
+    @given(n=st.integers(min_value=1, max_value=10 ** 4),
+           log_x=st.floats(min_value=-6.0, max_value=math.log10(5e3)),
+           tail_eps=st.sampled_from([0.999999, 0.5, 1e-6, 1e-12, 1e-300]))
+    @example(n=1000, log_x=math.log10(5.0), tail_eps=1e-12)
+    @example(n=1, log_x=math.log10(5e3), tail_eps=1e-300)
+    @example(n=10 ** 4, log_x=-6.0, tail_eps=0.999999)
+    @example(n=10 ** 4, log_x=2.0, tail_eps=1e-300)
+    def test_each_end_bounds_the_mass_beyond_it(self, n, log_x, tail_eps):
+        x = 10.0 ** log_x
+        policy = TruncationPolicy(tail_eps=tail_eps, max_terms=NB_MAX_TERMS)
+        hi = _janson_top(n, x, tail_eps)
+        if hi + 1 > NB_MAX_TERMS:
+            with pytest.raises(TruncationFailureError, match="^series window for Baskakov mean"):
+                _negative_binomial_weights(n, x, policy)
+            return
+        lo, w, above, below = _negative_binomial_weights(n, x, policy)
+        assert 0 <= lo <= hi == lo + w.size - 1
+        p = 1.0 / (1.0 + x)
+        assert (nbdtr(lo - 1, n, p) if lo else 0.0) <= below
+        assert nbdtrc(hi, n, p) <= above
+        assert above + below <= tail_eps
         if lo == 0:
             assert below == 0.0
-        assert baskakov_apply(n, CATALOG["e0"], x, policy).omitted_mass == tail + below
+        assert baskakov_apply(n, CATALOG["e0"], x, policy).omitted_mass == above + below
 
-    def test_lower_end_drops_the_terms_below_it(self):
-        # of the 6,310 terms from k = 0 up to the cut, the first 2,790 go
-        lo, w, _, _ = _negative_binomial_weights(1000, 5.0, DEFAULT_POLICY)
-        assert (lo, lo + w.size) == (2790, 6310)
+    # a loose tolerance or a tight one; the top is the last term evaluated
+    @pytest.mark.parametrize("tail_eps", [0.5, 0.999999, 1e-300])
+    @pytest.mark.parametrize("n, x", [(1, 0.5), (3, 2.0), (200, 4.0)])
+    def test_a_window_that_fits_max_terms_is_not_refused(self, n, x, tail_eps):
+        hi = _janson_top(n, x, tail_eps)
+        lo, w, _, _ = _negative_binomial_weights(n, x, TruncationPolicy(tail_eps, hi + 1))
+        assert lo + w.size - 1 == hi
+        with pytest.raises(TruncationFailureError, match=f"max_terms={hi} terms"):
+            _negative_binomial_weights(n, x, TruncationPolicy(tail_eps, hi))
+
+    def test_window_of_a_worked_case(self):
+        # at n = 1000, x = 5 and tail_eps = 1e-12, L = log(2e12) = 28.3:
+        # lo = floor(5000 - sqrt(2 L 55000)) and hi = ceil(1.2680 * 6000) - 1000
+        lo, w, above, below = _negative_binomial_weights(1000, 5.0, DEFAULT_POLICY)
+        assert (lo, lo + w.size - 1) == (3234, 6609)
+        assert above == 5e-13 and below == pytest.approx(4.7075e-13, rel=1e-4)
 
 
 class TestLatticeAverage:
