@@ -33,7 +33,9 @@ def weight_eval(alpha: float, x: float):
     """
     _check_real(alpha, "alpha", 1.0)
     xa = _check_reals(x, "x")
-    out = 1.0 / (1.0 + xa ** alpha)
+    with np.errstate(over="ignore"):  # a power past the largest double is inf, weight 0.0
+        xa = xa ** alpha
+    out = 1.0 / (1.0 + xa)
     return float(out) if np.isscalar(x) else out
 
 

@@ -414,13 +414,13 @@ def run_kelisky_rivlin(config: ExperimentConfig, report: _Report):
     n = config.n_ladder[0]
     f = config.function()
     kernel = bernstein_kernel(n)
-    latt = kernel.lattice()
-    ref = np.array([kelisky_rivlin_reference(f, float(x)) for x in latt])
+    latt = np.arange(n + 1) / n
+    ref = kelisky_rivlin_reference(f, latt)
 
     v = np.asarray(f(latt), dtype=float)
     w = np.empty_like(v)
     for k in range(1, config.k_max + 1):
-        v, w = kernel.step(v, out=w), v
+        v, w = np.dot(kernel, v, out=w), v
         report.trend("deviation", {"check": "deviation", "n": n, "k": k, "f": f.label},
                      float(np.max(np.abs(v - ref))))
     report.final("deviation", {"check": "final-deviation", "n": n, "k": config.k_max,

@@ -7,13 +7,13 @@ absorbing.  For the binomial (Bernstein) chain on [0, 1] the law from i/n is
 Binomial(n, i/n)/n, with 0 and 1 absorbing.
 
 The kernels' rows come from the series' own pmf routines in
-:mod:`oplimits.operators`.
+:mod:`oplimits.operators`; the binomial kernel is a plain dense matrix.
 
-Exact computation truncates the state space at a cutoff K and applies the
-row-stochastic kernel repeatedly.  Each Poisson row keeps a two-sided
-window whose Bernstein tail bounds certify at most 2^-64 of mass missing on
-either side, below the resolution of a row sum.  The rows are stored as
-dense blocks of consecutive rows, each spanning the union of its rows'
+Exact computation truncates the Poisson state space at a cutoff K and
+applies the kernel repeatedly.  Each Poisson row keeps a two-sided window
+whose Bernstein tail bounds certify at most 2^-64 of mass missing on
+either side, below the resolution of a row sum.  A kernel is its dense
+blocks of consecutive rows, each spanning the union of its rows'
 windows, so a step is one dense (BLAS) matrix product per block.  numpy
 releases the GIL around each product, so several threads step a large
 kernel, each claiming the next block; a block writes rows of its own, so
@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 from numpy.fft import irfft
 
-from .errors import CutoffTooSmallError, EvaluationError, _check_index, _check_real
+from .errors import CutoffTooSmallError, EvaluationError, _check_index, _check_real, _check_reals
 from .mc import _run_claimed, _usable_cpus
 from .operators import (
     DEFAULT_POLICY,
@@ -74,48 +74,40 @@ _MIN_THREADED_ENTRIES = 2 ** 20
 class TransitionKernel:
     """One-step transition probabilities on the lattice {i/n : 0 <= i <= K}.
 
-    Row i stores columns ``lo[i]..hi[i]``; one minus their sum is the mass
-    that row lost to truncation (within-row tail plus anything beyond K).
     The rows are held in dense blocks ``(r0, c0, D)`` of consecutive rows:
     ``D[a, b]`` is the probability of moving from state r0 + a to state
-    c0 + b, and is 0.0 outside the row's stored columns.
+    c0 + b, and is 0.0 outside the row's window; one minus a row's sum is
+    the mass it lost to truncation (within-row tail plus anything beyond K).
     """
 
     n: int
-    lo: np.ndarray = field(repr=False)
-    hi: np.ndarray = field(repr=False)
     blocks: tuple = field(repr=False)
 
     @property
     def size(self) -> int:
-        return self.lo.size
+        r0, _, block = self.blocks[-1]
+        return r0 + block.shape[0]
 
     def lattice(self) -> np.ndarray:
         return np.arange(self.size) / self.n
 
-    def row(self, i: int) -> np.ndarray:
-        """The stored columns ``lo[i]..hi[i]`` of row i (a view)."""
-        # every block but the last is as tall as the first
-        r0, c0, block = self.blocks[i // self.blocks[0][2].shape[0]]
-        return block[i - r0, self.lo[i] - c0:self.hi[i] - c0 + 1]
-
-    def step(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out`` = P ``x``, for states or columns of them, one product per block."""
-        for r0, c0, block in self.blocks:
-            h, w = block.shape
-            np.dot(block, x[c0:c0 + w], out=out[r0:r0 + h])
-        return out
-
     @functools.cached_property
     def matrix(self):
-        """The stored rows as a ``scipy.sparse`` CSR matrix, built on first access."""
+        """The blocks' nonzero entries as a ``scipy.sparse`` CSR matrix, built on first access.
+
+        A window's entries are pmf values of about 1e-19 or more, far above
+        the smallest double, so the nonzeros are exactly the rows' windows.
+        """
         from scipy import sparse
 
-        indptr = np.concatenate([[0], np.cumsum(self.hi - self.lo + 1)])
-        indices = (np.arange(indptr[-1])
-                   - np.repeat(indptr[:-1] - self.lo, np.diff(indptr))).astype(np.int32)
-        data = np.concatenate([self.row(i) for i in range(self.size)])
-        return sparse.csr_matrix((data, indices, indptr),
+        counts, indices, data = [[0]], [], []
+        for _, c0, block in self.blocks:
+            flat = np.flatnonzero(block)
+            counts.append(np.count_nonzero(block, axis=1))
+            indices.append((flat % block.shape[1] + c0).astype(np.int32))
+            data.append(block.ravel()[flat])
+        return sparse.csr_matrix((np.concatenate(data), np.concatenate(indices),
+                                  np.cumsum(np.concatenate(counts))),
                                  shape=(self.size, self.size), copy=False)
 
 
@@ -197,10 +189,10 @@ def build_sm_kernel(
         (r0, int(lo[r0]), _poisson_block(r0, min(r0 + _BLOCK_ROWS, K + 1), lo, hi))
         for r0 in range(0, K + 1, _BLOCK_ROWS)
     )
-    kernel = TransitionKernel(n=n, lo=lo, hi=hi, blocks=blocks)
+    kernel = TransitionKernel(n=n, blocks=blocks)
     if checked_rows is not None:
         checked_rows = min(_check_index(checked_rows, "checked_rows", least=0), K)
-        # the slices of TransitionKernel.row, taken block by block
+        # each row's window lo..hi, taken block by block
         defect = []
         for r0, c0, block in blocks:
             r1 = min(r0 + block.shape[0], checked_rows + 1)
@@ -215,20 +207,17 @@ def build_sm_kernel(
     return kernel
 
 
-def bernstein_kernel(n: int) -> TransitionKernel:
-    """Exact (n+1) x (n+1) binomial transition kernel on {i/n : 0 <= i <= n}.
+def bernstein_kernel(n: int) -> np.ndarray:
+    """Exact (n+1) x (n+1) binomial transition matrix on {i/n : 0 <= i <= n}.
 
     Row i is Binomial(n, i/n); rows 0 and n are point masses (absorbing
-    endpoints) and no row is truncated.  The kernel is one dense block.
+    endpoints) and no row is truncated.
     """
     n = _check_index(n)
     rows = np.zeros((n + 1, n + 1))
     rows[0, 0] = rows[n, n] = 1.0
     rows[1:n] = _binomial_pmf(n, np.arange(1, n)[:, None] / n, np.arange(n + 1))
-    lo = np.zeros(n + 1, dtype=np.int64)
-    hi = np.full(n + 1, n, dtype=np.int64)
-    lo[n], hi[0] = n, 0
-    return TransitionKernel(n=n, lo=lo, hi=hi, blocks=((0, 0, rows),))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -465,9 +454,9 @@ def chain_terminal_values(
     return np.divide(_atoms(cdf, u), n, out=u)
 
 
-def kelisky_rivlin_reference(f, x: float) -> float:
-    """Fixed-n limit of Bernstein iterates: the chord f(0) + (f(1) - f(0)) x."""
-    _check_real(x, "x", 0.0, 1.0)
+def kelisky_rivlin_reference(f, x):
+    """Fixed-n limit of Bernstein iterates: the chord f(0) + (f(1) - f(0)) x, x a point or array."""
+    x = _check_reals(x, "x", 0.0, 1.0)
     f0 = float(f(0.0))
     f1 = float(f(1.0))
     return f0 + (f1 - f0) * x

@@ -19,10 +19,12 @@ upper tail, summed exactly, meets the tolerance.  A Baskakov window has
 two closed-form ends, each with at most half the tolerance beyond it, and
 sums no tail.  f is evaluated only inside a window.  Weights are computed
 in log space, which stays stable for Poisson means up to at least 5e4;
-all three laws read log k! from one table (``_log_factorial_table``) that
-grows on demand.  Its entries are Cephes ``lgam(k + 1)`` evaluated with
-libm logarithms (``_log_factorials``), the same doubles as SciPy's
-log-gamma (also Cephes ``lgam``) without loading it.
+the Poisson and binomial laws read log k! from one table
+(``_log_factorial_table``) that grows on demand, and the Baskakov law
+sums the logs of its weight ratios from log-gamma values at lo.  The
+table's entries are Cephes ``lgam(k + 1)`` evaluated with libm logarithms
+(``_log_factorials``), the same doubles as SciPy's log-gamma (also Cephes
+``lgam``) without loading it.
 
 One routine, ``_poisson_pmf``, evaluates the Poisson law on ranges of
 integers, for a series window, for a block of kernel rows and for the
@@ -574,10 +576,14 @@ def _negative_binomial_weights(n: int, x: float, policy: TruncationPolicy):
     hi = math.ceil(top) - n
     spread = mean * (1.0 + 2.0 * x)
     lo = max(0, math.floor(mean - math.sqrt(2.0 * L * spread)))
-    log_factorial = _log_factorial_table(n + hi)
-    k = np.arange(lo, hi + 1)
-    w = np.exp(log_factorial[n - 1 + k] - log_factorial[k] - log_factorial[n - 1]
-               + k * np.log(x) - (n + k) * np.log1p(x))
+    # log w_lo, then the logs of the ratios w_j / w_(j-1) = q + q (n - 1) / j,
+    # q = x / (1 + x), summed in order: the work follows the window, not n
+    log_w = np.arange(lo, hi + 1, dtype=float)
+    log_w[0] = (math.lgamma(n + lo) - math.lgamma(n) - math.lgamma(lo + 1.0)
+                + lo * math.log(x) - (n + lo) * math.log1p(x))
+    q = x / (1.0 + x)
+    log_w[1:] = np.log(np.divide(q * (n - 1), log_w[1:], out=log_w[1:]) + q)
+    w = np.exp(np.cumsum(log_w, out=log_w), out=log_w)
     below = math.exp(-(mean - lo + 1) ** 2 / (2.0 * spread)) if lo else 0.0
     return lo, w, 0.5 * policy.tail_eps, below
 
@@ -608,8 +614,10 @@ def sm_exponential_closed_form(n: int, lam: float, x):
     n = _check_index(n)
     x = _check_reals(x, "x")
     _check_real(lam, "lam", open_ends=True)
-    # -expm1 keeps 1 - exp(-lam/n) accurate when lam/n is tiny
-    values = np.exp(-n * x * (-np.expm1(-lam / n)))
+    # -expm1 keeps 1 - exp(-lam/n) accurate for tiny lam/n; an overflow is -inf, value 0.0
+    with np.errstate(over="ignore"):
+        exponent = -n * x * (-np.expm1(-lam / n))
+    values = np.exp(exponent)
     return float(values) if values.ndim == 0 else values
 
 

@@ -24,6 +24,9 @@ class TestWeight:
         assert weight_eval(2.0, 0.0) == 1.0
         assert weight_eval(2.0, 1.0) == 0.5
         assert weight_eval(2.0, 3.0) == pytest.approx(0.1, abs=1e-15)
+        # x ** alpha past the largest double: the weight is 0.0, with no warning
+        assert weight_eval(2.0, 1e200) == 0.0
+        np.testing.assert_array_equal(weight_eval(2.0, np.array([1.0, 1e200])), [0.5, 0.0])
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

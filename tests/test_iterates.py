@@ -202,8 +202,11 @@ class TestCertifiedWindows:
         hi = np.minimum(K, hi)
         lo[0] = hi[0] = 0
         kernel = build_sm_kernel(n, K)
-        np.testing.assert_array_equal(kernel.lo, lo)
-        np.testing.assert_array_equal(kernel.hi, hi)
+        # each row's nonzero columns span its window, with no gap
+        m = kernel.matrix
+        np.testing.assert_array_equal(m.indices[m.indptr[:-1]], lo)
+        np.testing.assert_array_equal(m.indices[m.indptr[1:] - 1], hi)
+        np.testing.assert_array_equal(np.diff(m.indptr), hi - lo + 1)
         for r0, c0, block in kernel.blocks:
             assert c0 == lo[r0]
             np.testing.assert_array_equal(
@@ -432,33 +435,31 @@ class TestKernelIterate:
 class TestBernsteinKernel:
     def test_absorbing_endpoints(self):
         kernel = bernstein_kernel(6)
-        top = kernel.matrix[[6]].toarray().ravel()
-        bottom = kernel.matrix[[0]].toarray().ravel()
+        top, bottom = kernel[6], kernel[0]
         assert bottom[0] == 1.0 and np.all(bottom[1:] == 0.0)
         assert top[6] == 1.0 and np.all(top[:6] == 0.0)
 
     def test_rows_are_stochastic(self):
         kernel = bernstein_kernel(9)
-        for i in range(10):
-            row = kernel.matrix[[i]].toarray().ravel()
+        for row in kernel:
             assert float(row.sum()) == pytest.approx(1.0, abs=1e-14)
 
     def test_binomial_row(self):
+        # nothing is truncated: the kernel is dense on all n + 1 states, and
+        # every interior row has all n + 1 of them in its support
         kernel = bernstein_kernel(2)
-        row = kernel.matrix[[1]].toarray().ravel()
-        np.testing.assert_allclose(row, [0.25, 0.5, 0.25], atol=1e-15)
-
-    def test_zero_defect(self):
-        # nothing is truncated: interior rows store all n + 1 states
+        assert isinstance(kernel, np.ndarray) and kernel.shape == (3, 3)
+        np.testing.assert_allclose(kernel[1], [0.25, 0.5, 0.25], atol=1e-15)
         n = 5
-        stored = np.diff(bernstein_kernel(n).matrix.indptr)
+        stored = np.count_nonzero(bernstein_kernel(n), axis=1)
         np.testing.assert_array_equal(stored, [1] + [n + 1] * (n - 1) + [1])
 
     @pytest.mark.parametrize("n", [1, 2, 5, 57, 1000])
     def test_rows_equal_per_row_binomial_pmf(self, n):
         # the kernel fills its interior rows in one broadcast call; each must
         # carry the bits of the scalar-p call for that row
-        rows = bernstein_kernel(n).matrix.toarray()
+        rows = bernstein_kernel(n)
+        assert rows.shape == (n + 1, n + 1)
         j = np.arange(n + 1)
         oracle = np.zeros((n + 1, n + 1))
         oracle[0, 0] = oracle[n, n] = 1.0
@@ -477,16 +478,26 @@ class TestKeliskyRivlin:
     def test_domain(self):
         with pytest.raises(ValueError):
             kelisky_rivlin_reference(CATALOG["e2"], 1.2)
+        with pytest.raises(ValueError, match=r"^x must be in \[0, 1\], got 1\.5"):
+            kelisky_rivlin_reference(CATALOG["e2"], np.array([0.0, 1.5]))
+
+    @pytest.mark.parametrize("label", sorted(CATALOG))
+    def test_array_equals_per_point_calls(self, label):
+        f = CATALOG[label]
+        x = np.arange(58) / 57
+        got = kelisky_rivlin_reference(f, x)
+        assert isinstance(got, np.ndarray) and got.shape == x.shape
+        np.testing.assert_array_equal(got, [kelisky_rivlin_reference(f, float(u)) for u in x])
 
     def test_iterates_contract_geometrically(self):
         n = 5
         kernel = bernstein_kernel(n)
-        latt = kernel.lattice()
-        ref = np.array([kelisky_rivlin_reference(CATALOG["e2"], float(x)) for x in latt])
+        latt = np.arange(n + 1) / n
+        ref = kelisky_rivlin_reference(CATALOG["e2"], latt)
         v = np.asarray(CATALOG["e2"](latt), dtype=float)
         devs = []
         for _ in range(60):
-            v = kernel.matrix @ v
+            v = kernel @ v
             devs.append(float(np.max(np.abs(v - ref))))
         assert all(b <= a + 1e-12 for a, b in zip(devs, devs[1:]))
         # spectral gap 1 - 1/n = 0.8 drives the decay

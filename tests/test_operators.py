@@ -187,7 +187,9 @@ half_line = st.floats(min_value=1e-6, max_value=10.0)
 
 
 class TestLatticeLawsFromTable:
-    """Binomial and negative-binomial weights read log k! from the table bit for bit."""
+    """Binomial weights read log k! from the table bit for bit; negative-binomial
+    weights, summed from log-gamma at the window's lower end, stay within a few
+    units in the last place of the formula's largest log term."""
 
     @PROPERTY_SETTINGS
     @given(n=indices, p=interior)
@@ -206,17 +208,24 @@ class TestLatticeLawsFromTable:
     @PROPERTY_SETTINGS
     @given(n=indices, x=half_line)
     @example(n=1, x=0.5)
+    @example(n=1, x=1e-6)
+    @example(n=5000, x=1e-6)
+    @example(n=5000, x=10.0)
     def test_negative_binomial_equals_gammaln_formula(self, n, x):
         lo, w, _, _ = _negative_binomial_weights(n, x, DEFAULT_POLICY)
         k = np.arange(lo, lo + w.size)
-        direct = np.exp(
-            gammaln(n + k.astype(float))
-            - gammaln(k + 1.0)
-            - gammaln(float(n))
-            + k * np.log(x)
-            - (n + k) * np.log1p(x)
-        )
-        np.testing.assert_array_equal(w, direct)
+        terms = np.array([
+            gammaln(n + k.astype(float)),
+            -gammaln(k + 1.0),
+            np.full(k.size, -gammaln(float(n))),
+            k * np.log(x),
+            -(n + k) * np.log1p(x),
+        ])
+        direct = np.exp(terms.sum(axis=0))
+        # each log weight is off by a few units of its largest term's last
+        # place, and a subnormal weight by one more unit of 2^-1074
+        slack = 4.0 * np.finfo(float).eps * np.abs(terms).sum(axis=0) * direct
+        assert np.all(np.abs(w - direct) <= slack + 2.0 ** -1074)
 
     def test_scalar_index_grows_the_table(self, monkeypatch):
         monkeypatch.setattr(oplimits.operators, "_log_factorial_cache", np.empty(0))
@@ -292,6 +301,7 @@ class TestSzaszMirakyan:
         got = sm_apply(10, CATALOG["f1"], 2.0)
         assert got.value == pytest.approx(direct, abs=1e-10)
         assert sm_exponential_closed_form(10, 1.0, 2.0) == pytest.approx(direct, rel=1e-15)
+        assert sm_exponential_closed_form(10, 1.0, 1e308) == 0.0
 
     def test_closed_form_agreement_across_policies(self):
         for n, x in [(1, 0.5), (10, 2.0), (100, 7.0), (100, 50.0)]:
@@ -302,7 +312,8 @@ class TestSzaszMirakyan:
                 assert abs(series - closed) <= DEFAULT_POLICY.tail_eps + 1e-14
 
     def test_closed_form_on_an_array_equals_scalar_calls(self):
-        x = np.array([0.0, 0.25, 1.0, 7.5, 300.0])
+        # at 1e308 the exponent is past the largest double: the value is 0.0
+        x = np.array([0.0, 0.25, 1.0, 7.5, 300.0, 1e308])
         got = sm_exponential_closed_form(50, 2.0, x)
         assert isinstance(got, np.ndarray) and got.shape == x.shape
         expected = [sm_exponential_closed_form(50, 2.0, float(v)) for v in x]
@@ -478,6 +489,17 @@ class TestBaskakov:
     def test_positivity_and_origin(self):
         assert baskakov_apply(4, CATALOG["xexp"], 3.0).value >= 0.0
         assert baskakov_apply(4, CATALOG["f1"], 0.0).value == 1.0
+
+    def test_work_follows_the_window_not_n(self, monkeypatch):
+        # the window of n = 10^7 at x = 1e-6 is 0..23,840; a log k! table
+        # read at n - 1 + k would hold ten million entries
+        monkeypatch.setattr(oplimits.operators, "_log_factorial_cache", np.empty(0))
+        n, x = 10 ** 7, 1e-6
+        got = baskakov_apply(n, CATALOG["e2"], x).value
+        assert oplimits.operators._log_factorial_cache.size < 2 ** 17
+        # within the benchmark's Baskakov tolerance of the closed form
+        want = x * x + x * (1.0 + x) / n
+        assert abs(got - want) <= 1e-8 * want + 1e-15
 
     def test_heavy_geometric_tail_is_cut_honestly(self):
         # at n = 1 the weights are geometric with ratio x/(1+x), so at x = 50
