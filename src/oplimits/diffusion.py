@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UnsupportedMethodError, _check_index, _check_real
+from .errors import UnsupportedMethodError, _check_index, _check_real, _check_reals
 from .mc import (
     _MIN_THREADED_CHUNK,
     MonteCarloEstimate,
@@ -128,16 +128,22 @@ def wf_euler_terminal(
     return v
 
 
-def feller_semigroup_closed_form(lam: float, x: float, t: float) -> float:
+def feller_semigroup_closed_form(lam: float, x, t: float):
     """E[exp(-lam Y_t)] for the square-root diffusion from x.
 
     Equals ``exp(-lam x / (1 + lam t / 2))``; serves as the oracle against
-    which the exact sampler and the chain iterates are checked.
+    which the exact sampler and the chain iterates are checked.  ``x`` may
+    be an array of points; a scalar x gives a float.  Where ``lam x`` or
+    ``lam t`` overflows, the exponent is taken as ``-x / (1/lam + t/2)``.
     """
     _check_real(lam, "lam", open_ends=True)
-    _check_real(x, "x")
+    x = _check_reals(x, "x")
     _check_real(t, "t")
-    return float(np.exp(-lam * x / (1.0 + lam * t / 2.0)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow's entries are replaced
+        num, den = -lam * x, 1.0 + lam * t / 2.0
+        exponent = np.where(np.isinf(num) | np.isinf(den), -x / (1.0 / lam + t / 2.0), num / den)
+    values = np.exp(exponent)
+    return float(values) if values.ndim == 0 else values
 
 
 FELLER = "feller"

@@ -4,7 +4,8 @@ Provides the polynomial-taming weights ``w_alpha(x) = 1/(1 + x^alpha)``,
 the evaluation grids that weighted sup-norms are taken over (a grid max is
 a lower bound of the supremum over [0, inf)), and a catalog of standard
 test functions with analytic second derivatives (exponentials, monomials,
-two bounded rational/exponential profiles and a cubic kink).
+two bounded rational/exponential profiles and a cubic kink), one table row
+each of numpy expressions on the float array a call makes of its argument.
 """
 
 from dataclasses import dataclass, field
@@ -48,9 +49,10 @@ class TestFunction:
     label : str
         Catalog identifier.
     fn : callable
-        Vectorized evaluation map; total and finite on [0, inf).
+        Evaluation map on a float array (0-d for a point), total and finite
+        on [0, inf); calling the function converts its argument to one.
     d2_fn : callable, optional
-        Analytic second derivative, which the generator evaluates.
+        Analytic second derivative on a float array, which the generator evaluates.
     lip_d2 : float, optional
         A known Lipschitz constant of the second derivative.
     """
@@ -68,7 +70,7 @@ class TestFunction:
             _check_real(self.lip_d2, "lip_d2")
 
     def __call__(self, x):
-        return self.fn(x)
+        return self.fn(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -112,69 +114,31 @@ def make_geometric_grid(x_max: float, m: int, dense_head: int = 0) -> Grid:
     return Grid(points[np.concatenate([[True], points[1:] != points[:-1]])])
 
 
-def _const_one(x):
-    return np.ones_like(np.asarray(x, dtype=float))
-
-
-def _const_zero(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
-def _make_exp(lam: float) -> TestFunction:
-    return TestFunction(
-        label=f"f{int(lam)}",
-        fn=lambda x, lam=lam: np.exp(-lam * np.asarray(x, dtype=float)),
-        d2_fn=lambda x, lam=lam: lam ** 2 * np.exp(-lam * np.asarray(x, dtype=float)),
-        lip_d2=lam ** 3,  # sup |f'''| = lam^3 at x = 0
-    )
-
-
 def catalog() -> dict:
     """Standard test functions keyed by label.
 
-    e0, e1, e2 are the monomials 1, x, x^2; f1, f2, f3 are exp(-lam x)
-    for lam = 1, 2, 3; xexp is x exp(-x); cauchy is 1/(1 + x^2); kink3 is
-    |x - 1|^3, whose f'' = 6 |x - 1| is Lipschitz while f''' jumps at
-    x = 1, so its Voronovskaya residual decays at the sharp half-order rate.
+    e0, e1, e2 are the monomials 1, x, x^2; xexp is x exp(-x); cauchy is
+    1/(1 + x^2); kink3 is |x - 1|^3, whose f'' = 6 |x - 1| is Lipschitz
+    while f''' jumps at x = 1, so its Voronovskaya residual decays at the
+    sharp half-order rate; f1, f2, f3 are exp(-lam x) for lam = 1, 2, 3.
     """
-    funcs = {
-        "e0": TestFunction("e0", _const_one, _const_zero, lip_d2=0.0),
-        "e1": TestFunction(
-            "e1",
-            lambda x: np.asarray(x, dtype=float),
-            _const_zero,
-            lip_d2=0.0,
-        ),
-        "e2": TestFunction(
-            "e2",
-            lambda x: np.asarray(x, dtype=float) ** 2,
-            lambda x: 2.0 * np.ones_like(np.asarray(x, dtype=float)),
-            lip_d2=0.0,
-        ),
-        "xexp": TestFunction(
-            "xexp",
-            lambda x: np.asarray(x, dtype=float) * np.exp(-np.asarray(x, dtype=float)),
-            lambda x: (np.asarray(x, dtype=float) - 2.0)
-            * np.exp(-np.asarray(x, dtype=float)),
-            lip_d2=3.0,  # sup |(3 - x) exp(-x)| = 3 at x = 0
-        ),
-        "cauchy": TestFunction(
-            "cauchy",
-            lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float) ** 2),
-            lambda x: (6.0 * np.asarray(x, dtype=float) ** 2 - 2.0)
-            / (1.0 + np.asarray(x, dtype=float) ** 2) ** 3,
-        ),
-        "kink3": TestFunction(
-            "kink3",
-            lambda x: np.abs(np.asarray(x, dtype=float) - 1.0) ** 3,
-            lambda x: 6.0 * np.abs(np.asarray(x, dtype=float) - 1.0),
-            lip_d2=6.0,  # |f'''| = 6 on both sides of the jump at x = 1
-        ),
-    }
-    for lam in (1.0, 2.0, 3.0):
-        tf = _make_exp(lam)
-        funcs[tf.label] = tf
-    return funcs
+    rows = [
+        TestFunction("e0", np.ones_like, np.zeros_like, lip_d2=0.0),
+        TestFunction("e1", lambda x: x, np.zeros_like, lip_d2=0.0),
+        TestFunction("e2", lambda x: x ** 2, lambda x: np.full_like(x, 2.0), lip_d2=0.0),
+        TestFunction("xexp", lambda x: x * np.exp(-x), lambda x: (x - 2.0) * np.exp(-x),
+                     lip_d2=3.0),  # sup |(3 - x) exp(-x)| = 3 at x = 0
+        # np.square squares a Python float as an array's ** 2 does; its ** 2 goes through pow
+        TestFunction("cauchy", lambda x: 1.0 / (1.0 + x ** 2),
+                     lambda x: (6.0 * np.square(x) - 2.0) / (1.0 + np.square(x)) ** 3),
+        TestFunction("kink3", lambda x: np.abs(x - 1.0) ** 3, lambda x: 6.0 * np.abs(x - 1.0),
+                     lip_d2=6.0),  # |f'''| = 6 on both sides of the jump at x = 1
+        *(TestFunction(f"f{int(lam)}", lambda x, lam=lam: np.exp(-lam * x),
+                       lambda x, lam=lam: lam ** 2 * np.exp(-lam * x),
+                       lip_d2=lam ** 3)  # sup |f'''| = lam^3 at x = 0
+          for lam in (1.0, 2.0, 3.0)),
+    ]
+    return {f.label: f for f in rows}
 
 
 CATALOG = catalog()

@@ -378,7 +378,7 @@ def run_semigroup_convergence(config: ExperimentConfig, report: _Report):
 
         stderr = None
         if lam is not None:
-            ref = np.array([feller_semigroup_closed_form(lam, float(x), t) for x in xs])
+            ref = feller_semigroup_closed_form(lam, xs, t)
         else:
             ests = [
                 semigroup_mc(FELLER, t, float(x), f, config.samples,

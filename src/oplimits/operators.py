@@ -614,9 +614,10 @@ def sm_exponential_closed_form(n: int, lam: float, x):
     n = _check_index(n)
     x = _check_reals(x, "x")
     _check_real(lam, "lam", open_ends=True)
-    # -expm1 keeps 1 - exp(-lam/n) accurate for tiny lam/n; an overflow is -inf, value 0.0
-    with np.errstate(over="ignore"):
-        exponent = -n * x * (-np.expm1(-lam / n))
+    c = -np.expm1(-lam / n)  # 1 - exp(-lam/n), accurate for tiny lam/n
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow's entries are replaced
+        # where n x overflows, x (n c) overflows only with the exponent, whose value is 0.0
+        exponent = np.where(np.isinf(n * x), -x * (n * c), -n * x * c)
     values = np.exp(exponent)
     return float(values) if values.ndim == 0 else values
 

@@ -29,9 +29,34 @@ def poisson_pmf(lam, lo, hi):
         return out
 
 
+def _one_minus_exp_neg(q):
+    """1 - exp(-q) for a Decimal q >= 0.
+
+    Below q = 1/10 the difference would cancel (to 0 once q is under about
+    10^-DIGITS), so it is summed from its series q - q^2/2 + q^3/6 - ...,
+    whose terms shrink at least tenfold each, until they no longer count.
+    """
+    if q > Decimal("0.1"):
+        return 1 - (-q).exp()
+    total, term, k = Decimal(0), q, 1
+    while total + term != total:
+        total += term
+        k += 1
+        term = -term * q / k
+    return total
+
+
 def sm_exponential(n, lam, x):
     """The Szasz-Mirakyan operator of index n on exp(-lam u) at x: exp(-n x (1 - exp(-lam/n)))."""
     with localcontext() as ctx:
         ctx.prec = DIGITS
         n, lam, x = Decimal(n), Decimal(lam), Decimal(x)
-        return (-n * x * (1 - (-lam / n).exp())).exp()
+        return (-n * x * _one_minus_exp_neg(lam / n)).exp()
+
+
+def feller_laplace(lam, x, t):
+    """The square-root diffusion's Laplace transform E[exp(-lam Y_t)] from x: exp(-lam x / (1 + lam t / 2))."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        lam, x, t = Decimal(lam), Decimal(x), Decimal(t)
+        return (-lam * x / (1 + lam * t / 2)).exp()

@@ -289,6 +289,34 @@ class TestSemigroupMC:
     def test_closed_form_edges(self):
         assert feller_semigroup_closed_form(2.0, 1.5, 0.0) == pytest.approx(math.exp(-3.0))
         assert feller_semigroup_closed_form(3.0, 0.0, 2.0) == 1.0
+        # lam x and lam t, or lam t alone, past the largest double: the true
+        # values, within the budget tests/test_exact.py derives: 4 roundings
+        # of the exponent E, one ulp of exp and half an ulp, (4 |E| + 3) 2^-53
+        assert feller_semigroup_closed_form(1e200, 1e200, 1e200) == pytest.approx(
+            math.exp(-2.0), rel=(4 * 2.0 + 3) * 2.0 ** -53)
+        assert feller_semigroup_closed_form(1e300, 1.0, 1e10) == pytest.approx(
+            0.9999999998, rel=(4 * 2e-10 + 3) * 2.0 ** -53)
+
+    def test_closed_form_on_an_array_equals_scalar_calls(self):
+        cases = [(1.0, np.array([0.0, 0.5, 2.0, 1e308]), 0.0),
+                 (1e200, np.array([0.0, 1.0, 1e200, 1e308]), 1e200),
+                 (1e300, np.array([0.0, 1.0, 1e-300, 1e10]), 1e10)]
+        rng = np.random.default_rng(35)
+        for _ in range(2000):
+            lam, t = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
+            x = np.where(rng.random(7) < 0.2, 0.0, 10.0 ** rng.uniform(-5.0, 3.0, size=7))
+            cases.append((float(lam), x, float(t)))
+        for lam, x, t in cases:
+            got = feller_semigroup_closed_form(lam, x, t)
+            assert isinstance(got, np.ndarray) and got.shape == x.shape
+            expected = [feller_semigroup_closed_form(lam, float(v), t) for v in x]
+            assert all(type(v) is float for v in expected)
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_closed_form_rejects_any_bad_point(self, bad):
+        with pytest.raises(ValueError, match=r"^x must be finite and nonnegative"):
+            feller_semigroup_closed_form(1.0, np.array([0.5, bad, 1.0]), 1.0)
 
 
 def _feller_per_step(x, T, dt, size, rng):

@@ -1,12 +1,14 @@
 """The series and its reports against exact Decimal references (``exact.py``)."""
 
+import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 import exact
-from oplimits import sm_apply_grid, sm_exponential_closed_form
+from oplimits import feller_semigroup_closed_form, sm_apply_grid, sm_exponential_closed_form
 from oplimits.harness import ExperimentConfig, run_experiment
 from oplimits.operators import DEFAULT_POLICY, _poisson_weights
 
@@ -79,3 +81,91 @@ def test_a_window_and_its_omitted_mass_add_up_to_one(lam):
         ctx.prec = exact.DIGITS
         mass = sum(map(Decimal, w.tolist()), Decimal(tail) + Decimal(below))
     assert abs(float(mass - 1)) <= 1e-15
+
+
+# The rounding budget of the two exponential closed forms.  Each computes an
+# exponent E in a few correctly rounded operations (expm1 counts as two, one
+# ulp) and then exp(E), within one ulp.  Every operation is off by at most U
+# relative, so E is off by at most (operations) U |E| relative, plus half of
+# SUB for an operation that rounds below TINY, the least normal double,
+# carried by what multiplies it afterwards; exp(E) turns an error d of E
+# into a relative error expm1(|d|).  exp adds 2U relative, and the
+# reference's conversion to a double U, or up to SUB apiece below TINY.
+U = 2.0 ** -53
+SUB = 2.0 ** -1074
+TINY = 2.0 ** -1022
+
+
+def _assert_within_budget(got, want, operations, lost):
+    with localcontext() as ctx:
+        ctx.prec = exact.DIGITS
+        exponent = float(want.ln())
+    allowed = float(want) * (math.expm1(operations * U * abs(exponent) + lost) + 3 * U)
+    assert abs(got - float(want)) <= allowed + 2 * SUB
+
+
+def _sm_lost(n, lam, x):
+    # lam/n below TINY is off by up to SUB/2, which n x carries into E, and
+    # n (1 - exp(-lam/n)) may round below it too, which x carries; the last
+    # product may round below it in any case
+    return (x * SUB * (n + 1) if lam / n < TINY else 0.0) / 2 + SUB / 2
+
+
+# lam x and the quotient may round below TINY; lam t / 2 only sits beside 1
+_FELLER_LOST = SUB
+
+X_GRID = [0.0, 1e-300, 1e-5, 0.3, 1.0, 7.5, 50.0, 700.0]
+LAMBDAS = [1e-3, 0.5, 1.0, 3.0, 50.0, 1e3]
+
+
+@pytest.mark.parametrize("n", [1, 10, 1024, 10 ** 6])
+@pytest.mark.parametrize("lam", LAMBDAS)
+def test_sm_closed_form_is_within_its_rounding_budget(n, lam):
+    # -lam/n, expm1, n x and the product: five roundings
+    got = sm_exponential_closed_form(n, lam, np.array(X_GRID))
+    for value, x in zip(got.tolist(), X_GRID):
+        _assert_within_budget(value, exact.sm_exponential(n, lam, x), 5, _sm_lost(n, lam, x))
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-3, 0.5, 1.0, 10.0])
+@pytest.mark.parametrize("lam", LAMBDAS)
+def test_feller_closed_form_is_within_its_rounding_budget(lam, t):
+    # lam x, lam t, 1 + lam t / 2 and the quotient: four roundings
+    got = feller_semigroup_closed_form(lam, np.array(X_GRID), t)
+    for value, x in zip(got.tolist(), X_GRID):
+        _assert_within_budget(value, exact.feller_laplace(lam, x, t), 4, _FELLER_LOST)
+
+
+@pytest.mark.parametrize("n, lam, x", [(10, 5e-324, 1e308), (10, 1e-310, 1e308)])
+def test_sm_closed_form_past_an_overflowing_product(n, lam, x):
+    # n x is past the largest double while the exponent is near -5e-16 and -0.01
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = sm_exponential_closed_form(n, lam, x)
+        array = sm_exponential_closed_form(n, lam, np.array([x, 1.0]))
+    assert array[0] == scalar
+    _assert_within_budget(scalar, exact.sm_exponential(n, lam, x), 5, _sm_lost(n, lam, x))
+
+
+@pytest.mark.parametrize("lam, x, t", [(1e200, 1e200, 1e200), (1e300, 1.0, 1e10)])
+def test_feller_closed_form_past_an_overflowing_product(lam, x, t):
+    # lam t (and at 1e200 lam x) is past the largest double; the exponent
+    # -x / (1/lam + t/2) takes as many roundings as the direct one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = feller_semigroup_closed_form(lam, x, t)
+        array = feller_semigroup_closed_form(lam, np.array([x, 1.0]), t)
+    assert array[0] == scalar
+    _assert_within_budget(scalar, exact.feller_laplace(lam, x, t), 4, _FELLER_LOST)
+
+
+def test_the_sm_reference_keeps_tiny_rates():
+    # 1 - exp(-lam/n) cancels to 0 in 40 digits once lam/n is below about
+    # 1e-40; the values here are from a 60-digit evaluation
+    assert float(exact.sm_exponential(10, 1e-310, 1e308)) == 0.9900498337491681
+    assert float(exact.sm_exponential(10, 5e-324, 1e308)) == 0.9999999999999996
+    # the series and the direct difference agree where the reference switches
+    with localcontext() as ctx:
+        ctx.prec = exact.DIGITS
+        for q in (Decimal("0.1"), Decimal("0.05")):
+            assert abs(exact._one_minus_exp_neg(q) - (1 - (-q).exp())) < Decimal("1e-38")

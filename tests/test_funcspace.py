@@ -9,6 +9,7 @@ from oplimits import (
     make_geometric_grid,
     weight_eval,
 )
+from oplimits.harness import ExperimentConfig
 
 # the experiments' default working grid: dense head on [0, 1], geometric tail to 50
 GRID = make_geometric_grid(50.0, 300, 100)
@@ -108,3 +109,53 @@ class TestCatalog:
         slope = float(np.max(np.abs(np.diff(d2) / np.diff(pts))))
         assert slope == pytest.approx(6.0, rel=1e-12)
         assert f.lip_d2 == 6.0
+
+
+def _as_float(x):
+    return np.asarray(x, dtype=float)
+
+
+# The catalog's expressions as they were written with a conversion of their
+# own in every use of x: the table must keep every value's bits.
+_WRAPPED = {
+    "e0": (lambda x: np.ones_like(_as_float(x)), lambda x: np.zeros_like(_as_float(x))),
+    "e1": (lambda x: _as_float(x), lambda x: np.zeros_like(_as_float(x))),
+    "e2": (lambda x: _as_float(x) ** 2, lambda x: 2.0 * np.ones_like(_as_float(x))),
+    "xexp": (lambda x: _as_float(x) * np.exp(-_as_float(x)),
+             lambda x: (_as_float(x) - 2.0) * np.exp(-_as_float(x))),
+    "cauchy": (lambda x: 1.0 / (1.0 + _as_float(x) ** 2),
+               lambda x: (6.0 * _as_float(x) ** 2 - 2.0) / (1.0 + _as_float(x) ** 2) ** 3),
+    "kink3": (lambda x: np.abs(_as_float(x) - 1.0) ** 3,
+              lambda x: 6.0 * np.abs(_as_float(x) - 1.0)),
+    **{f"f{int(lam)}": (lambda x, lam=lam: np.exp(-lam * _as_float(x)),
+                        lambda x, lam=lam: lam ** 2 * np.exp(-lam * _as_float(x)))
+       for lam in (1.0, 2.0, 3.0)},
+}
+
+# The last point has 27 significant bits and its exact square lies halfway
+# between two doubles: an array's ** 2 (x * x) rounds it to even, while a
+# Python float's ** 2 goes through pow, which may round it up, as glibc does.
+_PINNED_POINTS = [0.0, 1.0, 1e-300, 700.0, float.fromhex("0x1.b791f74p+0")]
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+class TestCatalogTable:
+    def test_key_order(self):
+        assert list(CATALOG) == ["e0", "e1", "e2", "xexp", "cauchy", "kink3", "f1", "f2", "f3"]
+
+    @pytest.mark.parametrize("label", list(_WRAPPED))
+    def test_values_keep_their_bits(self, label):
+        f, (fn, d2_fn) = CATALOG[label], _WRAPPED[label]
+        grid = ExperimentConfig("voronovskaya").grid().points
+        # a point as a Python float, the points as a list and as a float array
+        for x in _PINNED_POINTS + [_PINNED_POINTS, np.array(_PINNED_POINTS), grid]:
+            _assert_same_bits(f(x), fn(x))
+        # the generator hands d2_fn float arrays, 0-d for a point; tests also hand it floats
+        for x in _PINNED_POINTS + [np.float64(v) for v in _PINNED_POINTS] + [
+                np.array(v) for v in _PINNED_POINTS] + [np.array(_PINNED_POINTS), grid]:
+            _assert_same_bits(f.d2_fn(x), d2_fn(x))

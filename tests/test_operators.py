@@ -302,6 +302,14 @@ class TestSzaszMirakyan:
         assert got.value == pytest.approx(direct, abs=1e-10)
         assert sm_exponential_closed_form(10, 1.0, 2.0) == pytest.approx(direct, rel=1e-15)
         assert sm_exponential_closed_form(10, 1.0, 1e308) == 0.0
+        # n x past the largest double with a finite exponent: the true values,
+        # within the rounding budget that tests/test_exact.py derives; lam/n
+        # is subnormal or 0.0 here, which costs up to (n + 1) x 2^-1075 of
+        # the exponent, 2.7e-15, on top of 3 2^-53 for exp and the rounding
+        assert sm_exponential_closed_form(10, 5e-324, 1e308) == pytest.approx(
+            0.9999999999999996, rel=3.1e-15)
+        assert sm_exponential_closed_form(10, 1e-310, 1e308) == pytest.approx(
+            0.9900498337491681, rel=3.1e-15)
 
     def test_closed_form_agreement_across_policies(self):
         for n, x in [(1, 0.5), (10, 2.0), (100, 7.0), (100, 50.0)]:
@@ -312,13 +320,15 @@ class TestSzaszMirakyan:
                 assert abs(series - closed) <= DEFAULT_POLICY.tail_eps + 1e-14
 
     def test_closed_form_on_an_array_equals_scalar_calls(self):
-        # at 1e308 the exponent is past the largest double: the value is 0.0
+        # at 1e308, n x is past the largest double: at lam = 2 the exponent
+        # is too and the value is 0.0, at the tiny rates it is not
         x = np.array([0.0, 0.25, 1.0, 7.5, 300.0, 1e308])
-        got = sm_exponential_closed_form(50, 2.0, x)
-        assert isinstance(got, np.ndarray) and got.shape == x.shape
-        expected = [sm_exponential_closed_form(50, 2.0, float(v)) for v in x]
-        assert all(type(v) is float for v in expected)
-        np.testing.assert_array_equal(got, expected)
+        for n, lam in [(50, 2.0), (10, 5e-324), (10, 1e-310)]:
+            got = sm_exponential_closed_form(n, lam, x)
+            assert isinstance(got, np.ndarray) and got.shape == x.shape
+            expected = [sm_exponential_closed_form(n, lam, float(v)) for v in x]
+            assert all(type(v) is float for v in expected)
+            np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_closed_form_rejects_any_bad_point(self, bad):
