@@ -10,6 +10,7 @@ configuration or runtime errors.
 """
 
 import argparse
+import functools
 # argparse's gettext imports locale at its first message; importing it
 # here moves that cost from the run to start-up
 import locale  # noqa: F401
@@ -46,7 +47,14 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every caller.
+
+    Parsing reads the parser and changes nothing in it, so every
+    :func:`main` call shares it: a flag given in one call sets nothing in
+    the next.  Callers must not change it.
+    """
     parser = argparse.ArgumentParser(
         prog="oplimits",
         description=(

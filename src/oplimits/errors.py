@@ -11,9 +11,11 @@ each raises a ``ValueError`` whose message starts ``<name> must be``:
   returns it as an int;
 * :func:`_check_real` accepts a finite real on the half line from ``low``,
   or, given ``high``, on the interval from ``low`` to ``high``, with both
-  ends in (``open_ends=False``) or both out; NaN and the infinities fail;
+  ends in (``open_ends=False``) or both out; NaN, the infinities and an int
+  too large to round to a double fail;
 * :func:`_check_reals` applies the same test to every entry of an array
-  and returns it as a float array, naming its least or greatest entry.
+  and returns it as a float array, naming its least or greatest entry, or
+  the first of its entries that is an int too large to round to a double.
 """
 
 import math
@@ -22,6 +24,9 @@ import numpy as np
 
 # Largest index the checks accept: every integer up to it is a double.
 _MAX_INDEX = 2 ** 53
+
+# The least int that rounds past the largest double, so has no float
+_NO_FLOAT = 2 ** 1024 - 2 ** 970
 
 
 class EvaluationError(ArithmeticError):
@@ -73,16 +78,26 @@ def _check_real(value, name, low=0.0, high=None, open_ends=False):
             rule = "finite and " + ("positive" if open_ends else "nonnegative")
         else:
             rule = f"finite and {'>' if open_ends else '>='} {low:g}"
-        raise ValueError(f"{name} must be {rule}, got {value}")
+        raise ValueError(f"{name} must be {rule}, got {_shown(value)}")
+    # only an int passes the test above and reaches this
+    if value >= _NO_FLOAT:
+        raise ValueError(f"{name} must be at most the largest double, got {_shown(value)}")
 
 
 def _check_reals(values, name, low=0.0, high=None, open_ends=False) -> np.ndarray:
     """``values`` as a float array once its least and greatest entries pass :func:`_check_real`.
 
     A range is an interval, so they pass only if every entry does; a NaN
-    entry makes both NaN.
+    entry makes both NaN.  An int entry too large to round to a double has
+    no float to convert to, so the entries are checked one by one instead,
+    which names the first that fails.
     """
-    a = np.asarray(values, dtype=float)
+    try:
+        a = np.asarray(values, dtype=float)
+    except OverflowError:
+        for value in np.asarray(values, dtype=object).flat:
+            _check_real(value, name, low, high, open_ends)
+        raise
     for extreme in (a.min(), a.max()) if a.size else ():
         _check_real(float(extreme), name, low, high, open_ends)
     return a

@@ -24,7 +24,8 @@ the Poisson and binomial laws read log k! from one table
 sums the logs of its weight ratios from log-gamma values at lo.  The
 table's entries are Cephes ``lgam(k + 1)`` evaluated with libm logarithms
 (``_log_factorials``), the same doubles as SciPy's log-gamma (also Cephes
-``lgam``) without loading it.
+``lgam``) without loading it; a piece of the table takes its logarithms in
+one numpy call, the complex log, which numpy leaves to libm.
 
 One routine, ``_poisson_pmf``, evaluates the Poisson law on ranges of
 integers, for a series window, for a block of kernel rows and for the
@@ -43,6 +44,10 @@ consecutive points together and evaluates f once per chunk of them.  They
 share the window start, the pmf, the cut and the dot product, so the grid
 routine returns, point for point, the bits of ``sm_apply``; a point whose
 window the batched cut does not certify goes through ``sm_apply`` itself.
+The grid routine sums a window of up to 8,192 terms by one BLAS dot product
+and checks a run of such sums for a non-finite value at once, so a point
+costs little Python beyond its dot product, and raises the errors of a loop
+of ``sm_apply`` calls in the same order.
 Given a tuple of functions, the grid routine builds each chunk's windows
 once and averages every function over them, one row of values each.
 
@@ -53,6 +58,7 @@ experiment's oracle for the truncated series.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -158,11 +164,13 @@ def _log_factorials(lo, hi):
     Above, it is q = (x - 0.5) log x - x + log sqrt(2 pi), plus a
     correction in p = 1/x^2 divided by x: a degree-4 polynomial below
     x = 1000, three Stirling terms up to x = 1e8 and nothing beyond.  The
-    logarithms come from libm through ``math.log`` of the ints x, which
-    CPython converts exactly below 2^53; numpy's SIMD log differs from libm
-    in the last bit at a few integers (8 of the first 262,144 on an AVX-512
-    x86-64 host).  The rest runs elementwise in Cephes's order, so each
-    entry is the double ``lgam`` returns.
+    logarithms are libm's, taken for a whole piece at once as the real part
+    of numpy's complex log of x + 0i: numpy has no SIMD loop for the complex
+    log and calls the C library's ``clog``, whose real part at (x, 0),
+    x >= 2, is log(hypot(x, 0)) = log x, libm's own ``log``.  numpy's float
+    log cannot serve: its AVX-512 loop differs from libm in the last bit at
+    57 of the integers 1..2^20.  The rest runs elementwise in Cephes's
+    order, so each entry is the double ``lgam`` returns.
     """
     x = np.arange(lo, hi) + 1.0
     out = np.empty(x.size)
@@ -170,8 +178,7 @@ def _log_factorials(lo, hi):
     out[:small] = [math.log(float(math.factorial(k))) for k in range(lo, lo + small)]
     x = x[small:]
     q = out[small:]
-    np.multiply(x - 0.5, np.fromiter(map(math.log, range(lo + small + 1, hi + 1)), float, x.size),
-                out=q)
+    np.multiply(x - 0.5, np.log(x + 0j).real, out=q)
     q -= x
     q += _LS2PI
     # x ascends, so each correction covers one slice: x < 1000, 1000 <= x <= 1e8
@@ -424,7 +431,7 @@ _GRID_CHUNK = 1 << 14
 
 
 def _poisson_windows(lam, lo, hi, floor, policy, buffer):
-    """The window ``(lo, w, omitted)`` of each of consecutive means, or None where uncertified.
+    """The weights and omitted masses of consecutive means' windows, as lists ``(ws, omitted)``.
 
     ``lam``, ``lo``, ``hi`` and ``floor`` are arrays from :func:`_poisson_start`
     of positive means whose windows lo..hi fit within ``max_terms``.  One
@@ -432,10 +439,10 @@ def _poisson_windows(lam, lo, hi, floor, policy, buffer):
     ``buffer`` if they fit there.  The first pass of the cut of
     :func:`_poisson_weights`, the tail sums from hi down to the floor, then
     runs for all of them at once, one sequential cumulative sum per window
-    as there.  A window whose cut that pass certifies carries the bits
-    :func:`_poisson_weights` gives it, with omitted = tail + below.  Where
-    the pass does not certify the cut (it lies at or below the floor or
-    below lo), the entry is None.
+    as there.  A window whose cut that pass certifies has the weights w on
+    lo..K and the omitted mass tail + below that :func:`_poisson_weights`
+    gives it, bit for bit.  Where the pass does not certify the cut (it lies
+    at or below the floor or below lo), w is None and omitted 0.0.
     """
     sizes = hi - lo + 1
     ends = np.cumsum(sizes) - 1
@@ -455,12 +462,30 @@ def _poisson_windows(lam, lo, hi, floor, policy, buffer):
     rows = np.arange(lam.size)
     omitted = np.where(within > 0, tail[rows, within - 1], remainder)
     K = hi - within
-    cut = (within < tops) & over[rows, within] & (omitted <= policy.tail_eps) & (K >= lo)
-    return [(lo_t, p[start:start + K_t - lo_t + 1], omitted_t + _below(lam_t, lo_t))
-            if cut_t else None
-            for lam_t, lo_t, start, K_t, omitted_t, cut_t in zip(
-                lam.tolist(), lo.tolist(), (ends + 1 - sizes).tolist(), K.tolist(),
-                omitted.tolist(), cut.tolist())]
+    cut = ((within < tops) & over[rows, within] & (omitted <= policy.tail_eps) & (K >= lo)).tolist()
+    starts = ends + 1 - sizes
+    ws = [p[start:stop] if cut_t else None
+          for start, stop, cut_t in zip(starts.tolist(), (starts + K - lo + 1).tolist(), cut)]
+    return ws, [omitted_t + _below(lam_t, lo_t) if cut_t else 0.0
+                for lam_t, lo_t, omitted_t, cut_t in zip(lam.tolist(), lo.tolist(),
+                                                          omitted.tolist(), cut)]
+
+
+def _check_terms(lows, ws, vals, first, sums, n):
+    """Raise the error :func:`_dot` raises first over the certified windows ``lows``, ``ws``, if any.
+
+    ``vals`` holds each function's values on the lattice points from
+    ``first`` on, and ``sums``, one row per function, the dot products of
+    the windows with them, taken without :func:`_dot`'s check.  A
+    non-finite term makes its sum non-finite, so only if some sum is not
+    finite are the windows summed again through :func:`_dot`, point by
+    point and function by function within a point, which names the first
+    non-finite term, or returns the same sums if no term is.
+    """
+    if not np.isfinite(sums).all():
+        for lo_t, w in zip(lows, ws):
+            for v in vals:
+                _dot(lo_t, w, v[lo_t - first:lo_t - first + w.size], n)
 
 
 def sm_apply_grid(n: int, f, xs, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -486,12 +511,27 @@ def sm_apply_grid(n: int, f, xs, policy: TruncationPolicy = DEFAULT_POLICY):
     x = 0, a window past ``max_terms`` and a point sm_apply rejects each go
     through :func:`sm_apply` itself, once per function, in their place in
     the point order.
+
+    A window of at most ``_DOT_PIECE`` terms is summed by one ``np.vdot``
+    without :func:`_dot`'s check for non-finite terms; longer windows go
+    through :func:`_dot`.  The unchecked sums of a chunk are checked by
+    :func:`_check_terms` before the next point that goes through
+    :func:`sm_apply` or :func:`_dot`, and at the end of the chunk, so the
+    first non-finite term is named before any error a later point raises.
     """
     fs = f if isinstance(f, tuple) else (f,)
     if not fs:
         raise ValueError("f must be a function or a nonempty tuple of functions")
     n = _check_index(n)
-    xs = np.asarray(xs, dtype=float)
+    try:
+        xs = np.asarray(xs, dtype=float)
+    except OverflowError:
+        # an int too large for a double: the loop of sm_apply calls names
+        # it, after the points before it
+        for x in np.asarray(xs, dtype=object).flat:
+            for g in fs:
+                sm_apply(n, g, x, policy)
+        raise
     if xs.ndim != 1:
         raise ValueError(f"xs must be a 1-d array of points, got shape {xs.shape}")
     with np.errstate(over="ignore"):
@@ -512,21 +552,36 @@ def sm_apply_grid(n: int, f, xs, policy: TruncationPolicy = DEFAULT_POLICY):
                and total + sizes[j] <= _GRID_CHUNK):
             total, first, last = total + sizes[j], min(first, lows[j]), max(last, highs[j])
             j += 1
-        windows = _poisson_windows(lam[i:j], lo[i:j], hi[i:j], floor[i:j], policy,
-                                   buffer) if total else [None]
-        certified = [window for window in windows if window]
+        ws, starts = [None], lows[i:j]
+        if total:
+            ws, omitted[i:j] = _poisson_windows(lam[i:j], lo[i:j], hi[i:j], floor[i:j], policy,
+                                                buffer)
+        certified = [(lo_t, w) for lo_t, w in zip(starts, ws) if w is not None]
+        vals = []
         if certified:
-            first = min(lo_t for lo_t, _, _ in certified)
-            last = max(lo_t + w.size for lo_t, w, _ in certified)
+            first = min(lo_t for lo_t, _ in certified)
+            last = max(lo_t + w.size for lo_t, w in certified)
             vals = [np.asarray(g(np.arange(first, last) / n), dtype=float) for g in fs]
-        for t, window in zip(range(i, j), windows):
-            if window is None:
+            for row, v in zip(values, vals):
+                # 0.0 stands in for a point that goes through sm_apply or _dot below
+                row[i:j] = [np.vdot(w, v[lo_t - first:lo_t - first + w.size])
+                            if w is not None and w.size <= _DOT_PIECE else 0.0
+                            for lo_t, w in zip(starts, ws)]
+        # the sums from this point on are unchecked
+        unchecked = i
+        for t in [t for t, w in enumerate(ws, i) if w is None or w.size > _DOT_PIECE]:
+            _check_terms(starts[unchecked - i:t - i], ws[unchecked - i:t - i], vals, first,
+                         values[:, unchecked:t], n)
+            unchecked = t + 1
+            if ws[t - i] is None:
                 for row, g in zip(values, fs):
                     row[t], omitted[t] = sm_apply(n, g, float(xs[t]), policy)
             else:
-                lo_t, w, omitted[t] = window
+                lo_t, w = starts[t - i], ws[t - i]
                 for row, v in zip(values, vals):
                     row[t] = _dot(lo_t, w, v[lo_t - first:lo_t - first + w.size], n)
+        _check_terms(starts[unchecked - i:], ws[unchecked - i:], vals, first,
+                     values[:, unchecked:j], n)
         i = j
     return (values if isinstance(f, tuple) else values[0]), omitted
 
@@ -610,14 +665,20 @@ def sm_exponential_closed_form(n: int, lam: float, x):
     Equals ``exp(-n x (1 - exp(-lam/n)))``; as n grows the inner factor
     tends to lam, recovering the exponential itself.  ``x`` may be an
     array of points, each finite and nonnegative; a scalar x gives a float.
+    Below the least normal double, lam/n keeps too few bits for n x to
+    multiply back, and n (1 - exp(-lam/n)) equals lam to double precision,
+    so the exponent there is -lam x.
     """
     n = _check_index(n)
     x = _check_reals(x, "x")
     _check_real(lam, "lam", open_ends=True)
-    c = -np.expm1(-lam / n)  # 1 - exp(-lam/n), accurate for tiny lam/n
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow's entries are replaced
-        # where n x overflows, x (n c) overflows only with the exponent, whose value is 0.0
-        exponent = np.where(np.isinf(n * x), -x * (n * c), -n * x * c)
+    if lam / n < sys.float_info.min:
+        exponent = -x * lam
+    else:
+        c = -np.expm1(-lam / n)  # 1 - exp(-lam/n), accurate for tiny lam/n
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow's entries are replaced
+            # where n x overflows, x (n c) overflows only with the exponent, whose value is 0.0
+            exponent = np.where(np.isinf(n * x), -x * (n * c), -n * x * c)
     values = np.exp(exponent)
     return float(values) if values.ndim == 0 else values
 

@@ -104,11 +104,11 @@ def _assert_within_budget(got, want, operations, lost):
     assert abs(got - float(want)) <= allowed + 2 * SUB
 
 
-def _sm_lost(n, lam, x):
-    # lam/n below TINY is off by up to SUB/2, which n x carries into E, and
-    # n (1 - exp(-lam/n)) may round below it too, which x carries; the last
-    # product may round below it in any case
-    return (x * SUB * (n + 1) if lam / n < TINY else 0.0) / 2 + SUB / 2
+# lam/n below TINY makes the exponent -lam x, one rounding, whose relative
+# departure from -n x (1 - exp(-lam/n)) is below lam/(2n) < U; above it
+# 1 - exp(-lam/n) stays above TINY.  Either way only the last product may
+# round below TINY
+_SM_LOST = SUB / 2
 
 
 # lam x and the quotient may round below TINY; lam t / 2 only sits beside 1
@@ -124,7 +124,7 @@ def test_sm_closed_form_is_within_its_rounding_budget(n, lam):
     # -lam/n, expm1, n x and the product: five roundings
     got = sm_exponential_closed_form(n, lam, np.array(X_GRID))
     for value, x in zip(got.tolist(), X_GRID):
-        _assert_within_budget(value, exact.sm_exponential(n, lam, x), 5, _sm_lost(n, lam, x))
+        _assert_within_budget(value, exact.sm_exponential(n, lam, x), 5, _SM_LOST)
 
 
 @pytest.mark.parametrize("t", [0.0, 1e-3, 0.5, 1.0, 10.0])
@@ -136,15 +136,29 @@ def test_feller_closed_form_is_within_its_rounding_budget(lam, t):
         _assert_within_budget(value, exact.feller_laplace(lam, x, t), 4, _FELLER_LOST)
 
 
-@pytest.mark.parametrize("n, lam, x", [(10, 5e-324, 1e308), (10, 1e-310, 1e308)])
+@pytest.mark.parametrize("n, lam, x", [(10, 5e-324, 1e308), (10, 1e-310, 1e308),
+                                       (10, 2.5e-307, 1e308), (10, 1e-306, 1e308)])
 def test_sm_closed_form_past_an_overflowing_product(n, lam, x):
-    # n x is past the largest double while the exponent is near -5e-16 and -0.01
+    # n x is past the largest double while the exponent is near -5e-16,
+    # -0.01, -25 and -100; lam/n is subnormal in the first two
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         scalar = sm_exponential_closed_form(n, lam, x)
         array = sm_exponential_closed_form(n, lam, np.array([x, 1.0]))
     assert array[0] == scalar
-    _assert_within_budget(scalar, exact.sm_exponential(n, lam, x), 5, _sm_lost(n, lam, x))
+    _assert_within_budget(scalar, exact.sm_exponential(n, lam, x), 5, _SM_LOST)
+
+
+@pytest.mark.parametrize("n, lam, x", [(2 ** 53, 1e-306, 1e308), (10, 1e-310, 1e308),
+                                       (2 ** 53, 1e-300, 1.0), (2 ** 53, 5e-324, 7.5)])
+def test_sm_closed_form_at_a_subnormal_quotient(n, lam, x):
+    # lam/n keeps a few bits at most; multiplied back by n x they once gave
+    # 3.03e-43 for e^-100 = 3.72e-44 at the first case and were 4 ulps off
+    # at the second
+    assert lam / n < TINY
+    got = sm_exponential_closed_form(n, lam, np.array([x]))
+    assert got[0] == sm_exponential_closed_form(n, lam, x)
+    _assert_within_budget(got[0], exact.sm_exponential(n, lam, x), 5, _SM_LOST)
 
 
 @pytest.mark.parametrize("lam, x, t", [(1e200, 1e200, 1e200), (1e300, 1.0, 1e10)])

@@ -545,6 +545,33 @@ class TestCLI:
         }
         assert _collect_overrides(build_parser().parse_args(["semigroup"])) == {}
 
+    def test_consecutive_calls_write_what_separate_processes_write(self, tmp_path, capsys):
+        # the parser is built once per process; the flags of one call, among
+        # them a subcommand's own and --format, must not reach the next,
+        # which runs the default voronovskaya report
+        runs = [
+            ["voronovskaya", "--f", "e1", "--alpha", "2.5", "--n-ladder", "4,16",
+             "--format", "json"],
+            ["kelisky-rivlin", "--f", "e2", "--seed", "3"],
+            ["voronovskaya"],
+        ]
+        assert build_parser() is build_parser()
+        src = os.path.dirname(os.path.dirname(oplimits.cli.__file__))
+        for k, args in enumerate(runs):
+            ours, theirs = tmp_path / f"in-process-{k}", tmp_path / f"separate-{k}"
+            status = main([*args, "--out", str(ours)])
+            out = subprocess.run([sys.executable, "-m", "oplimits.cli", *args, "--out", str(theirs)],
+                                 env={**os.environ, "PYTHONPATH": src},
+                                 capture_output=True, text=True)
+            assert status == out.returncode, args
+            assert ours.read_bytes() == theirs.read_bytes(), args
+        capsys.readouterr()
+        assert json.loads((tmp_path / "in-process-0").read_text())[0]["experiment"] == "voronovskaya"
+        with open(tmp_path / "in-process-2", newline="") as fh:
+            echo = json.loads(next(csv.DictReader(fh))["param_json"])["config"]
+        assert echo["function_label"] == "f1" and echo["alpha"] == 2.0
+        assert echo["n_ladder"] == [4, 16, 64, 256, 1024]
+
     def test_config_file_plus_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n_ladder": [5, 10], "samples": 4000, "seed": 3}))

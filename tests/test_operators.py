@@ -14,6 +14,7 @@ from scipy.special import gammaln, pdtrc
 
 import oplimits
 import oplimits.operators
+from oplimits.errors import _check_reals
 
 from oplimits import (
     CATALOG,
@@ -24,6 +25,7 @@ from oplimits import (
     bernstein_kernel,
     build_sm_kernel,
     chain_terminal_values,
+    feller_semigroup_closed_form,
     kelisky_rivlin_reference,
     kernel_iterate,
     lattice_cutoff,
@@ -172,6 +174,42 @@ class TestLogFactorials:
         lo = centre - 500
         np.testing.assert_array_equal(_log_factorials(lo, lo + 1000),
                                       gammaln(np.arange(lo, lo + 1000) + 1.0))
+
+    def test_first_two_to_the_twenty_equal_per_integer_libm_logs(self):
+        # the same port, its logarithms taken one int at a time by math.log
+        def per_integer(lo, hi):
+            x = np.arange(lo, hi) + 1.0
+            out = np.empty(x.size)
+            small = int(np.searchsorted(x, 13.0))
+            out[:small] = [math.log(float(math.factorial(k))) for k in range(lo, lo + small)]
+            x = x[small:]
+            q = out[small:]
+            np.multiply(x - 0.5, np.fromiter(map(math.log, range(lo + small + 1, hi + 1)), float,
+                                             x.size), out=q)
+            q -= x
+            q += oplimits.operators._LS2PI
+            mid = int(np.searchsorted(x, 1000.0))
+            top = int(np.searchsorted(x, 1e8, side="right"))
+            xs = x[:mid]
+            p = 1.0 / (xs * xs)
+            poly = np.full(xs.size, oplimits.operators._LGAM_A[0])
+            for a in oplimits.operators._LGAM_A[1:]:
+                poly *= p
+                poly += a
+            q[:mid] += poly / xs
+            xs = x[mid:top]
+            p = 1.0 / (xs * xs)
+            q[mid:top] += ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                           + 0.0833333333333333333333) / xs
+            return out
+
+        assert _log_factorials(0, 2 ** 20).tobytes() == per_integer(0, 2 ** 20).tobytes()
+
+    @pytest.mark.parametrize("x", [2 ** 30, 2 ** 40, 2 ** 53 - 1])
+    def test_logs_far_out_are_libm_logs(self, x):
+        # past x = 1e8 the entry at k = x - 1 is (x - 0.5) log x - x + log sqrt(2 pi)
+        want = (x - 0.5) * math.log(x) - x + oplimits.operators._LS2PI
+        assert _log_factorials(x - 1, x)[0] == want
 
     def test_windows_starting_inside_the_exact_range(self):
         for lo, hi in [(0, 0), (3, 5), (11, 14), (12, 13), (13, 40)]:
@@ -447,6 +485,28 @@ def test_rejected_index_is_shown_in_bounded_form(n, shown):
     with pytest.raises(ValueError) as excinfo:
         sm_apply(n, CATALOG["e0"], 1.0)
     assert str(excinfo.value).endswith(f", got {shown}")
+
+
+# An int past the largest double passes a comparison with inf, but has no
+# float: each check names the argument rather than fail in a conversion
+@pytest.mark.parametrize("name, call", [
+    ("lam", lambda: feller_semigroup_closed_form(10 ** 400, 1.0, 1.0)),
+    ("t", lambda: feller_semigroup_closed_form(1.0, 1.0, 10 ** 400)),
+    ("x", lambda: feller_semigroup_closed_form(1.0, [1.0, 10 ** 400], 1.0)),
+    ("lam", lambda: sm_exponential_closed_form(4, 10 ** 400, 1.0)),
+    ("x", lambda: sm_exponential_closed_form(4, 1.0, 10 ** 400)),
+    ("x", lambda: sm_apply(10, CATALOG["e0"], 10 ** 400)),
+    ("x", lambda: _check_reals([1.0, 10 ** 400], "x")),
+    ("x", lambda: _check_reals([[1.0], [10 ** 400]], "x", 0.0, 1.0)),
+], ids=["feller-lam", "feller-t", "feller-x", "sm-closed-form-lam", "sm-closed-form-x",
+        "sm_apply-x", "check_reals", "check_reals-interval"])
+def test_an_int_past_the_largest_double_is_rejected_by_name(name, call):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert type(excinfo.value) is ValueError
+    message = str(excinfo.value)
+    assert message.startswith(f"{name} must be ")
+    assert message.endswith(", got an integer of 401 digits")
 
 
 class TestBernstein:

@@ -24,7 +24,7 @@ import oplimits.generator
 import oplimits.harness
 import oplimits.operators
 from oplimits.harness import ExperimentConfig, run_experiment
-from oplimits.operators import DEFAULT_POLICY, _poisson_start, _poisson_weights
+from oplimits.operators import DEFAULT_POLICY, _poisson_start, _poisson_weights, _poisson_windows
 
 DEFAULT_GRID = ExperimentConfig("voronovskaya").grid().points
 
@@ -174,6 +174,36 @@ def test_a_bad_term_of_a_later_function_raises_after_the_earlier_points():
         assert _grid(1, fs, xs, DEFAULT_POLICY) == (EvaluationError, named.format(point))
 
 
+def test_a_bad_term_is_named_before_a_later_uncertified_point_is_evaluated():
+    # at n = 1 and tail_eps = 0.1 the windows 0..1 of x = 0.12 and 0..hi of
+    # x = 1 overlap, so they form one chunk; the batched cut certifies the
+    # first and not the second, which goes through sm_apply.  f is infinite
+    # at lattice point 1, and any call after its first raises, so the
+    # infinite term must be named before sm_apply evaluates f again
+    policy = TruncationPolicy(tail_eps=0.1)
+    xs = [0.12, 1.0]
+    lam = np.array(xs)
+    lo, hi, floor = _poisson_start(lam, policy)
+    assert lo.tolist() == [0, 0] and hi[0] >= 1
+    ws, _ = _poisson_windows(lam, lo, hi, floor, policy, np.empty(0))
+    assert ws[0] is not None and ws[0].size == 2 and ws[1] is None
+
+    def once():
+        calls = []
+
+        def f(u):
+            calls.append(u)
+            if len(calls) > 1:
+                raise ValueError("f evaluated again")
+            return np.where(np.asarray(u) == 1.0, math.inf, 1.0)
+        return f
+
+    want = (EvaluationError, "non-finite series term at lattice point 1.0")
+    assert _per_point(1, once(), xs, policy) == want
+    assert _grid(1, once(), xs, policy) == want
+    assert _grid(1, (once(), once()), xs, policy) == want
+
+
 def test_examples_reach_the_cases_they_name():
     # the K = 0 cut, a cut far above the default one and a max_terms
     # overflow all occur.  No Poisson window doubles: its first top leaves
@@ -240,6 +270,22 @@ def test_invalid_points_raise_as_the_loop_does(bad):
     for xs in (1.0, [[1.0, 2.0]]):
         with pytest.raises(ValueError, match="xs must be a 1-d array"):
             sm_apply_grid(3, CATALOG["e1"], xs)
+
+
+def test_an_int_too_large_for_a_double_is_named_after_the_points_before_it():
+    # such an int has no float, so the grid cannot take it as a point; the
+    # loop of sm_apply calls evaluates the points before it and names it
+    seen = []
+
+    def f(u):
+        seen.append(float(np.max(u)))
+        return np.ones_like(u)
+
+    with pytest.raises(ValueError) as grid_error:
+        sm_apply_grid(10, (f, f), [1.0, 10 ** 400, 2.0])
+    assert type(grid_error.value) is ValueError
+    assert str(grid_error.value) == "x must be at most the largest double, got an integer of 401 digits"
+    assert seen == [truncation_index(10, 1.0) / 10] * 2
 
 
 @pytest.mark.parametrize("n, x", [(1, 1e20), (10, 1e300), (10, 1e308)])
